@@ -22,6 +22,9 @@ from . import serialize
 from .config import DEFAULT, Tolerances
 
 
+_FRONT_ULPS = 4                 # |front| within this many ulps of 1 is kept as given
+
+
 class PoleProximityError(ValueError):
     """Evaluation point too close to a pole at 1/conj(a_j)."""
 
@@ -49,8 +52,13 @@ class BlaschkeProduct:
         front = complex(self.front)
         if abs(abs(front) - 1.0) > 1e-9:
             raise ValueError(f"front constant {front} is not unimodular")
+        # front / |front| is not idempotent in floating point, so renormalising
+        # a front that is already unimodular to rounding would move it by an
+        # ulp on every reload and break equality after a JSON round trip
+        if abs(abs(front) - 1.0) > _FRONT_ULPS * np.finfo(float).eps:
+            front = front / abs(front)
         object.__setattr__(self, "zeros", zeros)
-        object.__setattr__(self, "front", front / abs(front))
+        object.__setattr__(self, "front", front)
 
     @property
     def degree(self) -> int:

@@ -33,9 +33,8 @@ import numpy as np
 from .blaschke import BlaschkeProduct, ClarkPointSet, clark_points, evaluate
 from .config import DEFAULT, Tolerances
 from .modelspace import (ModelBasis, ModelVector, build_basis, conj_kernel,
-                         kernel, multiply_by_z, tm_vector)
-from .operators import (OperatorMatrix, clark_coefficient, compressed_shift,
-                        modified_shift)
+                         kernel, multiply_by_z_tm, tm_vector)
+from .operators import OperatorMatrix, clark_coefficient, modified_shift
 
 METHOD_CLARK = "clark-recurrence"
 METHOD_RESIDUAL = "rank-two-residual"
@@ -214,29 +213,25 @@ def recurrence_rhs(r: np.ndarray, pairing: ClarkPairing,
     l = pairing.shared
     den = eta[None, :] - zeta[:, None]            # den[s, p] = eta_p - zeta_s
     applicable = np.ones((n, m), dtype=bool)
-    for s in range(min(l, m)):
-        applicable[s, s] = False
+    free = np.arange(min(l, m))
+    applicable[free, free] = False
     if np.any(np.abs(den[applicable]) < tol.match):
         raise ToleranceBreakdown("Clark points of the two spaces nearly collide "
                                  "outside the matched pairs; tighten tolerances")
-    rhs = np.zeros((n, m), dtype=complex)
-    for s in range(n):
-        for p in range(m):
-            if not applicable[s, p]:
-                continue
-            d = den[s, p]
-            if l == 0 or s >= l:
-                rhs[s, p] = (
-                    (sqa[0] / sqa[p]) * (eta[p] / eta[0]) * (eta[0] - zeta[s]) / d * r[s, 0]
-                    + (sqb[0] / sqb[s]) * (eta[p] - zeta[0]) / d * r[0, p])
-                if l == 0:
-                    rhs[s, p] += (sqa[0] * sqb[0] / (sqa[p] * sqb[s])) \
-                        * (eta[p] / eta[0]) * (zeta[0] - eta[0]) / d * r[0, 0]
-            else:
-                rhs[s, p] = (
-                    (sqa[s] * sqb[0] / (sqa[p] * sqb[s])) * (eta[p] / eta[s])
-                    * (eta[0] - zeta[s]) / d * r[0, s]
-                    + (sqb[0] / sqb[s]) * (eta[p] - zeta[0]) / d * r[0, p])
+    d = np.where(applicable, den, 1.0)            # the free entries are zeroed below
+    ep, zs = eta[None, :], zeta[:, None]
+    ap, bs = sqa[None, :], sqb[:, None]
+    from_row = (sqb[0] / bs) * (ep - zeta[0]) / d * r[0:1, :]
+    # rows s >= l (every row when l = 0): first row plus first column
+    rhs = (sqa[0] / ap) * (ep / eta[0]) * (eta[0] - zs) / d * r[:, 0:1] + from_row
+    if l == 0:
+        rhs += (sqa[0] * sqb[0] / (ap * bs)) * (ep / eta[0]) * (zeta[0] - eta[0]) / d * r[0, 0]
+    else:
+        # rows s < l: the first row alone, with r[0, s] in place of r[s, 0]
+        t = np.arange(l)[:, None]
+        rhs[:l] = ((sqa[t] * sqb[0] / (ap * sqb[t])) * (ep / eta[t]) * (eta[0] - zeta[t])
+                   / d[:l] * r[0, t] + from_row[:l])
+    rhs[~applicable] = 0.0
     return rhs, applicable
 
 
@@ -327,28 +322,34 @@ def test_conjugate_residual(matrix: OperatorMatrix, a: complex = 0j, b: complex 
 # shift invariance
 # ---------------------------------------------------------------------------
 
-def shift_domain_basis(space: BlaschkeProduct) -> list[ModelVector]:
-    """Orthonormal basis of { f : z f stays in the model space }, i.e. the
-    orthocomplement of the conjugate kernel at 0 (dimension m - 1)."""
+def _shift_domain_tm(space: BlaschkeProduct) -> np.ndarray:
+    """TM coordinates, one column each, of an orthonormal basis of
+    { f : z f stays in the model space }, i.e. the orthocomplement of the
+    conjugate kernel at 0 (dimension m - 1)."""
     kt = conj_kernel(space, 0.0).tm()
     row = np.conj(kt / np.linalg.norm(kt)).reshape(1, -1)   # row @ x = <x, kt>/|kt|
     _, _, vh = np.linalg.svd(row, full_matrices=True)
-    return [tm_vector(space, np.conj(vh[j])) for j in range(1, space.degree)]
+    return np.conj(vh[1:]).T
+
+
+def shift_domain_basis(space: BlaschkeProduct) -> list[ModelVector]:
+    """Orthonormal basis of { f : z f stays in the model space }, i.e. the
+    orthocomplement of the conjugate kernel at 0 (dimension m - 1)."""
+    return [tm_vector(space, col) for col in _shift_domain_tm(space).T]
 
 
 def test_shift_invariance(matrix: OperatorMatrix, tol: Tolerances = DEFAULT) -> MembershipVerdict:
-    """Membership via <A(zf), zg> = <Af, g> over the admissible pairs."""
+    """Membership via <A(zf), zg> = <Af, g> over the admissible pairs.
+
+    With the domain bases F, G as columns and Z_F, Z_G their images under
+    multiplication by z, the residual is max |Z_G^H A Z_F - G^H A F|.
+    """
     m_tm = matrix.tm_entries()
-    fs = shift_domain_basis(matrix.alpha)
-    gs = shift_domain_basis(matrix.beta)
-    resid = 0.0
-    for f in fs:
-        zf = multiply_by_z(f, tol).tm()
-        af = m_tm @ f.tm()
-        azf = m_tm @ zf
-        for g in gs:
-            zg = multiply_by_z(g, tol).tm()
-            resid = max(resid, abs(np.vdot(zg, azf) - np.vdot(g.tm(), af)))
+    f = _shift_domain_tm(matrix.alpha)
+    g = _shift_domain_tm(matrix.beta)
+    zf = multiply_by_z_tm(matrix.alpha, f)
+    zg = multiply_by_z_tm(matrix.beta, g)
+    resid = np.max(np.abs(zg.conj().T @ m_tm @ zf - g.conj().T @ m_tm @ f), initial=0.0)
     return _decide(METHOD_SHIFT, float(resid), matrix.max_abs, tol)
 
 

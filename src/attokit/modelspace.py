@@ -54,20 +54,23 @@ def circle_nodes(n: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.arange(n) / n)
 
 
-def adaptive_circle_mean(fn, tol: float = DEFAULT.quadrature,
+def doubling_circle_mean(level_mean, tol: float = DEFAULT.quadrature,
                          n_start: int = 256, n_max: int = 1 << 15):
     """Trapezoid rule on the unit circle with node doubling.
 
-    ``fn(nodes)`` must return an array whose last axis runs over the nodes;
-    the mean over that axis approximates (1/2pi) * integral over the circle.
-    Node count doubles until two successive levels agree to ``tol``
-    (geometric convergence holds for rational integrands with poles off the
-    circle, so this terminates quickly at desk scale).
+    ``level_mean(n)`` must return the n-node trapezoid mean, i.e. the
+    approximation of (1/2pi) * integral over the circle built on
+    ``circle_nodes(n)``; it may be any array, computed however suits the
+    integrand (a plain mean over a node axis, or one matrix product).  Node
+    count doubles until two successive levels agree to ``tol`` relative to
+    1 + max|value| (geometric convergence holds for rational integrands with
+    poles off the circle, so this terminates quickly at desk scale); raises
+    QuadratureError past ``n_max`` nodes.
     """
     prev = None
     n = n_start
     while n <= n_max:
-        val = np.mean(fn(circle_nodes(n)), axis=-1)
+        val = level_mean(n)
         if prev is not None:
             scale = 1.0 + float(np.max(np.abs(val)))
             if float(np.max(np.abs(val - prev))) <= tol * scale:
@@ -75,6 +78,17 @@ def adaptive_circle_mean(fn, tol: float = DEFAULT.quadrature,
         prev = val
         n *= 2
     raise QuadratureError(f"circle quadrature did not converge below {tol} at {n_max} nodes")
+
+
+def adaptive_circle_mean(fn, tol: float = DEFAULT.quadrature,
+                         n_start: int = 256, n_max: int = 1 << 15):
+    """Circle mean of ``fn`` by :func:`doubling_circle_mean`.
+
+    ``fn(nodes)`` must return an array whose last axis runs over the nodes;
+    the mean over that axis approximates (1/2pi) * integral over the circle.
+    """
+    return doubling_circle_mean(lambda n: np.mean(fn(circle_nodes(n)), axis=-1),
+                                tol, n_start, n_max)
 
 
 # ---------------------------------------------------------------------------
@@ -112,9 +126,6 @@ class _SpaceData:
         padded[: len(coeffs)] = coeffs
         return np.linalg.solve(self.numerators, padded)
 
-    def tm_to_poly(self, coords: np.ndarray) -> np.ndarray:
-        return self.numerators @ coords
-
 
 @functools.lru_cache(maxsize=None)
 def space_data(b: BlaschkeProduct) -> _SpaceData:
@@ -135,11 +146,6 @@ def tm_values(b: BlaschkeProduct, z) -> np.ndarray:
         vals[k] = np.sqrt(1.0 - abs(a) ** 2) / (1.0 - np.conj(a) * zarr) * running
         running = running * (zarr - a) / (1.0 - np.conj(a) * zarr)
     return vals
-
-
-@functools.lru_cache(maxsize=None)
-def _tm_node_values(b: BlaschkeProduct, n: int) -> np.ndarray:
-    return tm_values(b, circle_nodes(n))
 
 
 # ---------------------------------------------------------------------------
@@ -382,6 +388,27 @@ def project(b: BlaschkeProduct, values_fn, tol: Tolerances = DEFAULT) -> ModelVe
     return tm_vector(b, coords)
 
 
+def multiply_by_z_tm(b: BlaschkeProduct, coords: np.ndarray) -> np.ndarray:
+    """TM coordinates of z f for every f given by TM coordinates ``coords``
+    (a vector, or a matrix with one f per column).
+
+    Goes through the numerator polynomials: z f stays in the model space
+    exactly when the numerator of f has degree <= m - 2, and the numerator of
+    z f is then the shifted one.  Raises ValueError when any f fails that
+    test, i.e. |p[m-1]| > 1e-7 ||p|| for its numerator p.
+    """
+    sd = space_data(b)
+    m = b.degree
+    p = sd.numerators @ coords
+    scale = np.linalg.norm(p, axis=0)
+    if np.any((scale > 0) & (np.abs(p[m - 1]) > 1e-7 * scale)):
+        raise ValueError("z*f leaves the model space: f is not orthogonal to the "
+                         "conjugate kernel at 0")
+    shifted = np.zeros_like(p)
+    shifted[1:] = p[: m - 1]
+    return np.linalg.solve(sd.numerators, shifted)
+
+
 def multiply_by_z(f: ModelVector, tol: Tolerances = DEFAULT) -> ModelVector:
     """The function z f(z), defined only when it stays in the model space.
 
@@ -389,14 +416,4 @@ def multiply_by_z(f: ModelVector, tol: Tolerances = DEFAULT) -> ModelVector:
     (equivalently, f orthogonal to the conjugate kernel at 0); raises
     ValueError otherwise.
     """
-    b = f.space
-    sd = space_data(b)
-    p = sd.tm_to_poly(f.tm())
-    m = b.degree
-    scale = np.linalg.norm(p)
-    if scale > 0 and abs(p[m - 1]) > 1e-7 * scale:
-        raise ValueError("z*f leaves the model space: f is not orthogonal to the "
-                         "conjugate kernel at 0")
-    shifted = np.zeros(m, dtype=complex)
-    shifted[1:] = p[: m - 1]
-    return tm_vector(b, sd.poly_to_tm(shifted)).to(f.basis)
+    return tm_vector(f.space, multiply_by_z_tm(f.space, f.tm())).to(f.basis)

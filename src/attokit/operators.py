@@ -11,7 +11,8 @@ matrix, i.e. coefficients of A f_p over the output basis sit in column p.
 
 Two computation paths are provided.  The canonical one evaluates the pairing
 <phi f_p, g_s> by adaptive trapezoid quadrature on the unit circle (the
-projection is absorbed because g_s already lies in K_beta).  For structured
+projection is absorbed because g_s already lies in K_beta); each node level
+is one matrix product conj(G) (phi F)^T / N of the basis values.  For structured
 symbols conj(chi) + psi with distinct zeros the closed form
 
     A_psi f = sum_i psi(b_i)/beta'(b_i) * f(b_i) * conj-kernel at b_i,
@@ -19,22 +20,25 @@ symbols conj(chi) + psi with distinct zeros the closed form
 an interpolation across the zeros b_i of beta, plus the adjoint of the mirror
 operator for the co-analytic part, gives an independent exact route; the two
 paths agree to quadrature accuracy.
+
+The compressed shift, the modified shifts and the Clark unitaries use no
+quadrature: the shift has a closed lower-triangular form in TM coordinates,
+and the other two add a rank-one term built from exact kernels.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 import numpy.polynomial.polynomial as npoly
 
 from . import serialize
-from .blaschke import BlaschkeProduct, derivative, evaluate, mobius_target
+from .blaschke import BlaschkeProduct, derivative, evaluate
 from .config import DEFAULT, Tolerances
-from .modelspace import (ModelBasis, ModelVector, adaptive_circle_mean,
-                         build_basis, circle_nodes, conj_kernel, kernel,
-                         space_data, tm_values, tm_vector)
+from .modelspace import (ModelBasis, ModelVector, build_basis, circle_nodes,
+                         conj_kernel, doubling_circle_mean, kernel, space_data,
+                         tm_values, tm_vector)
 
 
 @dataclass(eq=False, frozen=True)
@@ -234,15 +238,13 @@ def atto_matrix(alpha: BlaschkeProduct, beta: BlaschkeProduct, symbol: SymbolSpe
     t_in = in_basis.matrix.T.copy()
     t_out = out_basis.matrix.T.copy()
 
-    def integrand(z):
-        base_a = tm_values(alpha, z)
-        base_b = tm_values(beta, z)
-        fvals = t_in @ base_a                     # (m, N) values of input basis
-        gvals = t_out @ base_b                    # (n, N) values of output basis
-        phi = symbol.values(z)
-        return np.conj(gvals)[:, None, :] * (phi[None, None, :] * fvals[None, :, :])
+    def level_mean(n):
+        z = circle_nodes(n)
+        fvals = t_in @ tm_values(alpha, z)        # (m, N) values of input basis
+        gvals = t_out @ tm_values(beta, z)        # (n, N) values of output basis
+        return np.conj(gvals) @ (symbol.values(z) * fvals).T / n
 
-    pairings = adaptive_circle_mean(integrand, tol.quadrature)
+    pairings = doubling_circle_mean(level_mean, tol.quadrature)
     gram = out_basis.gram
     entries = np.linalg.solve(gram, pairings)     # pairing matrix -> coefficient matrix
     return OperatorMatrix(entries, in_basis, out_basis)
@@ -280,17 +282,35 @@ def _structured_tm_matrix(alpha: BlaschkeProduct, beta: BlaschkeProduct,
 
 def compressed_shift(alpha: BlaschkeProduct, basis: ModelBasis | None = None,
                      tol: Tolerances = DEFAULT) -> OperatorMatrix:
-    """The compression of multiplication by z to the model space."""
+    """The compression of multiplication by z to the model space.
+
+    Built from its closed form in TM coordinates (no quadrature), so it is
+    exact up to rounding for every zero configuration; ``tol`` is accepted
+    for the common signature and unused.
+    """
     basis, _ = _default_bases(alpha, alpha, basis, basis)
-    tm = _shift_tm(alpha, tol)
-    op = OperatorMatrix(tm, build_basis(alpha, "tm"), build_basis(alpha, "tm"))
+    op = OperatorMatrix(_shift_tm(alpha), build_basis(alpha, "tm"), build_basis(alpha, "tm"))
     return op.in_bases(basis, basis)
 
 
-@functools.lru_cache(maxsize=None)
-def _shift_tm(alpha: BlaschkeProduct, tol: Tolerances = DEFAULT) -> np.ndarray:
-    spec = SymbolSpec(raw=IDENTITY_SYMBOL)
-    return atto_matrix(alpha, alpha, spec, tol=tol).entries
+def _shift_tm(alpha: BlaschkeProduct) -> np.ndarray:
+    """<z phi_j, phi_i> over the TM basis, with s_k = sqrt(1 - |a_k|^2):
+
+        S[i, i] = a_i,   S[i, j] = s_i s_j prod_{j<k<i} (-conj(a_k))  (i > j),
+
+    and zero above the diagonal (Garcia-Mashreghi-Ross, Introduction to Model
+    Spaces and their Operators, 2016).  Row i of the product table is row
+    i - 1 times -conj(a_{i-1}), extended by a 1, never a quotient of
+    cumulative products: a zero at the origin makes a factor 0.
+    """
+    a = np.array(alpha.zeros)
+    m = alpha.degree
+    s = np.sqrt(1.0 - np.abs(a) ** 2)
+    prods = np.zeros((m, m), dtype=complex)       # prods[i, j] = prod_{j<k<i} (-conj(a_k))
+    for i in range(1, m):
+        prods[i, : i - 1] = prods[i - 1, : i - 1] * -np.conj(a[i - 1])
+        prods[i, i - 1] = 1.0
+    return np.diag(a) + s[:, None] * s[None, :] * prods
 
 
 def rank_one(g: ModelVector, f: ModelVector, in_basis: ModelBasis | None = None,

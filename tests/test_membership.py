@@ -9,14 +9,14 @@ from attokit.instances import (constrained_entries, member_matrix,
                                shared_clark_instance)
 from attokit.membership import (IndeterminateError, MembershipVerdict,
                                 clark_pairing, match_clark_points,
-                                recover_chi_psi_clark, run_all,
+                                recover_chi_psi_clark, recurrence_rhs, run_all,
                                 shift_domain_basis)
 from attokit.membership import test_clark_recurrence as check_recurrence
 from attokit.membership import test_conjugate_residual as check_conjugate
 from attokit.membership import test_rank_two_residual as check_residual
 from attokit.membership import test_shift_invariance as check_shift
 from attokit.modelspace import (ModelVector, build_basis, conj_kernel,
-                                inner_product, kernel, tm_vector)
+                                inner_product, kernel, multiply_by_z, tm_vector)
 from attokit.operators import (OperatorMatrix, SymbolSpec, atto_matrix,
                                clark_coefficient, clark_unitary,
                                compressed_shift, rank_one)
@@ -27,6 +27,51 @@ def clark_member(rng, m, n, shared, seed_symbols=1):
     pairing = clark_pairing(alpha, beta, lam1, lam2)
     mat = member_matrix(rng, alpha, beta, lam1, lam2)
     return alpha, beta, lam1, lam2, pairing, mat
+
+
+def loop_recurrence_rhs(r, pairing):
+    """Entry-by-entry reference for recurrence_rhs (collision check left out)."""
+    eta, zeta = pairing.eta, pairing.zeta
+    sqa = np.sqrt(pairing.weights_a)
+    sqb = np.sqrt(pairing.weights_b)
+    n, m = r.shape
+    l = pairing.shared
+    den = eta[None, :] - zeta[:, None]
+    applicable = np.ones((n, m), dtype=bool)
+    for s in range(min(l, m)):
+        applicable[s, s] = False
+    rhs = np.zeros((n, m), dtype=complex)
+    for s in range(n):
+        for p in range(m):
+            if not applicable[s, p]:
+                continue
+            d = den[s, p]
+            if l == 0 or s >= l:
+                rhs[s, p] = (
+                    (sqa[0] / sqa[p]) * (eta[p] / eta[0]) * (eta[0] - zeta[s]) / d * r[s, 0]
+                    + (sqb[0] / sqb[s]) * (eta[p] - zeta[0]) / d * r[0, p])
+                if l == 0:
+                    rhs[s, p] += (sqa[0] * sqb[0] / (sqa[p] * sqb[s])) \
+                        * (eta[p] / eta[0]) * (zeta[0] - eta[0]) / d * r[0, 0]
+            else:
+                rhs[s, p] = (
+                    (sqa[s] * sqb[0] / (sqa[p] * sqb[s])) * (eta[p] / eta[s])
+                    * (eta[0] - zeta[s]) / d * r[0, s]
+                    + (sqb[0] / sqb[s]) * (eta[p] - zeta[0]) / d * r[0, p])
+    return rhs, applicable
+
+
+def loop_shift_residual(mat):
+    """Pair-by-pair reference for the shift-invariance residual."""
+    m_tm = mat.tm_entries()
+    resid = 0.0
+    for f in shift_domain_basis(mat.alpha):
+        af = m_tm @ f.tm()
+        azf = m_tm @ multiply_by_z(f).tm()
+        for g in shift_domain_basis(mat.beta):
+            zg = multiply_by_z(g).tm()
+            resid = max(resid, abs(np.vdot(zg, azf) - np.vdot(g.tm(), af)))
+    return resid / (1.0 + mat.max_abs)
 
 
 class TestMatching:
@@ -93,6 +138,19 @@ class TestClarkRecurrence:
             assert check_recurrence(mat, pairing).is_member
             bad = perturbed_nonmember(rng, mat, pairing)
             assert not check_recurrence(bad, pairing).is_member
+
+
+    def test_broadcast_matches_loop(self, rng):
+        for (m, n) in [(1, 3), (3, 1), (2, 2), (4, 3), (3, 5), (6, 6)]:
+            for l in range(min(m, n) + 1):
+                alpha, beta, lam1, lam2 = shared_clark_instance(rng, m, n, l)
+                pairing = clark_pairing(alpha, beta, lam1, lam2)
+                assert pairing.shared == l
+                r = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
+                rhs, applicable = recurrence_rhs(r, pairing)
+                ref_rhs, ref_applicable = loop_recurrence_rhs(r, pairing)
+                assert np.array_equal(applicable, ref_applicable)
+                assert np.max(np.abs(rhs - ref_rhs)) <= 1e-14 * (1 + np.max(np.abs(ref_rhs)))
 
 
 class TestRankTwoResidual:
@@ -187,6 +245,15 @@ class TestShiftInvariance:
         assert check_shift(mat).is_member
         bad = perturbed_nonmember(rng, mat, pairing)
         assert not check_shift(bad).is_member
+
+
+    def test_batched_residual_matches_loop(self, rng):
+        for (m, n) in [(2, 2), (3, 2), (2, 5), (5, 4), (8, 6), (8, 8)]:
+            l = int(rng.integers(0, min(m, n) + 1))
+            *_, pairing, mat = clark_member(rng, m, n, l)
+            for op in (mat, perturbed_nonmember(rng, mat, pairing)):
+                verdict = check_shift(op)
+                assert abs(verdict.max_residual - loop_shift_residual(op)) <= 1e-12
 
 
 class TestEquivalenceSuite:

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from attokit.blaschke import BlaschkeProduct, clark_points, evaluate, monomial
-from attokit.instances import (random_blaschke, random_symbol,
-                               random_unimodular, random_vector)
+from attokit.instances import (member_matrix, random_blaschke, random_symbol,
+                               random_unimodular, random_vector,
+                               shared_clark_instance)
 from attokit.modelspace import (ModelVector, build_basis, conj_kernel,
                                 inner_product, kernel, tm_vector)
 from attokit.operators import (IDENTITY_SYMBOL, OperatorMatrix, RationalSymbol,
@@ -115,6 +116,31 @@ class TestShifts:
         s = compressed_shift(b).entries
         z2 = atto_matrix(b, b, SymbolSpec(raw=RationalSymbol((0.0, 0.0, 1.0)))).entries
         assert np.max(np.abs(s @ s - z2)) <= 1e-10
+
+    def test_exact_shift_matches_quadrature(self, rng):
+        products = [monomial(1), monomial(4), BlaschkeProduct((0.0, 0.5, 0.5, 0.0, -0.3j))]
+        for degree in range(1, 33):
+            zeros = list(random_blaschke(rng, degree).zeros)
+            if degree >= 3:
+                zeros[1] = zeros[0]                     # a repeated zero
+                zeros[degree // 2 + 1] = 0.0            # a zero at the origin
+            products.append(BlaschkeProduct(tuple(zeros), random_unimodular(rng)))
+        for b in products:
+            quad = atto_matrix(b, b, z_symbol()).entries
+            assert np.max(np.abs(compressed_shift(b).entries - quad)) <= 1e-13
+
+    def test_defect_identity_with_zeros_near_the_circle(self, rng):
+        # I - S S* = k_0 (x) k_0; quadrature cannot converge at |a| = 0.9999
+        for degree in (3, 10, 30):
+            zeros = list(random_blaschke(rng, degree).zeros)
+            zeros[0] = 0.9999 * random_unimodular(rng)
+            b = BlaschkeProduct(tuple(zeros), random_unimodular(rng))
+            s = compressed_shift(b).entries
+            k0 = kernel(b, 0.0).tm()
+            eye = np.eye(degree)
+            assert np.max(np.abs(eye - s @ s.conj().T - np.outer(k0, k0.conj()))) <= 1e-13
+            u = clark_unitary(b, random_unimodular(rng)).entries
+            assert np.max(np.abs(u.conj().T @ u - eye)) <= 1e-10
 
     def test_modified_shift_zero_coefficient(self, rng):
         b = random_blaschke(rng, 3)
@@ -245,6 +271,23 @@ class TestBasesAndSerialization:
         assert again.alpha == mat.alpha and again.beta == mat.beta
         assert again.in_basis.kind == "clark" and again.in_basis.lam == 1j
         assert np.allclose(again.entries, mat.entries)
+
+    def test_round_trip_is_exact_for_engineered_products(self, rng):
+        for _ in range(60):
+            m, n = (int(k) for k in rng.integers(1, 7, size=2))
+            shared = int(rng.integers(0, min(m, n) + 1))
+            for b in shared_clark_instance(rng, m, n, shared)[:2]:
+                once = BlaschkeProduct.from_json(json.loads(json.dumps(b.to_json())))
+                assert once == b
+                assert BlaschkeProduct.from_json(json.loads(json.dumps(once.to_json()))) == b
+
+    def test_reloaded_matrix_adds_to_original(self, rng):
+        for _ in range(10):
+            alpha, beta, lam1, lam2 = shared_clark_instance(rng, 3, 2, 1)
+            mat = member_matrix(rng, alpha, beta, lam1, lam2)
+            again = OperatorMatrix.from_json(json.loads(json.dumps(mat.to_json())))
+            total = (mat + again).entries              # re-expressed through TM coordinates
+            assert np.max(np.abs(total - 2 * mat.entries)) <= 1e-12 * (1 + mat.max_abs)
 
     def test_rejects_mismatched_bases(self, rng):
         alpha = random_blaschke(rng, 2)
