@@ -27,10 +27,9 @@ from .membership import (IndeterminateError, MethodDisagreement,
                          test_rank_two_residual, test_shift_invariance)
 from .modelspace import build_basis, inner_product, kernel
 from .operators import (OperatorMatrix, SymbolSpec, atto_matrix, clark_unitary,
-                        compressed_shift, rank_one, standard_rank_one,
+                        compressed_shift, standard_rank_one,
                         symbol_span_dimension)
-from .rankone import (boundary_kernel_identity_check, decompose_rank_one,
-                      example_4_1, example_4_1_candidates)
+from .rankone import decompose_rank_one, example_4_1, example_4_1_candidates
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -95,10 +94,6 @@ def _emit(obj) -> None:
     sys.stdout.write(serialize.dumps(obj) + "\n")
 
 
-def _basis_for(space, name, lam, tol):
-    return build_basis(space, name, lam, tol=tol)
-
-
 def cmd_clark(args) -> int:
     cfg = load_config(args.config)
     tol = config_tolerances(cfg)
@@ -125,8 +120,8 @@ def cmd_atto(args) -> int:
     lam2 = _resolve(cfg, args, "lambda2", args.lam2, parse_complex,
                     required=args.out_basis in ("clark", "modified-clark"))
     mat = atto_matrix(alpha, beta, symbol,
-                      _basis_for(alpha, args.in_basis, lam1, tol),
-                      _basis_for(beta, args.out_basis, lam2, tol),
+                      build_basis(alpha, args.in_basis, lam1, tol=tol),
+                      build_basis(beta, args.out_basis, lam2, tol=tol),
                       method=args.method, tol=tol)
     _emit(mat.to_json())
     return EXIT_OK
@@ -138,7 +133,7 @@ def cmd_shift(args) -> int:
     alpha = _resolve(cfg, args, "alpha", args.alpha, parse_blaschke)
     lam1 = _resolve(cfg, args, "lambda1", args.lam, parse_complex,
                     required=args.basis in ("clark", "modified-clark"))
-    basis = _basis_for(alpha, args.basis, lam1, tol)
+    basis = build_basis(alpha, args.basis, lam1, tol=tol)
     if args.c is not None:
         from .operators import modified_shift
         mat = modified_shift(alpha, parse_complex(args.c), basis, tol)
@@ -153,7 +148,7 @@ def cmd_unitary(args) -> int:
     tol = config_tolerances(cfg)
     alpha = _resolve(cfg, args, "alpha", args.alpha, parse_blaschke)
     lam1 = _resolve(cfg, args, "lambda1", args.lam, parse_complex)
-    basis = _basis_for(alpha, args.basis, lam1, tol)
+    basis = build_basis(alpha, args.basis, lam1, tol=tol)
     _emit(clark_unitary(alpha, lam1, basis, tol).to_json())
     return EXIT_OK
 

@@ -17,7 +17,7 @@ from K_alpha to K_beta" are implemented and cross-validated:
 
 3. Shift invariance.  <A(zf), zg> = <Af, g> whenever zf and zg stay inside
    their model spaces; the admissible f are exactly those orthogonal to the
-   conjugate kernel at 0 (numerator degree drops by one).
+   conjugate kernel at 0, and z f is then the compressed shift applied to f.
 
 Residuals are compared on a relative scale: accept below ``tol.decision``,
 reject above ``tol.reject_band``, and raise IndeterminateError inside the

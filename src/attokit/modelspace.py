@@ -14,17 +14,24 @@ included) and reduces to the monomial basis when all zeros sit at the origin;
 it is the internal canonical coordinate system.  Kernel, Clark and modified
 Clark bases are carried as coordinate matrices over it.
 
-Four facts do most of the work here:
+Four identities do most of the work here, all in TM coordinates, with
+s_k = sqrt(1 - |a_k|^2), b_j(z) = (z - a_j)/(1 - conj(a_j) z) and
+eps = front * (-1)^m (so B = eps * prod b_j):
 
 * kernel coordinates are conjugated TM values:  <k_w, phi_k> = conj(phi_k(w));
-* the conjugation acts on numerators by coefficient reversal:
-      C(p/q) = front * (-1)^m * rev(p) / q,   rev(p)_i = conj(p_{m-1-i}),
-  which is the boundary formula B(z) conj(z) conj(f(z)) made exact;
-* the conjugate kernel is an exact polynomial division,
-      (B(z) - B(w)) / (z - w) = [front*P(z) - B(w) q(z)] / ((z - w) q(z));
-* multiplication by z stays inside K_B exactly when the numerator has degree
-  at most m - 2, equivalently when f is orthogonal to the conjugate kernel
-  at the origin.
+* the conjugation C f = B(z) conj(z) conj(f(z)) on the circle sends phi_k to
+      eps * s_k / (1 - conj(a_k) z) * prod_{j>k} b_j,
+  the TM element of the reversed zero order.  Reversing the order by adjacent
+  swaps, each an exact 2x2 unitary on the two TM elements it touches, gives
+  these coordinates with no detour through polynomial coefficients
+  (Garcia-Mashreghi-Ross, Introduction to Model Spaces and their Operators,
+  2016);
+* the conjugate kernel (B(z) - B(w)) / (z - w) is C k_w, so its coordinates
+  are the conjugation matrix times the TM values at w; at the origin they are
+      eps * s_i * prod_{j>i} (-a_j);
+* z f stays in K_B exactly when f is orthogonal to the conjugate kernel at
+  the origin, and z f is then the compressed shift applied to f, whose TM
+  matrix has a closed lower-triangular form.
 """
 
 from __future__ import annotations
@@ -35,8 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import serialize
-from .blaschke import (BlaschkeProduct, ClarkPointSet, clark_points, evaluate,
-                       numerator_denominator)
+from .blaschke import BlaschkeProduct, ClarkPointSet, clark_points
 from .config import DEFAULT, Tolerances
 
 BASIS_KINDS = ("tm", "kernel-zeros", "clark", "modified-clark")
@@ -92,44 +98,71 @@ def adaptive_circle_mean(fn, tol: float = DEFAULT.quadrature,
 
 
 # ---------------------------------------------------------------------------
-# per-space cached data
+# exact TM matrices of one space
 # ---------------------------------------------------------------------------
 
-class _SpaceData:
-    """TM numerator polynomials and the conjugation matrix of one space."""
+@functools.lru_cache(maxsize=256)
+def conj_tm(b: BlaschkeProduct) -> np.ndarray:
+    """The conjugation over the TM basis: C f has TM coordinates
+    ``conj_tm(b) @ conj(coords of f)``.
 
-    def __init__(self, b: BlaschkeProduct):
-        self.product = b
-        m = b.degree
-        p_all, q = numerator_denominator(b)
-        self.q_coeffs = q
-        self.p_coeffs = p_all
-        # numerator of phi_k: sqrt(1-|a_k|^2) * prod_{j<k}(z-a_j) * prod_{j>k}(1-conj(a_j)z)
-        numer = np.zeros((m, m), dtype=complex)
-        for k in range(m):
-            poly = np.array([np.sqrt(1.0 - abs(b.zeros[k]) ** 2)], dtype=complex)
-            for j in range(k):
-                poly = np.polynomial.polynomial.polymul(poly, [-b.zeros[j], 1.0])
-            for j in range(k + 1, m):
-                poly = np.polynomial.polynomial.polymul(poly, [1.0, -np.conj(b.zeros[j])])
-            numer[: len(poly), k] = poly
-        self.numerators = numer          # column k = power coefficients of phi_k numerator
-        # coefficient reversal realizes the boundary conjugation on numerators
-        rev = np.conj(numer[::-1, :])
-        sign = b.front * (-1.0) ** m
-        self.conj_tm = np.linalg.solve(numer, sign * rev)
+    Column k holds the TM coordinates of C phi_k = eps * psi_k, where psi_k
+    is the TM element of the reversed zero order.  An odd-even transposition
+    network reverses the order in m rounds, every comparator swapping; each
+    round swaps disjoint adjacent pairs (a, c) at once by the exact unitary
 
-    def poly_to_tm(self, coeffs: np.ndarray) -> np.ndarray:
-        """TM coordinates of a numerator polynomial (power basis, length <= m)."""
-        m = self.product.degree
-        padded = np.zeros(m, dtype=complex)
-        padded[: len(coeffs)] = coeffs
-        return np.linalg.solve(self.numerators, padded)
+        (phi_p, phi_{p+1}) -> (x phi_p + y phi_{p+1}, u phi_p + x phi_{p+1}),
+        d = 1 - a conj(c),  x = s_a s_c / d,  u = (a - c) / d,  y = (conj(c) - conj(a)) / d,
+
+    which is the identity for equal zeros and needs no care at the origin.
+    The result is symmetric, and an involution to rounding at any degree.
+    The returned array is shared through the cache and is read-only.
+    """
+    a = np.array(b.zeros)
+    s = np.sqrt(1.0 - np.abs(a) ** 2)
+    m = b.degree
+    rows = np.eye(m, dtype=complex)               # row p: TM coordinates of the element at slot p
+    for rnd in range(m):
+        p = np.arange(rnd % 2, m - 1, 2)
+        q = p + 1
+        d = 1.0 - a[p] * np.conj(a[q])
+        x = (s[p] * s[q] / d)[:, None]
+        u = ((a[p] - a[q]) / d)[:, None]
+        y = ((np.conj(a[q]) - np.conj(a[p])) / d)[:, None]
+        top, bottom = rows[p], rows[q]
+        rows[p], rows[q] = x * top + y * bottom, u * top + x * bottom
+        a[p], a[q] = a[q], a[p]
+        s[p], s[q] = s[q], s[p]
+    out = b.front * (-1.0) ** m * rows[::-1].T    # slot m-1-k holds psi_k
+    out.flags.writeable = False
+    return out
 
 
-@functools.lru_cache(maxsize=None)
-def space_data(b: BlaschkeProduct) -> _SpaceData:
-    return _SpaceData(b)
+def shift_tm(b: BlaschkeProduct) -> np.ndarray:
+    """<z phi_j, phi_i> over the TM basis:
+
+        S[i, i] = a_i,   S[i, j] = s_i s_j prod_{j<k<i} (-conj(a_k))  (i > j),
+
+    and zero above the diagonal (Garcia-Mashreghi-Ross 2016).  Row i of the
+    product table is row i - 1 times -conj(a_{i-1}), extended by a 1, never a
+    quotient of cumulative products: a zero at the origin makes a factor 0.
+    """
+    a = np.array(b.zeros)
+    m = b.degree
+    s = np.sqrt(1.0 - np.abs(a) ** 2)
+    prods = np.zeros((m, m), dtype=complex)       # prods[i, j] = prod_{j<k<i} (-conj(a_k))
+    for i in range(1, m):
+        prods[i, : i - 1] = prods[i - 1, : i - 1] * -np.conj(a[i - 1])
+        prods[i, i - 1] = 1.0
+    return np.diag(a) + s[:, None] * s[None, :] * prods
+
+
+def conj_kernel_at_origin_tm(b: BlaschkeProduct) -> np.ndarray:
+    """TM coordinates eps * s_i * prod_{j>i} (-a_j) of (B(z) - B(0)) / z."""
+    a = np.array(b.zeros)
+    suffix = np.ones(b.degree, dtype=complex)     # suffix[i] = prod_{j>i} (-a_j)
+    suffix[:-1] = np.cumprod(-a[:0:-1])[::-1]
+    return b.front * (-1.0) ** b.degree * np.sqrt(1.0 - np.abs(a) ** 2) * suffix
 
 
 def tm_values(b: BlaschkeProduct, z) -> np.ndarray:
@@ -324,39 +357,28 @@ def kernel(b: BlaschkeProduct, w: complex, basis: ModelBasis | None = None) -> M
 def conj_kernel(b: BlaschkeProduct, w: complex, basis: ModelBasis | None = None) -> ModelVector:
     """Conjugate kernel (B(z) - B(w)) / (z - w), value B'(w) at z = w.
 
-    Computed by exact synthetic division of front*P - B(w) q by (z - w).
+    Computed as C k_w, i.e. ``conj_tm(b) @ tm_values(b, w)``; at w = 0 from
+    its closed form, with no matrix.
     """
     w = complex(w)
     if abs(w) > 1.0 + 1e-12:
         raise ValueError("kernel point must lie in the closed unit disk")
-    sd = space_data(b)
-    bw = evaluate(b, w)
-    m = b.degree
-    num = np.zeros(m + 1, dtype=complex)             # degree m, vanishes at w
-    num[: len(sd.p_coeffs)] += b.front * sd.p_coeffs
-    num[: len(sd.q_coeffs)] -= bw * sd.q_coeffs
-    quot = np.zeros(m, dtype=complex)
-    carry = num[m]
-    for i in range(m - 1, -1, -1):                   # divide by (z - w)
-        quot[i] = carry
-        carry = num[i] + w * carry
-    # carry is the remainder num(w); it vanishes up to rounding
-    vec = tm_vector(b, sd.poly_to_tm(quot))
+    coords = conj_kernel_at_origin_tm(b) if w == 0 else conj_tm(b) @ tm_values(b, w)
+    vec = tm_vector(b, coords)
     return vec if basis is None else vec.to(basis)
 
 
 def conjugation(f: ModelVector, method: str = "boundary") -> ModelVector:
     """Apply the antilinear conjugation of the model space to f.
 
-    method="boundary" uses the exact numerator-reversal form of
-    B(z) conj(z) conj(f(z)); method="kernel" extends C k_w = conj-kernel_w
+    method="boundary" uses the exact TM form of B(z) conj(z) conj(f(z))
+    (see :func:`conj_tm`); method="kernel" extends C k_w = conj-kernel_w
     antilinearly over a kernel basis at m interior points.  The two agree to
     quadrature accuracy and are cross-checked in the test suite.
     """
     b = f.space
-    sd = space_data(b)
     if method == "boundary":
-        coords = sd.conj_tm @ np.conj(f.tm())
+        coords = conj_tm(b) @ np.conj(f.tm())
     elif method == "kernel":
         m = b.degree
         pts = 0.4 * np.exp(2j * np.pi * np.arange(m) / m) + 0.11
@@ -392,28 +414,23 @@ def multiply_by_z_tm(b: BlaschkeProduct, coords: np.ndarray) -> np.ndarray:
     """TM coordinates of z f for every f given by TM coordinates ``coords``
     (a vector, or a matrix with one f per column).
 
-    Goes through the numerator polynomials: z f stays in the model space
-    exactly when the numerator of f has degree <= m - 2, and the numerator of
-    z f is then the shifted one.  Raises ValueError when any f fails that
-    test, i.e. |p[m-1]| > 1e-7 ||p|| for its numerator p.
+    z f stays in the model space exactly when f is orthogonal to the
+    conjugate kernel k~_0 at the origin, and is then the compressed shift
+    applied to f.  Raises ValueError when any f fails that test, i.e.
+    |<f, k~_0>| > 1e-7 ||f|| ||k~_0||.
     """
-    sd = space_data(b)
-    m = b.degree
-    p = sd.numerators @ coords
-    scale = np.linalg.norm(p, axis=0)
-    if np.any((scale > 0) & (np.abs(p[m - 1]) > 1e-7 * scale)):
+    kt0 = conj_kernel_at_origin_tm(b)
+    pairing = np.abs(kt0.conj() @ coords)
+    bound = 1e-7 * np.linalg.norm(coords, axis=0) * np.linalg.norm(kt0)
+    if np.any(pairing > bound):
         raise ValueError("z*f leaves the model space: f is not orthogonal to the "
                          "conjugate kernel at 0")
-    shifted = np.zeros_like(p)
-    shifted[1:] = p[: m - 1]
-    return np.linalg.solve(sd.numerators, shifted)
+    return shift_tm(b) @ coords
 
 
 def multiply_by_z(f: ModelVector, tol: Tolerances = DEFAULT) -> ModelVector:
-    """The function z f(z), defined only when it stays in the model space.
-
-    Membership is equivalent to the numerator of f having degree <= m - 2
-    (equivalently, f orthogonal to the conjugate kernel at 0); raises
+    """The function z f(z), defined only when it stays in the model space,
+    i.e. when f is orthogonal to the conjugate kernel at 0; raises
     ValueError otherwise.
     """
     return tm_vector(f.space, multiply_by_z_tm(f.space, f.tm())).to(f.basis)

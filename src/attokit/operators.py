@@ -37,8 +37,8 @@ from . import serialize
 from .blaschke import BlaschkeProduct, derivative, evaluate
 from .config import DEFAULT, Tolerances
 from .modelspace import (ModelBasis, ModelVector, build_basis, circle_nodes,
-                         conj_kernel, doubling_circle_mean, kernel, space_data,
-                         tm_values, tm_vector)
+                         conj_kernel, conj_tm, doubling_circle_mean, kernel,
+                         shift_tm, tm_values, tm_vector)
 
 
 @dataclass(eq=False, frozen=True)
@@ -269,12 +269,12 @@ def _structured_tm_matrix(alpha: BlaschkeProduct, beta: BlaschkeProduct,
     if psi is not None:
         zb, dzb = _distinct_zero_data(beta)
         weights = psi(zb) / dzb
-        ktil = np.column_stack([conj_kernel(beta, w).tm() for w in zb])
+        ktil = conj_tm(beta) @ tm_values(beta, zb)    # column i = conj kernel at b_i
         out += ktil @ (weights[:, None] * tm_values(alpha, zb).T)
     if chi is not None:
         za, dza = _distinct_zero_data(alpha)
         weights = chi(za) / dza
-        ktil = np.column_stack([conj_kernel(alpha, w).tm() for w in za])
+        ktil = conj_tm(alpha) @ tm_values(alpha, za)
         mirror = ktil @ (weights[:, None] * tm_values(beta, za).T)   # K_beta -> K_alpha
         out += mirror.conj().T
     return out
@@ -289,28 +289,8 @@ def compressed_shift(alpha: BlaschkeProduct, basis: ModelBasis | None = None,
     for the common signature and unused.
     """
     basis, _ = _default_bases(alpha, alpha, basis, basis)
-    op = OperatorMatrix(_shift_tm(alpha), build_basis(alpha, "tm"), build_basis(alpha, "tm"))
+    op = OperatorMatrix(shift_tm(alpha), build_basis(alpha, "tm"), build_basis(alpha, "tm"))
     return op.in_bases(basis, basis)
-
-
-def _shift_tm(alpha: BlaschkeProduct) -> np.ndarray:
-    """<z phi_j, phi_i> over the TM basis, with s_k = sqrt(1 - |a_k|^2):
-
-        S[i, i] = a_i,   S[i, j] = s_i s_j prod_{j<k<i} (-conj(a_k))  (i > j),
-
-    and zero above the diagonal (Garcia-Mashreghi-Ross, Introduction to Model
-    Spaces and their Operators, 2016).  Row i of the product table is row
-    i - 1 times -conj(a_{i-1}), extended by a 1, never a quotient of
-    cumulative products: a zero at the origin makes a factor 0.
-    """
-    a = np.array(alpha.zeros)
-    m = alpha.degree
-    s = np.sqrt(1.0 - np.abs(a) ** 2)
-    prods = np.zeros((m, m), dtype=complex)       # prods[i, j] = prod_{j<k<i} (-conj(a_k))
-    for i in range(1, m):
-        prods[i, : i - 1] = prods[i - 1, : i - 1] * -np.conj(a[i - 1])
-        prods[i, i - 1] = 1.0
-    return np.diag(a) + s[:, None] * s[None, :] * prods
 
 
 def rank_one(g: ModelVector, f: ModelVector, in_basis: ModelBasis | None = None,
@@ -373,8 +353,8 @@ def standard_rank_one(alpha: BlaschkeProduct, beta: BlaschkeProduct, w: complex,
 def conjugate_operator(a: OperatorMatrix) -> OperatorMatrix:
     """The operator C_beta A C_alpha (a linear map again, since the two
     antilinear conjugations cancel)."""
-    ca = space_data(a.alpha).conj_tm
-    cb = space_data(a.beta).conj_tm
+    ca = conj_tm(a.alpha)
+    cb = conj_tm(a.beta)
     tm = cb @ np.conj(a.tm_entries()) @ np.conj(ca)
     op = OperatorMatrix(tm, build_basis(a.alpha, "tm"), build_basis(a.beta, "tm"))
     return op.in_bases(a.in_basis, a.out_basis)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from attokit.blaschke import clark_points, evaluate, monomial
+from attokit.blaschke import BlaschkeProduct, clark_points, evaluate, monomial
 from attokit.config import DEFAULT
 from attokit.instances import (constrained_entries, member_matrix,
                                perturbed_nonmember, random_blaschke,
@@ -339,6 +339,25 @@ class TestEquivalenceSuite:
                                  build_basis(beta, "tm"))
             res = run_all(mat, clark_pairing(alpha, beta, 1.0, 1.0))
             assert res["member"]
+
+
+class TestHighDegree:
+    def test_unanimous_verdicts_at_degrees_40_to_64(self, rng):
+        # TM-basis members at degrees 40-64 whose outermost zero sits at
+        # |a| = 0.95; each is decided by every method, Clark recurrence
+        # included, and a one-entry bump of it is rejected by every method
+        for m, n in ((64, 40), (40, 64), (52, 50), (50, 52)):
+            spaces = []
+            for degree in (m, n):
+                zeros = list(random_blaschke(rng, degree, radius=0.95).zeros)
+                k = int(np.argmax(np.abs(zeros)))
+                zeros[k] *= 0.95 / abs(zeros[k])
+                spaces.append(BlaschkeProduct(tuple(zeros), random_unimodular(rng)))
+            alpha, beta = spaces
+            pairing = clark_pairing(alpha, beta, random_unimodular(rng), random_unimodular(rng))
+            mat = atto_matrix(alpha, beta, random_symbol(rng, alpha, beta))
+            assert run_all(mat, pairing)["member"]
+            assert not run_all(perturbed_nonmember(rng, mat, pairing), pairing)["member"]
 
 
 class TestWitnessRecovery:

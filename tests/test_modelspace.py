@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 from attokit.blaschke import BlaschkeProduct, clark_points, derivative, evaluate, monomial
 from attokit.instances import random_blaschke, random_unimodular, random_vector
 from attokit.modelspace import (ModelVector, adaptive_circle_mean, build_basis,
-                                change_of_basis, conj_kernel, conjugation,
-                                inner_product, kernel, multiply_by_z, project,
-                                tm_values, tm_vector)
+                                change_of_basis, conj_kernel,
+                                conj_kernel_at_origin_tm, conj_tm, conjugation,
+                                inner_product, kernel, multiply_by_z,
+                                multiply_by_z_tm, project, tm_values, tm_vector)
 
 
 def quadrature_gram(b):
@@ -20,6 +21,63 @@ def quadrature_gram(b):
         vals = tm_values(b, z)
         return vals[None, :, :] * np.conj(vals)[:, None, :]
     return adaptive_circle_mean(fn)
+
+
+def power_basis_numerators(b):
+    """Column k: power coefficients of the numerator of phi_k over
+    q(z) = prod (1 - conj(a_j) z), i.e. of
+    s_k prod_{j<k} (z - a_j) prod_{j>k} (1 - conj(a_j) z)."""
+    m = b.degree
+    numer = np.zeros((m, m), dtype=complex)
+    for k in range(m):
+        poly = np.array([np.sqrt(1.0 - abs(b.zeros[k]) ** 2)], dtype=complex)
+        for j in range(k):
+            poly = npoly.polymul(poly, [-b.zeros[j], 1.0])
+        for j in range(k + 1, m):
+            poly = npoly.polymul(poly, [1.0, -np.conj(b.zeros[j])])
+        numer[: len(poly), k] = poly
+    return numer
+
+
+def power_basis_conj_tm(b):
+    """Reference conjugation: numerator coefficient reversal,
+    C(p/q) = front (-1)^m rev(p)/q with rev(p)_i = conj(p_{m-1-i})."""
+    numer = power_basis_numerators(b)
+    return np.linalg.solve(numer, b.front * (-1.0) ** b.degree * np.conj(numer[::-1, :]))
+
+
+def power_basis_multiply_by_z(b, coords):
+    """Reference z-multiplication: shift the numerator coefficients up by one."""
+    numer = power_basis_numerators(b)
+    p = numer @ coords
+    shifted = np.zeros_like(p)
+    shifted[1:] = p[:-1]
+    return np.linalg.solve(numer, shifted)
+
+
+def small_products(rng):
+    """Degrees 1-8, with repeated zeros and zeros at the origin mixed in."""
+    products = [monomial(1), monomial(5), BlaschkeProduct((0.0, 0.5, 0.5, 0.0, -0.3j))]
+    for degree in range(1, 9):
+        for variant in range(3):
+            zeros = list(random_blaschke(rng, degree).zeros)
+            if variant == 1 and degree >= 2:
+                zeros[-1] = zeros[0]
+            if variant == 2:
+                zeros[int(rng.integers(degree))] = 0.0
+            products.append(BlaschkeProduct(tuple(zeros), random_unimodular(rng)))
+    return products
+
+
+def degree_64_products(rng):
+    """Degree 64 with |a| <= 0.95, and the same with one zero at |a| = 0.9999."""
+    out = []
+    for near in (False, True):
+        zeros = list(random_blaschke(rng, 64, radius=0.95).zeros)
+        if near:
+            zeros[7] = 0.9999 * random_unimodular(rng)
+        out.append(BlaschkeProduct(tuple(zeros), random_unimodular(rng)))
+    return out
 
 
 class TestTakenakaMalmquist:
@@ -87,6 +145,31 @@ class TestConjKernel:
             lhs = kernel(b, w).tm()
             rhs = np.conj(evaluate(b, w)) * w * conj_kernel(b, w).tm()
             assert np.max(np.abs(lhs - rhs)) <= 1e-9 * np.linalg.norm(lhs)
+
+
+class TestExactConjugation:
+    def test_matches_power_basis_reference(self, rng):
+        for b in small_products(rng):
+            assert np.max(np.abs(conj_tm(b) - power_basis_conj_tm(b))) <= 1e-13
+
+    def test_involution_and_symmetry_at_degree_64(self, rng):
+        for b in degree_64_products(rng):
+            c = conj_tm(b)
+            assert np.max(np.abs(c @ np.conj(c) - np.eye(64))) <= 1e-13
+            assert np.max(np.abs(c - c.T)) <= 1e-13
+
+    def test_conj_kernel_is_difference_quotient_at_degree_64(self, rng):
+        z = 0.5 * np.exp(2j * np.pi * np.arange(16) / 16)
+        for b in degree_64_products(rng):
+            for _ in range(4):
+                w = 0.7 * np.sqrt(rng.random()) * random_unimodular(rng)
+                ref = (evaluate(b, z) - evaluate(b, w)) / (z - w)
+                assert np.max(np.abs(conj_kernel(b, w)(z) - ref)) <= 1e-12
+
+    def test_closed_form_at_origin(self, rng):
+        for b in small_products(rng) + degree_64_products(rng):
+            full = conj_tm(b) @ tm_values(b, 0.0)
+            assert np.max(np.abs(conj_kernel_at_origin_tm(b) - full)) <= 1e-14
 
 
 class TestConjugation:
@@ -259,6 +342,17 @@ class TestMultiplyByZ:
         kt = conj_kernel(b, 0.0)
         with pytest.raises(ValueError):
             multiply_by_z(kt)
+
+    def test_matches_power_basis_reference(self, rng):
+        from attokit.membership import _shift_domain_tm
+        for b in small_products(rng):
+            if b.degree < 2:
+                continue
+            f = _shift_domain_tm(b)
+            assert np.max(np.abs(multiply_by_z_tm(b, f) - power_basis_multiply_by_z(b, f))) <= 1e-13
+            kt = conj_kernel(b, 0.0).tm()
+            with pytest.raises(ValueError):
+                multiply_by_z_tm(b, np.column_stack([f[:, 0], kt]))
 
 
 class TestSerialization:

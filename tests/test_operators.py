@@ -142,6 +142,22 @@ class TestShifts:
             u = clark_unitary(b, random_unimodular(rng)).entries
             assert np.max(np.abs(u.conj().T @ u - eye)) <= 1e-10
 
+    def test_defect_identities_at_degree_64(self, rng):
+        # I - S* S = k~_0 (x) k~_0 and the Clark unitaries, with |a| <= 0.95
+        # and with one zero at |a| = 0.9999
+        eye = np.eye(64)
+        for near in (False, True):
+            zeros = list(random_blaschke(rng, 64, radius=0.95).zeros)
+            if near:
+                zeros[5] = 0.9999 * random_unimodular(rng)
+            b = BlaschkeProduct(tuple(zeros), random_unimodular(rng))
+            s = compressed_shift(b).entries
+            kt = conj_kernel(b, 0.0).tm()
+            assert np.max(np.abs(eye - s.conj().T @ s - np.outer(kt, kt.conj()))) <= 1e-13
+            for _ in range(3):
+                u = clark_unitary(b, random_unimodular(rng)).entries
+                assert np.max(np.abs(u.conj().T @ u - eye)) <= 1e-13
+
     def test_modified_shift_zero_coefficient(self, rng):
         b = random_blaschke(rng, 3)
         assert np.allclose(modified_shift(b, 0.0).entries,
