@@ -17,8 +17,9 @@ from .membership import (ClarkPairing, IndeterminateError, MembershipVerdict,
                          test_rank_two_residual, test_shift_invariance)
 from .modelspace import (ModelBasis, ModelVector, QuadratureError,
                          adaptive_circle_mean, build_basis, change_of_basis,
-                         circle_nodes, conj_kernel, conjugation, inner_product,
-                         kernel, multiply_by_z, project, tm_values, tm_vector)
+                         circle_nodes, clark_basis, conj_kernel, conjugation,
+                         inner_product, kernel, multiply_by_z, project,
+                         tm_values, tm_vector)
 from .operators import (IDENTITY_SYMBOL, OperatorMatrix, RationalSymbol,
                         SymbolSpec, atto_matrix, clark_coefficient,
                         clark_unitary, compressed_shift, conjugate_operator,

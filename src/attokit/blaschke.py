@@ -115,11 +115,16 @@ class ClarkPointSet:
 
 
 def _pole_guard(b: BlaschkeProduct, z: np.ndarray, eps: float = 1e-9):
-    for a in b.zeros:
-        if a == 0:
-            continue
-        if np.any(np.abs(z - 1.0 / np.conj(a)) < eps):
-            raise PoleProximityError(f"evaluation point within {eps} of pole {1/np.conj(a)}")
+    """Raise PoleProximityError, naming the first such pole in zero order,
+    when any point of z lies within eps of a pole 1/conj(a_j); a zero at the
+    origin has no pole."""
+    a = np.array(b.zeros)
+    poles = 1.0 / np.conj(a[a != 0])
+    near = np.abs(z[..., None] - poles) < eps      # (..., poles)
+    hit = np.any(near, axis=tuple(range(z.ndim)))  # per pole
+    if np.any(hit):
+        pole = poles[np.argmax(hit)]
+        raise PoleProximityError(f"evaluation point within {eps} of pole {pole}")
 
 
 def evaluate(b: BlaschkeProduct, z):

@@ -25,7 +25,7 @@ from .membership import (IndeterminateError, MethodDisagreement,
                          clark_pairing, recover_chi_psi_clark, run_all,
                          test_clark_recurrence, test_conjugate_residual,
                          test_rank_two_residual, test_shift_invariance)
-from .modelspace import build_basis, inner_product, kernel
+from .modelspace import build_basis, clark_basis, inner_product, kernel
 from .operators import (OperatorMatrix, SymbolSpec, atto_matrix, clark_unitary,
                         compressed_shift, standard_rank_one,
                         symbol_span_dimension)
@@ -179,9 +179,8 @@ def cmd_membership(args) -> int:
     if args.method == "clark":
         if pairing is None:
             raise ValueError("clark method needs Clark bases or lambda1/lambda2")
-        mat_clark = mat.in_bases(
-            build_basis(mat.alpha, "clark", pairing.clark_a.lam, tol=tol),
-            build_basis(mat.beta, "clark", pairing.clark_b.lam, tol=tol))
+        mat_clark = mat.in_bases(clark_basis(mat.alpha, pairing.clark_a),
+                                 clark_basis(mat.beta, pairing.clark_b))
         verdict = test_clark_recurrence(mat_clark, pairing, tol)
     elif args.method == "residual":
         verdict = test_rank_two_residual(mat, a, b, tol)

@@ -32,9 +32,9 @@ import numpy as np
 
 from .blaschke import BlaschkeProduct, ClarkPointSet, clark_points, evaluate
 from .config import DEFAULT, Tolerances
-from .modelspace import (ModelBasis, ModelVector, build_basis, conj_kernel,
-                         kernel, multiply_by_z_tm, tm_vector)
-from .operators import OperatorMatrix, clark_coefficient, modified_shift
+from .modelspace import (ModelBasis, ModelVector, ShiftData, clark_basis,
+                         conj_kernel_at_origin_tm, tm_vector)
+from .operators import OperatorMatrix, clark_coefficient
 
 METHOD_CLARK = "clark-recurrence"
 METHOD_RESIDUAL = "rank-two-residual"
@@ -253,10 +253,20 @@ def test_clark_recurrence(matrix: OperatorMatrix, pairing: ClarkPairing,
 # rank-two residual tests
 # ---------------------------------------------------------------------------
 
-def _tm_shift_pair(matrix: OperatorMatrix, a: complex, b: complex, tol: Tolerances):
-    sa = modified_shift(matrix.alpha, a, tol=tol).entries
-    sb = modified_shift(matrix.beta, b, tol=tol).entries
-    return sa, sb
+@dataclass(eq=False, frozen=True)
+class _TMData:
+    """What the TM-coordinate tests of one matrix share: the matrix in TM
+    coordinates and each space's exact shift with its kernels at 0."""
+
+    matrix: OperatorMatrix
+    m_tm: np.ndarray
+    alpha: ShiftData
+    beta: ShiftData
+
+    @classmethod
+    def of(cls, matrix: OperatorMatrix) -> "_TMData":
+        return cls(matrix, matrix.tm_entries(),
+                   ShiftData.of(matrix.alpha), ShiftData.of(matrix.beta))
 
 
 def _complement_projector(vec: np.ndarray) -> np.ndarray:
@@ -277,6 +287,28 @@ def _split_residual(d: np.ndarray, left: np.ndarray, right: np.ndarray):
     return psi, chi
 
 
+def _residual_test(data: _TMData, method: str, a: complex, b: complex,
+                   tol: Tolerances) -> MembershipVerdict:
+    """The rank-two test (METHOD_RESIDUAL) or its conjugate mirror
+    (METHOD_CONJUGATE) with the modified shifts S_{alpha,a}, S_{beta,b}."""
+    m_tm = data.m_tm
+    sa, sb = data.alpha.modified(a), data.beta.modified(b)
+    if method == METHOD_RESIDUAL:
+        d = m_tm - sb @ m_tm @ sa.conj().T
+        left, right = data.alpha.k0, data.beta.k0
+    else:
+        d = m_tm - sb.conj().T @ m_tm @ sa
+        left, right = data.alpha.kt0, data.beta.kt0
+    resid = np.max(np.abs(_complement_projector(right) @ d @ _complement_projector(left)))
+    verdict = _decide(method, float(resid), data.matrix.max_abs, tol)
+    if not verdict.is_member:
+        return verdict
+    psi_c, chi_c = _split_residual(d, left, right)
+    witness = Witness(tm_vector(data.matrix.alpha, chi_c),
+                      tm_vector(data.matrix.beta, psi_c), complex(a), complex(b))
+    return MembershipVerdict(True, verdict.max_residual, method, witness)
+
+
 def test_rank_two_residual(matrix: OperatorMatrix, a: complex = 0j, b: complex = 0j,
                            tol: Tolerances = DEFAULT) -> MembershipVerdict:
     """Membership via A - S_{beta,b} A S_{alpha,a}* = psi (x) k_0 + k_0 (x) chi.
@@ -284,50 +316,26 @@ def test_rank_two_residual(matrix: OperatorMatrix, a: complex = 0j, b: complex =
     The verdict holds for every choice of (a, b); the witness is returned in
     TM coordinates with <psi, kernel at 0 of K_beta> = 0.
     """
-    m_tm = matrix.tm_entries()
-    sa, sb = _tm_shift_pair(matrix, a, b, tol)
-    d = m_tm - sb @ m_tm @ sa.conj().T
-    k0a = kernel(matrix.alpha, 0.0).tm()
-    k0b = kernel(matrix.beta, 0.0).tm()
-    resid = np.max(np.abs(_complement_projector(k0b) @ d @ _complement_projector(k0a)))
-    verdict = _decide(METHOD_RESIDUAL, float(resid), matrix.max_abs, tol)
-    if verdict.is_member:
-        psi_c, chi_c = _split_residual(d, k0a, k0b)
-        witness = Witness(tm_vector(matrix.alpha, chi_c),
-                          tm_vector(matrix.beta, psi_c), complex(a), complex(b))
-        verdict = MembershipVerdict(True, verdict.max_residual, METHOD_RESIDUAL, witness)
-    return verdict
+    return _residual_test(_TMData.of(matrix), METHOD_RESIDUAL, a, b, tol)
 
 
 def test_conjugate_residual(matrix: OperatorMatrix, a: complex = 0j, b: complex = 0j,
                             tol: Tolerances = DEFAULT) -> MembershipVerdict:
     """Mirror of the rank-two test: A - S_{beta,b}* A S_{alpha,a} collapses
     onto the spans of the conjugate kernels at 0."""
-    m_tm = matrix.tm_entries()
-    sa, sb = _tm_shift_pair(matrix, a, b, tol)
-    d = m_tm - sb.conj().T @ m_tm @ sa
-    kta = conj_kernel(matrix.alpha, 0.0).tm()
-    ktb = conj_kernel(matrix.beta, 0.0).tm()
-    resid = np.max(np.abs(_complement_projector(ktb) @ d @ _complement_projector(kta)))
-    verdict = _decide(METHOD_CONJUGATE, float(resid), matrix.max_abs, tol)
-    if verdict.is_member:
-        psi_c, chi_c = _split_residual(d, kta, ktb)
-        witness = Witness(tm_vector(matrix.alpha, chi_c),
-                          tm_vector(matrix.beta, psi_c), complex(a), complex(b))
-        verdict = MembershipVerdict(True, verdict.max_residual, METHOD_CONJUGATE, witness)
-    return verdict
+    return _residual_test(_TMData.of(matrix), METHOD_CONJUGATE, a, b, tol)
 
 
 # ---------------------------------------------------------------------------
 # shift invariance
 # ---------------------------------------------------------------------------
 
-def _shift_domain_tm(space: BlaschkeProduct) -> np.ndarray:
+def _shift_domain_tm(kt0: np.ndarray) -> np.ndarray:
     """TM coordinates, one column each, of an orthonormal basis of
     { f : z f stays in the model space }, i.e. the orthocomplement of the
-    conjugate kernel at 0 (dimension m - 1)."""
-    kt = conj_kernel(space, 0.0).tm()
-    row = np.conj(kt / np.linalg.norm(kt)).reshape(1, -1)   # row @ x = <x, kt>/|kt|
+    conjugate kernel at 0, given by its TM coordinates ``kt0`` (dimension
+    m - 1)."""
+    row = np.conj(kt0 / np.linalg.norm(kt0)).reshape(1, -1)   # row @ x = <x, kt>/|kt|
     _, _, vh = np.linalg.svd(row, full_matrices=True)
     return np.conj(vh[1:]).T
 
@@ -335,7 +343,18 @@ def _shift_domain_tm(space: BlaschkeProduct) -> np.ndarray:
 def shift_domain_basis(space: BlaschkeProduct) -> list[ModelVector]:
     """Orthonormal basis of { f : z f stays in the model space }, i.e. the
     orthocomplement of the conjugate kernel at 0 (dimension m - 1)."""
-    return [tm_vector(space, col) for col in _shift_domain_tm(space).T]
+    return [tm_vector(space, col)
+            for col in _shift_domain_tm(conj_kernel_at_origin_tm(space)).T]
+
+
+def _shift_invariance(data: _TMData, tol: Tolerances) -> MembershipVerdict:
+    m_tm = data.m_tm
+    f = _shift_domain_tm(data.alpha.kt0)
+    g = _shift_domain_tm(data.beta.kt0)
+    zf = data.alpha.multiply_by_z(f)
+    zg = data.beta.multiply_by_z(g)
+    resid = np.max(np.abs(zg.conj().T @ m_tm @ zf - g.conj().T @ m_tm @ f), initial=0.0)
+    return _decide(METHOD_SHIFT, float(resid), data.matrix.max_abs, tol)
 
 
 def test_shift_invariance(matrix: OperatorMatrix, tol: Tolerances = DEFAULT) -> MembershipVerdict:
@@ -344,13 +363,7 @@ def test_shift_invariance(matrix: OperatorMatrix, tol: Tolerances = DEFAULT) -> 
     With the domain bases F, G as columns and Z_F, Z_G their images under
     multiplication by z, the residual is max |Z_G^H A Z_F - G^H A F|.
     """
-    m_tm = matrix.tm_entries()
-    f = _shift_domain_tm(matrix.alpha)
-    g = _shift_domain_tm(matrix.beta)
-    zf = multiply_by_z_tm(matrix.alpha, f)
-    zg = multiply_by_z_tm(matrix.beta, g)
-    resid = np.max(np.abs(zg.conj().T @ m_tm @ zf - g.conj().T @ m_tm @ f), initial=0.0)
-    return _decide(METHOD_SHIFT, float(resid), matrix.max_abs, tol)
+    return _shift_invariance(_TMData.of(matrix), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -424,24 +437,28 @@ def run_all(matrix: OperatorMatrix, pairing: ClarkPairing | None = None,
 
     Returns {"member": bool, "methods": {name: verdict}}; raises
     IndeterminateError if any single test lands in its dead band and
-    MethodDisagreement if the verdicts differ.
+    MethodDisagreement if the verdicts differ.  The Clark bases come from the
+    pairing's own point sets, and the TM-coordinate tests share one TM
+    matrix and one exact shift per space, so the verdicts equal those of the
+    public test functions called one by one.
     """
     verdicts = {}
     if pairing is None and matrix.in_basis.kind == "clark" and matrix.out_basis.kind == "clark":
         pairing = match_clark_points(matrix.in_basis.clark, matrix.out_basis.clark, tol)
     if pairing is not None:
         verdicts[METHOD_CLARK] = test_clark_recurrence(
-            matrix.in_bases(build_basis(matrix.alpha, "clark", pairing.clark_a.lam),
-                            build_basis(matrix.beta, "clark", pairing.clark_b.lam)),
+            matrix.in_bases(clark_basis(matrix.alpha, pairing.clark_a),
+                            clark_basis(matrix.beta, pairing.clark_b)),
             pairing, tol)
         a1 = clark_coefficient(matrix.alpha, pairing.clark_a.lam)
         b1 = clark_coefficient(matrix.beta, pairing.clark_b.lam)
         residual_pairs = tuple(residual_pairs) + ((a1, b1),)
+    data = _TMData.of(matrix)
     for idx, (a, b) in enumerate(residual_pairs):
         name = METHOD_RESIDUAL if idx == 0 else f"{METHOD_RESIDUAL}[{idx}]"
-        verdicts[name] = test_rank_two_residual(matrix, a, b, tol)
-    verdicts[METHOD_CONJUGATE] = test_conjugate_residual(matrix, tol=tol)
-    verdicts[METHOD_SHIFT] = test_shift_invariance(matrix, tol)
+        verdicts[name] = _residual_test(data, METHOD_RESIDUAL, a, b, tol)
+    verdicts[METHOD_CONJUGATE] = _residual_test(data, METHOD_CONJUGATE, 0j, 0j, tol)
+    verdicts[METHOD_SHIFT] = _shift_invariance(data, tol)
 
     answers = {v.is_member for v in verdicts.values()}
     if len(answers) != 1:

@@ -181,6 +181,49 @@ def tm_values(b: BlaschkeProduct, z) -> np.ndarray:
     return vals
 
 
+@dataclass(eq=False, frozen=True)
+class ShiftData:
+    """The compressed shift S of one space with its two defect vectors, all
+    in TM coordinates: the kernel k_0 and the conjugate kernel k~_0 at the
+    origin, so that I - S S* = k_0 k_0^H and I - S* S = k~_0 k~_0^H.
+
+    Computing it once lets every modified shift of the space, and every
+    multiplication by z, share one exact shift.  k_0 is computed on first
+    use: multiplication by z does not need it.
+    """
+
+    space: BlaschkeProduct
+    shift: np.ndarray
+    kt0: np.ndarray
+
+    @classmethod
+    def of(cls, b: BlaschkeProduct) -> "ShiftData":
+        return cls(b, shift_tm(b), conj_kernel_at_origin_tm(b))
+
+    @functools.cached_property
+    def k0(self) -> np.ndarray:
+        return np.conj(tm_values(self.space, 0.0))
+
+    def modified(self, c: complex) -> np.ndarray:
+        """The modified compressed shift S_c = S + c k_0 k~_0^H."""
+        return self.shift + complex(c) * np.outer(self.k0, np.conj(self.kt0))
+
+    def multiply_by_z(self, coords: np.ndarray) -> np.ndarray:
+        """TM coordinates of z f for every f given by TM coordinates
+        ``coords`` (a vector, or a matrix with one f per column).
+
+        z f stays in the model space exactly when f is orthogonal to k~_0,
+        and is then S f.  Raises ValueError when any f fails that test, i.e.
+        |<f, k~_0>| > 1e-7 ||f|| ||k~_0||.
+        """
+        pairing = np.abs(self.kt0.conj() @ coords)
+        bound = 1e-7 * np.linalg.norm(coords, axis=0) * np.linalg.norm(self.kt0)
+        if np.any(pairing > bound):
+            raise ValueError("z*f leaves the model space: f is not orthogonal to the "
+                             "conjugate kernel at 0")
+        return self.shift @ coords
+
+
 # ---------------------------------------------------------------------------
 # bases and vectors
 # ---------------------------------------------------------------------------
@@ -256,14 +299,22 @@ def build_basis(b: BlaschkeProduct, kind: str, lam: complex | None = None,
         if lam is None:
             raise ValueError(f"{kind} basis requires the spectral parameter lam")
         cp = clark_points(b, lam, tol)
-        cols = np.conj(tm_values(b, cp.points)) / np.sqrt(cp.weights)[None, :]
+        basis = clark_basis(b, cp)
         if kind == "clark":
-            return ModelBasis(b, kind, cols, clark=cp)
+            return basis
         args = (np.angle(cp.points) - arg_branch) % (2.0 * np.pi) + arg_branch
         arg_t = (np.angle(cp.target) - arg_branch) % (2.0 * np.pi) + arg_branch
         omega = np.exp(-0.5j * (args - arg_t))
-        return ModelBasis(b, kind, cols * omega[None, :], clark=cp, omega=omega)
+        return ModelBasis(b, kind, basis.matrix * omega[None, :], clark=cp, omega=omega)
     raise ValueError(f"unknown basis kind {kind!r}; expected one of {BASIS_KINDS}")
+
+
+def clark_basis(b: BlaschkeProduct, point_set: ClarkPointSet) -> ModelBasis:
+    """The Clark basis at the points of ``point_set``: the boundary kernels
+    k_eta / sqrt(|B'(eta)|), in the point set's order.  Solves no boundary
+    equation, so a caller holding the points pays only for the kernels."""
+    cols = np.conj(tm_values(b, point_set.points)) / np.sqrt(point_set.weights)[None, :]
+    return ModelBasis(b, "clark", cols, clark=point_set)
 
 
 def change_of_basis(src: ModelBasis, dst: ModelBasis) -> np.ndarray:
@@ -412,20 +463,9 @@ def project(b: BlaschkeProduct, values_fn, tol: Tolerances = DEFAULT) -> ModelVe
 
 def multiply_by_z_tm(b: BlaschkeProduct, coords: np.ndarray) -> np.ndarray:
     """TM coordinates of z f for every f given by TM coordinates ``coords``
-    (a vector, or a matrix with one f per column).
-
-    z f stays in the model space exactly when f is orthogonal to the
-    conjugate kernel k~_0 at the origin, and is then the compressed shift
-    applied to f.  Raises ValueError when any f fails that test, i.e.
-    |<f, k~_0>| > 1e-7 ||f|| ||k~_0||.
-    """
-    kt0 = conj_kernel_at_origin_tm(b)
-    pairing = np.abs(kt0.conj() @ coords)
-    bound = 1e-7 * np.linalg.norm(coords, axis=0) * np.linalg.norm(kt0)
-    if np.any(pairing > bound):
-        raise ValueError("z*f leaves the model space: f is not orthogonal to the "
-                         "conjugate kernel at 0")
-    return shift_tm(b) @ coords
+    (a vector, or a matrix with one f per column); see
+    :meth:`ShiftData.multiply_by_z`."""
+    return ShiftData.of(b).multiply_by_z(coords)
 
 
 def multiply_by_z(f: ModelVector, tol: Tolerances = DEFAULT) -> ModelVector:

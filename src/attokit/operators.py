@@ -36,9 +36,9 @@ import numpy.polynomial.polynomial as npoly
 from . import serialize
 from .blaschke import BlaschkeProduct, derivative, evaluate
 from .config import DEFAULT, Tolerances
-from .modelspace import (ModelBasis, ModelVector, build_basis, circle_nodes,
-                         conj_kernel, conj_tm, doubling_circle_mean, kernel,
-                         shift_tm, tm_values, tm_vector)
+from .modelspace import (ModelBasis, ModelVector, ShiftData, build_basis,
+                         circle_nodes, conj_kernel, conj_tm, doubling_circle_mean,
+                         kernel, shift_tm, tm_values, tm_vector)
 
 
 @dataclass(eq=False, frozen=True)
@@ -305,11 +305,12 @@ def rank_one(g: ModelVector, f: ModelVector, in_basis: ModelBasis | None = None,
 def modified_shift(alpha: BlaschkeProduct, c: complex, basis: ModelBasis | None = None,
                    tol: Tolerances = DEFAULT) -> OperatorMatrix:
     """Compressed shift plus c times the rank-one term (kernel at 0) tensor
-    (conjugate kernel at 0)."""
+    (conjugate kernel at 0), built in TM coordinates by
+    :meth:`ShiftData.modified` and moved to ``basis`` in one step; ``tol``
+    is accepted for the common signature and unused."""
     basis, _ = _default_bases(alpha, alpha, basis, basis)
-    shift = compressed_shift(alpha, basis, tol)
-    bump = rank_one(kernel(alpha, 0.0), conj_kernel(alpha, 0.0), basis, basis)
-    return shift + complex(c) * bump
+    tm = build_basis(alpha, "tm")
+    return OperatorMatrix(ShiftData.of(alpha).modified(c), tm, tm).in_bases(basis, basis)
 
 
 def clark_coefficient(alpha: BlaschkeProduct, lam: complex) -> complex:

@@ -54,6 +54,15 @@ class TestValidation:
             evaluate(b, 2.0)
         with pytest.raises(PoleProximityError):
             derivative(b, 2.0 + 1e-12j)
+        # a zero at the origin has no pole; the message names the pole hit
+        c = BlaschkeProduct((0.0, 0.5, 0.25j))  # poles at 2 and 4i
+        with pytest.raises(PoleProximityError, match=r"pole \(-?0(\.0)?\+4j\)"):
+            evaluate(c, np.array([[0.1, 0.2j], [4j, 0.3]]))
+        with pytest.raises(PoleProximityError, match=r"pole \(2\+0j\)"):
+            derivative(c, np.array([[0.0, 0.5], [0.1j, 2.0 - 5e-10]]))
+        # just outside eps, and at the origin, every point passes
+        assert np.isfinite(evaluate(c, np.array([[0.0, 2.0 + 2e-9], [4j - 2e-9j, 0.5]]))).all()
+        assert np.isfinite(derivative(monomial(3), np.array([[0.0, 2.0]]))).all()
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):

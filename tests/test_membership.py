@@ -7,7 +7,9 @@ from attokit.instances import (constrained_entries, member_matrix,
                                perturbed_nonmember, random_blaschke,
                                random_symbol, random_unimodular,
                                shared_clark_instance)
-from attokit.membership import (IndeterminateError, MembershipVerdict,
+from attokit.membership import (METHOD_CLARK, METHOD_CONJUGATE,
+                                METHOD_RESIDUAL, METHOD_SHIFT,
+                                IndeterminateError, MembershipVerdict,
                                 clark_pairing, match_clark_points,
                                 recover_chi_psi_clark, recurrence_rhs, run_all,
                                 shift_domain_basis)
@@ -339,6 +341,67 @@ class TestEquivalenceSuite:
                                  build_basis(beta, "tm"))
             res = run_all(mat, clark_pairing(alpha, beta, 1.0, 1.0))
             assert res["member"]
+
+
+def one_by_one(mat, pairing, residual_pairs):
+    """The verdicts run_all should give, each from its public test alone;
+    the Clark matrix is rebuilt with build_basis from the pairing's lambdas."""
+    out = {}
+    if pairing is not None:
+        lam_a, lam_b = pairing.clark_a.lam, pairing.clark_b.lam
+        clark_mat = mat.in_bases(build_basis(mat.alpha, "clark", lam_a),
+                                 build_basis(mat.beta, "clark", lam_b))
+        out[METHOD_CLARK] = check_recurrence(clark_mat, pairing)
+        residual_pairs = tuple(residual_pairs) + ((clark_coefficient(mat.alpha, lam_a),
+                                                   clark_coefficient(mat.beta, lam_b)),)
+    for idx, (a, b) in enumerate(residual_pairs):
+        name = METHOD_RESIDUAL if idx == 0 else f"{METHOD_RESIDUAL}[{idx}]"
+        out[name] = check_residual(mat, a, b)
+    out[METHOD_CONJUGATE] = check_conjugate(mat)
+    out[METHOD_SHIFT] = check_shift(mat)
+    return out
+
+
+class TestRunAllSharedWork:
+    def test_no_boundary_solve_inside_run_all(self, rng, monkeypatch):
+        import attokit.blaschke
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("run_all solved the boundary equation again")
+
+        for m, n in ((4, 3), (3, 5)):
+            for l in (0, min(m, n)):
+                *_, pairing, mat = clark_member(rng, m, n, l)
+                bad = perturbed_nonmember(rng, mat, pairing)
+                with monkeypatch.context() as patch:
+                    patch.setattr(attokit.blaschke, "boundary_solve", refuse)
+                    for probe, expect in ((mat, True), (bad, False)):
+                        res = run_all(probe, pairing)
+                        assert res["member"] is expect
+                        assert {v.is_member for v in res["methods"].values()} == {expect}
+
+    def test_verdicts_equal_the_public_tests(self, rng):
+        cases = []
+        for m, n in ((3, 2), (4, 4), (5, 3)):
+            for l in range(min(m, n) + 1):
+                alpha, beta, lam1, lam2, pairing, mat = clark_member(rng, m, n, l)
+                cases.append((mat, pairing, ((0j, 0j),)))
+                cases.append((perturbed_nonmember(rng, mat, pairing), pairing, ((0j, 0j),)))
+            tm_mat = mat.in_bases(build_basis(alpha, "tm"), build_basis(beta, "tm"))
+            custom = ((0.3 - 0.2j, 1.1j), (0j, 2.0), (-1.5, 0.25j))
+            cases += [(tm_mat, None, ((0j, 0j),)), (tm_mat, None, custom),
+                      (tm_mat, pairing, custom), (mat, pairing, custom)]
+        for mat, pairing, pairs in cases:
+            got = run_all(mat, pairing, residual_pairs=pairs)["methods"]
+            expect = one_by_one(mat, pairing, pairs)
+            assert list(got) == list(expect)
+            for name, verdict in got.items():
+                ref = expect[name]
+                assert verdict.is_member == ref.is_member
+                assert verdict.max_residual == ref.max_residual
+                if ref.witness is not None:
+                    assert np.array_equal(verdict.witness.chi.coeffs, ref.witness.chi.coeffs)
+                    assert np.array_equal(verdict.witness.psi.coeffs, ref.witness.psi.coeffs)
 
 
 class TestHighDegree:

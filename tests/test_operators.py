@@ -155,8 +155,10 @@ class TestShifts:
             kt = conj_kernel(b, 0.0).tm()
             assert np.max(np.abs(eye - s.conj().T @ s - np.outer(kt, kt.conj()))) <= 1e-13
             for _ in range(3):
-                u = clark_unitary(b, random_unimodular(rng)).entries
-                assert np.max(np.abs(u.conj().T @ u - eye)) <= 1e-13
+                lam = random_unimodular(rng)
+                for basis in (None, build_basis(b, "clark", lam)):
+                    u = clark_unitary(b, lam, basis).entries
+                    assert np.max(np.abs(u.conj().T @ u - eye)) <= 1e-13
 
     def test_modified_shift_zero_coefficient(self, rng):
         b = random_blaschke(rng, 3)
@@ -166,6 +168,28 @@ class TestShifts:
     def test_modified_shift_hand_case(self):
         assert np.allclose(modified_shift(monomial(2), 1.0).entries,
                            [[0, 1], [1, 0]], atol=1e-12)
+
+
+    def test_modified_shift_matches_rank_one_route(self, rng):
+        # reference: the compressed shift plus c times the rank-one operator
+        # (kernel at 0) tensor (conjugate kernel at 0), added as operators
+        products = [monomial(1), monomial(4), BlaschkeProduct((0.0, 0.5, 0.5, 0.0, -0.3j))]
+        for degree in range(1, 25):
+            zeros = list(random_blaschke(rng, degree).zeros)
+            if degree >= 3:
+                zeros[1] = zeros[0]                     # a repeated zero
+                zeros[degree // 2 + 1] = 0.0            # a zero at the origin
+            products.append(BlaschkeProduct(tuple(zeros), random_unimodular(rng)))
+        for b in products:
+            c = complex(rng.standard_normal(), rng.standard_normal())
+            for basis in (build_basis(b, "tm"), build_basis(b, "clark", random_unimodular(rng))):
+                ref = (compressed_shift(b, basis)
+                       + c * rank_one(kernel(b, 0.0), conj_kernel(b, 0.0), basis, basis))
+                got = modified_shift(b, c, basis)
+                assert got.in_basis is basis and got.out_basis is basis
+                if basis.kind == "tm":
+                    assert np.array_equal(got.entries, ref.entries)
+                assert np.max(np.abs(got.entries - ref.entries)) <= 1e-14
 
 
 class TestClarkUnitary:
