@@ -163,7 +163,7 @@ def derivative(b: BlaschkeProduct, z):
     return out if out.shape else complex(out)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=256)
 def numerator_denominator(b: BlaschkeProduct):
     """Power-basis coefficients (low to high) of P(z) = prod (a_j - z) and
     q(z) = prod (1 - conj(a_j) z), so that B = front * P / q."""

@@ -60,23 +60,31 @@ def circle_nodes(n: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.arange(n) / n)
 
 
-def doubling_circle_mean(level_mean, tol: float = DEFAULT.quadrature,
+def doubling_circle_mean(node_sum, tol: float = DEFAULT.quadrature,
                          n_start: int = 256, n_max: int = 1 << 15):
-    """Trapezoid rule on the unit circle with node doubling.
+    """Trapezoid rule on the unit circle with nested node doubling.
 
-    ``level_mean(n)`` must return the n-node trapezoid mean, i.e. the
-    approximation of (1/2pi) * integral over the circle built on
-    ``circle_nodes(n)``; it may be any array, computed however suits the
-    integrand (a plain mean over a node axis, or one matrix product).  Node
-    count doubles until two successive levels agree to ``tol`` relative to
-    1 + max|value| (geometric convergence holds for rational integrands with
-    poles off the circle, so this terminates quickly at desk scale); raises
-    QuadratureError past ``n_max`` nodes.
+    ``node_sum(z)`` must return the integrand summed over the nodes ``z`` (a
+    1-D array of points on the circle); it may be any array, computed
+    however suits the integrand (a sum over a node axis, or one matrix
+    product).  The first level sums over ``circle_nodes(n_start)``; each
+    doubling adds only the n new odd nodes of ``circle_nodes(2n)``, whose
+    even nodes are bit-equal to ``circle_nodes(n)``, so every node is
+    evaluated once.  The n-node trapezoid mean, the approximation of
+    (1/2pi) * integral over the circle, is the running sum divided by n.
+    Node count doubles until two successive means agree to ``tol`` relative
+    to 1 + max|value| (geometric convergence holds for rational integrands
+    with poles off the circle, so this terminates quickly at desk scale);
+    raises QuadratureError past ``n_max`` nodes.
     """
     prev = None
     n = n_start
     while n <= n_max:
-        val = level_mean(n)
+        if prev is None:
+            total = node_sum(circle_nodes(n))
+        else:
+            total = total + node_sum(circle_nodes(n)[1::2])
+        val = total / n
         if prev is not None:
             scale = 1.0 + float(np.max(np.abs(val)))
             if float(np.max(np.abs(val - prev))) <= tol * scale:
@@ -93,8 +101,7 @@ def adaptive_circle_mean(fn, tol: float = DEFAULT.quadrature,
     ``fn(nodes)`` must return an array whose last axis runs over the nodes;
     the mean over that axis approximates (1/2pi) * integral over the circle.
     """
-    return doubling_circle_mean(lambda n: np.mean(fn(circle_nodes(n)), axis=-1),
-                                tol, n_start, n_max)
+    return doubling_circle_mean(lambda z: fn(z).sum(-1), tol, n_start, n_max)
 
 
 # ---------------------------------------------------------------------------
@@ -176,8 +183,9 @@ def tm_values(b: BlaschkeProduct, z) -> np.ndarray:
     vals = np.empty((m,) + zarr.shape, dtype=complex)
     running = np.ones_like(zarr)
     for k, a in enumerate(b.zeros):
-        vals[k] = np.sqrt(1.0 - abs(a) ** 2) / (1.0 - np.conj(a) * zarr) * running
-        running = running * (zarr - a) / (1.0 - np.conj(a) * zarr)
+        den = 1.0 - np.conj(a) * zarr
+        vals[k] = np.sqrt(1.0 - abs(a) ** 2) / den * running
+        running = running * (zarr - a) / den
     return vals
 
 

@@ -11,9 +11,14 @@ matrix, i.e. coefficients of A f_p over the output basis sit in column p.
 
 Two computation paths are provided.  The canonical one evaluates the pairing
 <phi f_p, g_s> by adaptive trapezoid quadrature on the unit circle (the
-projection is absorbed because g_s already lies in K_beta); each node level
-is one matrix product conj(G) (phi F)^T / N of the basis values.  For structured
-symbols conj(chi) + psi with distinct zeros the closed form
+projection is absorbed because g_s already lies in K_beta).  The trapezoid
+levels are nested, so each node is evaluated once: at every new node the TM
+values of each space are computed once, and a structured symbol whose parts
+live in the two spaces is built from those same values.  The new nodes of a
+level add up to one matrix product P = conj(V_beta) (phi V_alpha)^T in TM
+coordinates, and the basis change is done on this small n x m pairing,
+T_out^H P T_in.  For structured symbols conj(chi) + psi with distinct zeros
+the closed form
 
     A_psi f = sum_i psi(b_i)/beta'(b_i) * f(b_i) * conj-kernel at b_i,
 
@@ -91,12 +96,18 @@ class SymbolSpec:
     def structured(self) -> bool:
         return self.co_analytic is not None or self.analytic is not None
 
-    def _structured_values(self, z):
+    def _structured_values(self, z, chi_vals=None, psi_vals=None):
+        """conj(chi(z)) + psi(z), from the TM values of chi's and psi's spaces
+        at z when the caller already holds them (evaluated here otherwise)."""
         out = np.zeros(np.shape(z), dtype=complex)
         if self.co_analytic is not None:
-            out = out + np.conj(self.co_analytic(np.asarray(z)))
+            if chi_vals is None:
+                chi_vals = tm_values(self.co_analytic.space, z)
+            out = out + np.conj(np.tensordot(self.co_analytic.tm(), chi_vals, axes=(0, 0)))
         if self.analytic is not None:
-            out = out + self.analytic(np.asarray(z))
+            if psi_vals is None:
+                psi_vals = tm_values(self.analytic.space, z)
+            out = out + np.tensordot(self.analytic.tm(), psi_vals, axes=(0, 0))
         return out
 
     def values(self, z):
@@ -235,16 +246,21 @@ def atto_matrix(alpha: BlaschkeProduct, beta: BlaschkeProduct, symbol: SymbolSpe
     if method != "quadrature":
         raise ValueError("method must be 'quadrature' or 'closed'")
 
-    t_in = in_basis.matrix.T.copy()
-    t_out = out_basis.matrix.T.copy()
+    chi, psi = symbol.co_analytic, symbol.analytic
+    # phi from the nodes' TM values when its parts live in K_alpha and K_beta
+    shared = (symbol.structured and (chi is None or chi.space == alpha)
+              and (psi is None or psi.space == beta))
+    t_in = in_basis.matrix
+    t_out_h = out_basis.matrix.conj().T
 
-    def level_mean(n):
-        z = circle_nodes(n)
-        fvals = t_in @ tm_values(alpha, z)        # (m, N) values of input basis
-        gvals = t_out @ tm_values(beta, z)        # (n, N) values of output basis
-        return np.conj(gvals) @ (symbol.values(z) * fvals).T / n
+    def node_sum(z):
+        va = tm_values(alpha, z)                  # (m, N) TM values of K_alpha
+        vb = va if beta == alpha else tm_values(beta, z)
+        phi = symbol._structured_values(z, va, vb) if shared else symbol.values(z)
+        pairing = np.conj(vb) @ (phi * va).T      # (n, m), TM coordinates
+        return t_out_h @ pairing @ t_in
 
-    pairings = doubling_circle_mean(level_mean, tol.quadrature)
+    pairings = doubling_circle_mean(node_sum, tol.quadrature)
     gram = out_basis.gram
     entries = np.linalg.solve(gram, pairings)     # pairing matrix -> coefficient matrix
     return OperatorMatrix(entries, in_basis, out_basis)

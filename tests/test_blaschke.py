@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from attokit.blaschke import (BlaschkeProduct, boundary_solve, clark_points,
-                              derivative, evaluate, mobius_target, monomial)
+                              derivative, evaluate, mobius_target, monomial,
+                              numerator_denominator)
 from attokit.instances import random_blaschke, random_unimodular
 
 
@@ -128,6 +129,14 @@ class TestBoundarySolve:
     def test_rejects_interior_target(self):
         with pytest.raises(ValueError):
             boundary_solve(monomial(2), 0.5)
+
+    def test_polynomial_cache_is_bounded(self, rng):
+        for _ in range(300):
+            b = random_blaschke(rng, 2)
+            target = random_unimodular(rng)
+            assert np.max(np.abs(evaluate(b, boundary_solve(b, target)) - target)) < 1e-10
+        info = numerator_denominator.cache_info()
+        assert info.maxsize == 256 and info.currsize <= 256
 
 
 class TestClarkPoints:

@@ -8,11 +8,13 @@ from hypothesis import strategies as st
 
 from attokit.blaschke import BlaschkeProduct, clark_points, derivative, evaluate, monomial
 from attokit.instances import random_blaschke, random_unimodular, random_vector
-from attokit.modelspace import (ModelVector, adaptive_circle_mean, build_basis,
-                                change_of_basis, conj_kernel,
+from attokit.modelspace import (ModelVector, QuadratureError,
+                                adaptive_circle_mean, build_basis,
+                                change_of_basis, circle_nodes, conj_kernel,
                                 conj_kernel_at_origin_tm, conj_tm, conjugation,
-                                inner_product, kernel, multiply_by_z,
-                                multiply_by_z_tm, project, tm_values, tm_vector)
+                                doubling_circle_mean, inner_product, kernel,
+                                multiply_by_z, multiply_by_z_tm, project,
+                                tm_values, tm_vector)
 
 
 def quadrature_gram(b):
@@ -80,7 +82,93 @@ def degree_64_products(rng):
     return out
 
 
+def fresh_level_circle_mean(level_mean, tol=1e-12, n_start=256, n_max=1 << 15):
+    """Reference doubling trapezoid rule that evaluates every level afresh on
+    all of its nodes; returns the mean and the node count it stopped at."""
+    prev = None
+    n = n_start
+    while n <= n_max:
+        val = level_mean(n)
+        if prev is not None and np.max(np.abs(val - prev)) <= tol * (1.0 + np.max(np.abs(val))):
+            return val, n
+        prev = val
+        n *= 2
+    raise QuadratureError("reference did not converge")
+
+
+def two_denominator_tm_values(b, z):
+    """TM values with 1 - conj(a) z formed twice per zero, once for the value
+    and once for the running product."""
+    zarr = np.asarray(z, dtype=complex)
+    vals = np.empty((b.degree,) + zarr.shape, dtype=complex)
+    running = np.ones_like(zarr)
+    for k, a in enumerate(b.zeros):
+        vals[k] = np.sqrt(1.0 - abs(a) ** 2) / (1.0 - np.conj(a) * zarr) * running
+        running = running * (zarr - a) / (1.0 - np.conj(a) * zarr)
+    return vals
+
+
+def cauchy_means(a, c):
+    """Integrand with known circle means, stacked on the first axis:
+    1/(1 - a conj(z)) -> 1,  z/(1 - a conj(z)) -> a,
+    1/((1 - a conj(z))(1 - conj(c) z)) -> 1/(1 - a conj(c))."""
+    def fn(z):
+        da = 1.0 - a * np.conj(z)
+        return np.stack([1.0 / da, z / da, 1.0 / (da * (1.0 - np.conj(c) * z))])
+    exact = np.array([1.0, a, 1.0 / (1.0 - a * np.conj(c))])
+    return fn, exact
+
+
+class TestCircleQuadrature:
+    def test_odd_nodes_complete_the_previous_level(self):
+        for n in (1, 2, 256, 4096, 1 << 15):
+            full = circle_nodes(2 * n)
+            assert np.array_equal(full[::2], circle_nodes(n))
+
+    def test_known_means_match_fresh_levels(self, rng):
+        for radius in (0.0, 0.5, 0.9, 0.95, 0.99):
+            a = radius * random_unimodular(rng)
+            c = 0.8 * random_unimodular(rng)
+            fn, exact = cauchy_means(a, c)
+            calls = []
+
+            def node_sum(z):
+                calls.append(z)
+                return fn(z).sum(-1)
+
+            nested = doubling_circle_mean(node_sum)
+            ref, n_ref = fresh_level_circle_mean(lambda n: np.mean(fn(circle_nodes(n)), axis=-1))
+            nodes = np.concatenate(calls)
+            assert len(nodes) == n_ref
+            assert np.array_equal(calls[0], circle_nodes(256))
+            for z in calls[1:]:                   # exactly the new odd nodes
+                assert np.array_equal(z, circle_nodes(2 * len(z))[1::2])
+            assert np.max(np.abs(nested - ref)) <= 1e-15 * np.max(np.abs(ref))
+            assert np.max(np.abs(nested - exact)) <= 1e-12
+            assert np.allclose(adaptive_circle_mean(fn), nested, rtol=0, atol=1e-15)
+
+    def test_error_after_full_ladder(self):
+        evaluated = []
+
+        def node_sum(z):
+            evaluated.append(len(z))
+            return np.sum(1.0 / (z - (1.0 + 1e-7) * np.exp(0.1j)))
+
+        with pytest.raises(QuadratureError, match="did not converge below 1e-12 at 32768 nodes"):
+            doubling_circle_mean(node_sum)
+        assert sum(evaluated) == 1 << 15
+
+
 class TestTakenakaMalmquist:
+    def test_single_denominator_is_bit_identical(self, rng):
+        products = small_products(rng) + degree_64_products(rng)
+        products += [random_blaschke(rng, d, radius=0.95) for d in (16, 24, 32, 48)]
+        points = [0.0, 0.3 - 0.4j, np.exp(0.7j), circle_nodes(64),
+                  0.9 * rng.random((3, 5)) * np.exp(2j * np.pi * rng.random((3, 5)))]
+        for b in products:
+            for z in points + [b.zeros[0], np.array(b.zeros)]:
+                assert np.array_equal(tm_values(b, z), two_denominator_tm_values(b, z))
+
     def test_monomial_case_is_power_basis(self):
         vals = tm_values(monomial(3), np.array([0.5 + 0.2j]))
         z = 0.5 + 0.2j

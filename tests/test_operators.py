@@ -7,8 +7,9 @@ from attokit.blaschke import BlaschkeProduct, clark_points, evaluate, monomial
 from attokit.instances import (member_matrix, random_blaschke, random_symbol,
                                random_unimodular, random_vector,
                                shared_clark_instance)
-from attokit.modelspace import (ModelVector, build_basis, conj_kernel,
-                                inner_product, kernel, tm_vector)
+from attokit import modelspace, operators
+from attokit.modelspace import (ModelVector, build_basis, circle_nodes,
+                                conj_kernel, inner_product, kernel, tm_vector)
 from attokit.operators import (IDENTITY_SYMBOL, OperatorMatrix, RationalSymbol,
                                SymbolSpec, atto_matrix, clark_unitary,
                                compressed_shift, conjugate_operator,
@@ -85,6 +86,55 @@ class TestAttoMatrix:
         spiky = SymbolSpec(raw=RationalSymbol((1.0,), (-(1.0 + 1e-7) * np.exp(0.1j), 1.0)))
         with pytest.raises(QuadratureError):
             atto_matrix(b, b, spiky)
+
+    def test_each_node_evaluated_once_per_space(self, rng, monkeypatch):
+        seen = {}
+        real = modelspace.tm_values
+
+        def counting(b, z):
+            seen.setdefault(b, []).append(np.array(z))
+            return real(b, z)
+
+        monkeypatch.setattr(modelspace, "tm_values", counting)
+        monkeypatch.setattr(operators, "tm_values", counting)
+        alpha = random_blaschke(rng, 5, radius=0.95)
+        beta = random_blaschke(rng, 4, radius=0.95)
+        for a, b in ((alpha, beta), (alpha, alpha)):
+            sym = random_symbol(rng, a, b)
+            seen.clear()
+            atto_matrix(a, b, sym)
+            assert set(seen) == {a, b}
+            for space in seen:
+                nodes = np.concatenate(seen[space])
+                n = len(nodes)
+                assert n >= 512 and n & (n - 1) == 0
+                assert np.array_equal(np.sort_complex(nodes), np.sort_complex(circle_nodes(n)))
+
+    def test_symbol_parts_over_other_bases_and_spaces(self, rng):
+        for m, n in ((3, 2), (5, 6), (12, 9)):
+            alpha = random_blaschke(rng, m)
+            beta = random_blaschke(rng, n)
+            gamma = random_blaschke(rng, m)       # same degree as alpha, other zeros
+            psi = random_vector(rng, build_basis(beta, "clark", random_unimodular(rng)))
+            for chi in (random_vector(rng, build_basis(alpha, "kernel-zeros")),
+                        random_vector(rng, build_basis(gamma, "tm"))):
+                sym = SymbolSpec(co_analytic=chi, analytic=psi)
+                got = atto_matrix(alpha, beta, sym).entries
+                ref = atto_matrix(alpha, beta, SymbolSpec(raw=sym.values)).entries
+                assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    def test_clark_bases_match_moved_tm_quadrature(self, rng):
+        for m, n in ((3, 2), (6, 5), (12, 16)):
+            alpha = random_blaschke(rng, m)
+            beta = random_blaschke(rng, n)
+            sym = random_symbol(rng, alpha, beta)
+            tm_mat = atto_matrix(alpha, beta, sym)
+            for kind in ("clark", "modified-clark"):
+                ca = build_basis(alpha, kind, random_unimodular(rng))
+                cb = build_basis(beta, kind, random_unimodular(rng))
+                direct = atto_matrix(alpha, beta, sym, ca, cb).entries
+                moved = tm_mat.in_bases(ca, cb).entries
+                assert np.max(np.abs(direct - moved)) <= 1e-13 * (1.0 + np.max(np.abs(moved)))
 
     def test_example_counterexample_symbol(self):
         # 1 (x) (1 + k_a) carries the symbol 1 + conj(k_a)
