@@ -6,8 +6,8 @@ operator class, witness recovery, and the complete rank-one classification.
 """
 
 from .blaschke import (BlaschkeProduct, ClarkPointSet, PoleProximityError,
-                       RootCollisionError, boundary_solve, clark_points,
-                       derivative, evaluate, mobius_target, monomial)
+                       RootCollisionError, derivative, evaluate, mobius_target,
+                       monomial)
 from .config import DEFAULT, Tolerances
 from .membership import (ClarkPairing, IndeterminateError, MembershipVerdict,
                          MethodDisagreement, ToleranceBreakdown, Witness,
@@ -16,8 +16,9 @@ from .membership import (ClarkPairing, IndeterminateError, MembershipVerdict,
                          test_clark_recurrence, test_conjugate_residual,
                          test_rank_two_residual, test_shift_invariance)
 from .modelspace import (ModelBasis, ModelVector, QuadratureError,
-                         adaptive_circle_mean, build_basis, change_of_basis,
-                         circle_nodes, clark_basis, conj_kernel, conjugation,
+                         adaptive_circle_mean, boundary_solve, build_basis,
+                         change_of_basis, circle_nodes, clark_basis,
+                         clark_points, conj_kernel, conjugation,
                          inner_product, kernel, multiply_by_z, project,
                          tm_values, tm_vector)
 from .operators import (IDENTITY_SYMBOL, OperatorMatrix, RationalSymbol,

@@ -8,18 +8,17 @@ All poles sit at 1/conj(a_j), strictly outside the closed unit disk, so the
 closed disk is always a safe evaluation domain.  For a unimodular target u
 the equation B(eta) = u has exactly m distinct unimodular solutions; these
 are the Clark points that drive everything else in this package.
+:mod:`attokit.modelspace` finds them (``boundary_solve``, ``clark_points``)
+as the eigenvalues of the exact Clark unitary of the model space.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
-import numpy.polynomial.polynomial as npoly
 
 from . import serialize
-from .config import DEFAULT, Tolerances
 
 
 _FRONT_ULPS = 4                 # |front| within this many ulps of 1 is kept as given
@@ -30,8 +29,9 @@ class PoleProximityError(ValueError):
 
 
 class RootCollisionError(RuntimeError):
-    """Two polished boundary roots collided: numerical breakdown, since the
-    boundary equation of a finite Blaschke product has distinct roots."""
+    """Two computed boundary points lie closer than ``tol.distinct``: numerical
+    breakdown, since the boundary equation of a finite Blaschke product has
+    distinct roots."""
 
 
 @dataclass(frozen=True)
@@ -163,73 +163,9 @@ def derivative(b: BlaschkeProduct, z):
     return out if out.shape else complex(out)
 
 
-@functools.lru_cache(maxsize=256)
-def numerator_denominator(b: BlaschkeProduct):
-    """Power-basis coefficients (low to high) of P(z) = prod (a_j - z) and
-    q(z) = prod (1 - conj(a_j) z), so that B = front * P / q."""
-    p = np.array([1.0 + 0.0j])
-    q = np.array([1.0 + 0.0j])
-    for a in b.zeros:
-        p = npoly.polymul(p, [a, -1.0])
-        q = npoly.polymul(q, [1.0, -np.conj(a)])
-    return p, q
-
-
-def boundary_solve(b: BlaschkeProduct, u: complex, tol: Tolerances = DEFAULT) -> np.ndarray:
-    """All m distinct unimodular solutions of B(eta) = u, |u| = 1.
-
-    Roots of front*P - u*q come from the companion matrix, are polished by
-    Newton iteration on B(eta) - u, then radially projected onto the circle.
-    Raises RootCollisionError if two polished roots land within ``tol.distinct``.
-    """
-    u = complex(u)
-    if abs(abs(u) - 1.0) > 1e-9:
-        raise ValueError("target must be unimodular")
-    p, q = numerator_denominator(b)
-    m = b.degree
-    r = npoly.polysub(b.front * p, u * q)
-    # degree is m exactly: |front| = 1 dominates |u * prod conj(a_j)| < 1
-    assert len(r) == m + 1 and abs(r[-1]) > 0
-    roots = npoly.polyroots(r)
-
-    for _ in range(3):
-        fz = evaluate(b, roots) - u
-        dz = derivative(b, roots)
-        roots = roots - fz / dz
-    roots = roots / np.abs(roots)
-    # one more corrective pass after the projection
-    fz = evaluate(b, roots) - u
-    dz = derivative(b, roots)
-    roots = roots - fz / dz
-    roots = roots / np.abs(roots)
-
-    resid = np.abs(evaluate(b, roots) - u)
-    if np.max(resid) > tol.residual:
-        raise RuntimeError(
-            f"boundary roots failed to polish below {tol.residual}: max residual {np.max(resid):.3e}")
-    diff = np.abs(roots[:, None] - roots[None, :]) + np.eye(m)
-    if np.min(diff) < tol.distinct:
-        raise RootCollisionError(
-            f"two boundary roots collided within {tol.distinct}: numerical breakdown")
-    order = np.argsort(np.angle(roots) % (2.0 * np.pi))
-    return roots[order]
-
-
 def mobius_target(b: BlaschkeProduct, lam: complex) -> complex:
     """(lam + B(0)) / (1 + conj(B(0)) lam), the boundary value shared by all
     eigenvectors of the rank-one unitary perturbation with parameter lam."""
     lam = complex(lam)
     b0 = evaluate(b, 0.0)
     return (lam + b0) / (1.0 + np.conj(b0) * lam)
-
-
-def clark_points(b: BlaschkeProduct, lam: complex, tol: Tolerances = DEFAULT) -> ClarkPointSet:
-    """Clark point set for spectral parameter lam: the m unimodular solutions
-    of B(eta) = target together with the weights |B'(eta_j)|."""
-    lam = complex(lam)
-    if abs(abs(lam) - 1.0) > 1e-9:
-        raise ValueError("lam must be unimodular")
-    target = mobius_target(b, lam)
-    pts = boundary_solve(b, target, tol)
-    wts = np.abs(derivative(b, pts))
-    return ClarkPointSet(lam, target, pts, wts)

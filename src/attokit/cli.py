@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import serialize
-from .blaschke import BlaschkeProduct, clark_points, monomial
+from .blaschke import BlaschkeProduct, monomial
 from .config import DEFAULT, Tolerances
 from .instances import (member_matrix, perturbed_nonmember, random_blaschke,
                         random_unimodular, random_vector, shared_clark_instance)
@@ -25,7 +25,7 @@ from .membership import (IndeterminateError, MethodDisagreement,
                          clark_pairing, recover_chi_psi_clark, run_all,
                          test_clark_recurrence, test_conjugate_residual,
                          test_rank_two_residual, test_shift_invariance)
-from .modelspace import build_basis, clark_basis, inner_product, kernel
+from .modelspace import build_basis, clark_basis, clark_points, inner_product, kernel
 from .operators import (OperatorMatrix, SymbolSpec, atto_matrix, clark_unitary,
                         compressed_shift, standard_rank_one,
                         symbol_span_dimension)

@@ -9,8 +9,8 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class Tolerances:
-    residual: float = 1e-10      # boundary-equation residual after root polishing
-    distinct: float = 1e-8       # minimum separation of polished boundary roots
+    residual: float = 1e-10      # largest boundary-equation residual |B(eta) - u| of Clark points
+    distinct: float = 1e-8       # minimum separation of computed Clark points
     match: float = 1e-8          # Clark-point matching tolerance
     decision: float = 1e-7       # membership accept threshold, relative to 1 + max|entry|
     reject_band: float = 1e-4    # relative residuals above this are clean rejections

@@ -16,10 +16,10 @@ from __future__ import annotations
 import numpy as np
 import numpy.polynomial.polynomial as npoly
 
-from .blaschke import BlaschkeProduct, clark_points, evaluate
+from .blaschke import BlaschkeProduct, evaluate
 from .config import DEFAULT, Tolerances
 from .membership import ClarkPairing, clark_pairing
-from .modelspace import ModelBasis, ModelVector, build_basis, tm_vector
+from .modelspace import ModelBasis, ModelVector, build_basis, clark_points, tm_vector
 from .operators import OperatorMatrix, SymbolSpec, atto_matrix
 
 

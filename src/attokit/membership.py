@@ -30,10 +30,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blaschke import BlaschkeProduct, ClarkPointSet, clark_points, evaluate
+from .blaschke import BlaschkeProduct, ClarkPointSet, evaluate
 from .config import DEFAULT, Tolerances
 from .modelspace import (ModelBasis, ModelVector, ShiftData, clark_basis,
-                         conj_kernel_at_origin_tm, tm_vector)
+                         clark_points, conj_kernel_at_origin_tm, tm_vector)
 from .operators import OperatorMatrix, clark_coefficient
 
 METHOD_CLARK = "clark-recurrence"

@@ -14,7 +14,7 @@ included) and reduces to the monomial basis when all zeros sit at the origin;
 it is the internal canonical coordinate system.  Kernel, Clark and modified
 Clark bases are carried as coordinate matrices over it.
 
-Four identities do most of the work here, all in TM coordinates, with
+Five identities do most of the work here, all in TM coordinates, with
 s_k = sqrt(1 - |a_k|^2), b_j(z) = (z - a_j)/(1 - conj(a_j) z) and
 eps = front * (-1)^m (so B = eps * prod b_j):
 
@@ -31,7 +31,11 @@ eps = front * (-1)^m (so B = eps * prod b_j):
       eps * s_i * prod_{j>i} (-a_j);
 * z f stays in K_B exactly when f is orthogonal to the conjugate kernel at
   the origin, and z f is then the compressed shift applied to f, whose TM
-  matrix has a closed lower-triangular form.
+  matrix has a closed lower-triangular form;
+* the modified shift S + c k_0 k~_0^H with c = u / (1 - conj(B(0)) u) is
+  unitary for every unimodular u, and its eigenvalues are exactly the m
+  solutions of B(eta) = u (Clark, J. Analyse Math. 1972), so the Clark
+  points come from the exact shift with no polynomial coefficients.
 """
 
 from __future__ import annotations
@@ -42,7 +46,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import serialize
-from .blaschke import BlaschkeProduct, ClarkPointSet, clark_points
+from .blaschke import (BlaschkeProduct, ClarkPointSet, RootCollisionError, derivative,
+                       evaluate, mobius_target)
 from .config import DEFAULT, Tolerances
 
 BASIS_KINDS = ("tm", "kernel-zeros", "clark", "modified-clark")
@@ -230,6 +235,51 @@ class ShiftData:
             raise ValueError("z*f leaves the model space: f is not orthogonal to the "
                              "conjugate kernel at 0")
         return self.shift @ coords
+
+
+def boundary_solve(b: BlaschkeProduct, u: complex, tol: Tolerances = DEFAULT) -> np.ndarray:
+    """All m distinct unimodular solutions of B(eta) = u, |u| = 1, sorted by
+    principal argument.
+
+    They are the eigenvalues of the unitary modified shift S + c k_0 k~_0^H
+    with c = u / (1 - conj(B(0)) u) (see the module docstring).  Their
+    arguments put them on the circle, where one Newton step in the argument,
+    eta <- eta * exp(-i arg(B(eta) / u) / |B'(eta)|), refines them, since
+    |B'(eta)| is the rate at which arg B turns along the circle.  Raises
+    RuntimeError if a residual |B(eta) - u| exceeds ``tol.residual`` and
+    RootCollisionError if two points lie within ``tol.distinct``.
+    """
+    u = complex(u)
+    if abs(abs(u) - 1.0) > 1e-9:
+        raise ValueError("target must be unimodular")
+    c = u / (1.0 - np.conj(evaluate(b, 0.0)) * u)
+    # exp(i arg) is unimodular to half an ulp; eta / |eta| misses by a few
+    # ulps, which the step in the argument cannot remove
+    eta = np.exp(1j * np.angle(np.linalg.eigvals(ShiftData.of(b).modified(c))))
+    eta = eta * np.exp(-1j * np.angle(evaluate(b, eta) / u) / np.abs(derivative(b, eta)))
+
+    resid = np.max(np.abs(evaluate(b, eta) - u))
+    if resid > tol.residual:
+        raise RuntimeError(
+            f"boundary points miss the target by more than {tol.residual}: "
+            f"max residual {resid:.3e}")
+    diff = np.abs(eta[:, None] - eta[None, :]) + np.eye(b.degree)
+    if np.min(diff) < tol.distinct:
+        raise RootCollisionError(
+            f"two boundary points lie within {tol.distinct}: numerical breakdown")
+    return eta[np.argsort(np.angle(eta) % (2.0 * np.pi))]
+
+
+def clark_points(b: BlaschkeProduct, lam: complex, tol: Tolerances = DEFAULT) -> ClarkPointSet:
+    """Clark point set for spectral parameter lam: the m unimodular solutions
+    of B(eta) = target together with the weights |B'(eta_j)|."""
+    lam = complex(lam)
+    if abs(abs(lam) - 1.0) > 1e-9:
+        raise ValueError("lam must be unimodular")
+    target = mobius_target(b, lam)
+    pts = boundary_solve(b, target, tol)
+    wts = np.abs(derivative(b, pts))
+    return ClarkPointSet(lam, target, pts, wts)
 
 
 # ---------------------------------------------------------------------------

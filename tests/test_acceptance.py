@@ -12,7 +12,8 @@ import sys
 import numpy as np
 import pytest
 
-from attokit.blaschke import clark_points, evaluate, monomial
+from attokit import clark_points
+from attokit.blaschke import evaluate, monomial
 from attokit.instances import (generic_clark_instance, member_matrix,
                                perturbed_nonmember, random_blaschke,
                                random_symbol, random_unimodular,

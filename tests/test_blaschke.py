@@ -6,10 +6,32 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from attokit.blaschke import (BlaschkeProduct, boundary_solve, clark_points,
-                              derivative, evaluate, mobius_target, monomial,
-                              numerator_denominator)
+from attokit import boundary_solve, clark_points
+from attokit.blaschke import (BlaschkeProduct, RootCollisionError, derivative,
+                              evaluate, mobius_target, monomial)
+from attokit.config import DEFAULT, Tolerances
 from attokit.instances import random_blaschke, random_unimodular
+
+
+def reference_boundary_solve(b, u):
+    """The former power-basis route to the solutions of B(eta) = u, kept as
+    an independent reference: roots of front * P - u * q from the companion
+    matrix of the power-basis coefficients, four Newton passes on B(eta) - u
+    and a radial projection onto the circle, sorted by argument."""
+    p = np.array([1.0 + 0.0j])
+    q = np.array([1.0 + 0.0j])
+    for a in b.zeros:
+        p = npoly.polymul(p, [a, -1.0])
+        q = npoly.polymul(q, [1.0, -np.conj(a)])
+    roots = npoly.polyroots(npoly.polysub(b.front * p, u * q))
+    for _ in range(3):
+        roots = roots - (evaluate(b, roots) - u) / derivative(b, roots)
+    roots = roots / np.abs(roots)
+    roots = roots - (evaluate(b, roots) - u) / derivative(b, roots)
+    roots = roots / np.abs(roots)
+    if np.max(np.abs(evaluate(b, roots) - u)) > DEFAULT.residual:
+        raise RuntimeError("reference route failed to polish")
+    return roots[np.argsort(np.angle(roots) % (2.0 * np.pi))]
 
 
 def example_product(a=0.5):
@@ -130,13 +152,85 @@ class TestBoundarySolve:
         with pytest.raises(ValueError):
             boundary_solve(monomial(2), 0.5)
 
-    def test_polynomial_cache_is_bounded(self, rng):
+    def test_residuals_over_many_products(self, rng):
         for _ in range(300):
             b = random_blaschke(rng, 2)
             target = random_unimodular(rng)
             assert np.max(np.abs(evaluate(b, boundary_solve(b, target)) - target)) < 1e-10
-        info = numerator_denominator.cache_info()
-        assert info.maxsize == 256 and info.currsize <= 256
+
+    def test_collision_guard(self):
+        # the eight points of monomial(8) are 2 sin(pi/8) = 0.765 apart
+        wide = Tolerances(distinct=0.8)
+        with pytest.raises(RootCollisionError, match=r"^two boundary points lie within 0\.8: "):
+            boundary_solve(monomial(8), 1.0, wide)
+        with pytest.raises(RootCollisionError):
+            clark_points(monomial(8), 1j, wide)
+        assert len(boundary_solve(monomial(8), 1.0, Tolerances(distinct=0.75))) == 8
+
+    def test_residual_guard(self, rng):
+        b = random_blaschke(rng, 8)
+        target = random_unimodular(rng)
+        achieved = np.max(np.abs(evaluate(b, boundary_solve(b, target)) - target))
+        assert 0.0 < achieved <= DEFAULT.residual
+        with pytest.raises(RuntimeError) as err:
+            boundary_solve(b, target, Tolerances(residual=achieved / 2))
+        assert err.type is RuntimeError
+        assert str(err.value).startswith(
+            f"boundary points miss the target by more than {achieved / 2}: max residual ")
+        assert "polish" not in str(err.value)
+
+
+def reference_cases(rng):
+    """Products across the stated range: random zeros at degrees 1-64, zeros
+    at the origin, repeated zeros, one zero at |a| = 0.9999 and clustered
+    pairs at separations 1e-3 to 1e-5."""
+    cases = [random_blaschke(rng, m, min_sep=0.01)
+             for m in (1, 2, 3, 4, 5, 6, 8, 12, 16, 24, 32, 40, 48, 64) for _ in range(4)]
+    cases += [monomial(m) for m in (1, 2, 7, 33)]
+    cases += [BlaschkeProduct((0.0,) * 3 + random_blaschke(rng, 5).zeros, random_unimodular(rng)),
+              BlaschkeProduct((0.3 - 0.4j,) * 5, random_unimodular(rng)),
+              BlaschkeProduct((0.5j, 0.5j, 0.0, 0.0, -0.7, -0.7, -0.7)),
+              BlaschkeProduct(random_blaschke(rng, 8).zeros * 4)]
+    for m in (6, 24, 64):
+        for _ in range(3):
+            near = 0.9999 * random_unimodular(rng)
+            cases.append(BlaschkeProduct(random_blaschke(rng, m - 1, radius=0.95, min_sep=0.01).zeros
+                                         + (near,), random_unimodular(rng)))
+    for sep in (1e-3, 1e-4, 1e-5):
+        for m in (4, 16, 64):
+            half = random_blaschke(rng, m // 2, radius=0.9, min_sep=0.01).zeros
+            pairs = tuple(a + sep * random_unimodular(rng) for a in half)
+            cases.append(BlaschkeProduct(half + pairs, random_unimodular(rng)))
+    return cases
+
+
+class TestAgainstCompanionReference:
+    def test_points_weights_and_residuals(self, rng):
+        cases = reference_cases(rng)
+        compared, worst, worst_ref = 0, 0.0, 0.0
+        for b in cases:
+            target = random_unimodular(rng)
+            pts = boundary_solve(b, target)
+            assert pts.shape == (b.degree,)
+            resid = np.max(np.abs(evaluate(b, pts) - target))
+            assert resid <= DEFAULT.residual
+            try:
+                ref = reference_boundary_solve(b, target)
+            except RuntimeError:
+                continue
+            compared += 1
+            worst = max(worst, resid)
+            worst_ref = max(worst_ref, np.max(np.abs(evaluate(b, ref) - target)))
+            assert np.max(np.abs(pts - ref)) <= 1e-12
+            # |B'| turns along the circle at relative rate up to
+            # sum 2|a|/(1 - |a|), so a few ulps between the two point sets
+            # move the weights by that factor times eps
+            w, w_ref = np.abs(derivative(b, pts)), np.abs(derivative(b, ref))
+            a = np.abs(np.array(b.zeros))
+            turn = np.sum(2.0 * a / (1.0 - a))
+            assert np.max(np.abs(w - w_ref) / w_ref) <= 1e-12 + 8 * np.finfo(float).eps * turn
+        assert compared >= 0.9 * len(cases)
+        assert worst <= worst_ref
 
 
 class TestClarkPoints:

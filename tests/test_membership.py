@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from attokit.blaschke import BlaschkeProduct, clark_points, evaluate, monomial
+from attokit import clark_points
+from attokit.blaschke import BlaschkeProduct, evaluate, monomial
 from attokit.config import DEFAULT
 from attokit.instances import (constrained_entries, member_matrix,
                                perturbed_nonmember, random_blaschke,
@@ -294,7 +295,6 @@ class TestEquivalenceSuite:
         # two cross points 1e-9 apart: too far to match at match-tol 1e-12,
         # too close for stable recurrence denominators at the default tol
         import dataclasses
-        from attokit.blaschke import clark_points
         from attokit.instances import (blaschke_through_points,
                                        lambda_for_target,
                                        separated_boundary_points)
@@ -364,7 +364,7 @@ def one_by_one(mat, pairing, residual_pairs):
 
 class TestRunAllSharedWork:
     def test_no_boundary_solve_inside_run_all(self, rng, monkeypatch):
-        import attokit.blaschke
+        import attokit.modelspace
 
         def refuse(*args, **kwargs):
             raise AssertionError("run_all solved the boundary equation again")
@@ -374,7 +374,7 @@ class TestRunAllSharedWork:
                 *_, pairing, mat = clark_member(rng, m, n, l)
                 bad = perturbed_nonmember(rng, mat, pairing)
                 with monkeypatch.context() as patch:
-                    patch.setattr(attokit.blaschke, "boundary_solve", refuse)
+                    patch.setattr(attokit.modelspace, "boundary_solve", refuse)
                     for probe, expect in ((mat, True), (bad, False)):
                         res = run_all(probe, pairing)
                         assert res["member"] is expect

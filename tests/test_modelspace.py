@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from attokit.blaschke import BlaschkeProduct, clark_points, derivative, evaluate, monomial
+from attokit import clark_points
+from attokit.blaschke import BlaschkeProduct, derivative, evaluate, monomial
 from attokit.instances import random_blaschke, random_unimodular, random_vector
 from attokit.modelspace import (ModelVector, QuadratureError,
                                 adaptive_circle_mean, build_basis,
