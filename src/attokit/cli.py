@@ -94,9 +94,7 @@ def _emit(obj) -> None:
     sys.stdout.write(serialize.dumps(obj) + "\n")
 
 
-def cmd_clark(args) -> int:
-    cfg = load_config(args.config)
-    tol = config_tolerances(cfg)
+def cmd_clark(args, cfg: dict, tol: Tolerances) -> int:
     alpha = _resolve(cfg, args, "alpha", args.alpha, parse_blaschke)
     lam1 = _resolve(cfg, args, "lambda1", args.lam, parse_complex)
     out = {"alpha": clark_points(alpha, lam1, tol).to_json()}
@@ -108,9 +106,7 @@ def cmd_clark(args) -> int:
     return EXIT_OK
 
 
-def cmd_atto(args) -> int:
-    cfg = load_config(args.config)
-    tol = config_tolerances(cfg)
+def cmd_atto(args, cfg: dict, tol: Tolerances) -> int:
     alpha = _resolve(cfg, args, "alpha", args.alpha, parse_blaschke)
     beta = _resolve(cfg, args, "beta", args.beta, parse_blaschke)
     with open(args.symbol, "r", encoding="utf-8") as fh:
@@ -127,9 +123,7 @@ def cmd_atto(args) -> int:
     return EXIT_OK
 
 
-def cmd_shift(args) -> int:
-    cfg = load_config(args.config)
-    tol = config_tolerances(cfg)
+def cmd_shift(args, cfg: dict, tol: Tolerances) -> int:
     alpha = _resolve(cfg, args, "alpha", args.alpha, parse_blaschke)
     lam1 = _resolve(cfg, args, "lambda1", args.lam, parse_complex,
                     required=args.basis in ("clark", "modified-clark"))
@@ -143,9 +137,7 @@ def cmd_shift(args) -> int:
     return EXIT_OK
 
 
-def cmd_unitary(args) -> int:
-    cfg = load_config(args.config)
-    tol = config_tolerances(cfg)
+def cmd_unitary(args, cfg: dict, tol: Tolerances) -> int:
     alpha = _resolve(cfg, args, "alpha", args.alpha, parse_blaschke)
     lam1 = _resolve(cfg, args, "lambda1", args.lam, parse_complex)
     basis = build_basis(alpha, args.basis, lam1, tol=tol)
@@ -153,9 +145,7 @@ def cmd_unitary(args) -> int:
     return EXIT_OK
 
 
-def cmd_membership(args) -> int:
-    cfg = load_config(args.config)
-    tol = config_tolerances(cfg)
+def cmd_membership(args, cfg: dict, tol: Tolerances) -> int:
     with open(args.matrix, "r", encoding="utf-8") as fh:
         mat = OperatorMatrix.from_json(json.load(fh))
     lam1 = _resolve(cfg, args, "lambda1", args.lam, parse_complex, required=False)
@@ -192,9 +182,7 @@ def cmd_membership(args) -> int:
     return EXIT_OK if verdict.is_member else EXIT_NEGATIVE
 
 
-def cmd_rankone(args) -> int:
-    cfg = load_config(args.config)
-    tol = config_tolerances(cfg)
+def cmd_rankone(args, cfg: dict, tol: Tolerances) -> int:
     if args.example_4_1:
         a = parse_complex(args.a) if args.a else 0.5 + 0j
         alpha, beta, mat = example_4_1(a)
@@ -212,9 +200,7 @@ def cmd_rankone(args) -> int:
     return EXIT_OK
 
 
-def cmd_dim(args) -> int:
-    cfg = load_config(args.config)
-    tol = config_tolerances(cfg)
+def cmd_dim(args, cfg: dict, tol: Tolerances) -> int:
     alpha = _resolve(cfg, args, "alpha", args.alpha, parse_blaschke)
     beta = _resolve(cfg, args, "beta", args.beta, parse_blaschke)
     rank, svals = symbol_span_dimension(alpha, beta, tol)
@@ -225,9 +211,7 @@ def cmd_dim(args) -> int:
     return EXIT_OK
 
 
-def cmd_example_4_1(args) -> int:
-    cfg = load_config(args.config)
-    tol = config_tolerances(cfg)
+def cmd_example_4_1(args, cfg: dict, tol: Tolerances) -> int:
     a = parse_complex(args.a) if args.a else 0.5 + 0j
     alpha, beta, mat = example_4_1(a)
     pairing = clark_pairing(alpha, beta, 1.0, 1.0, tol)
@@ -302,9 +286,7 @@ def _selftest_report(seed: int, trials: int, tol: Tolerances) -> dict:
     return report
 
 
-def cmd_selftest(args) -> int:
-    cfg = load_config(args.config)
-    tol = config_tolerances(cfg)
+def cmd_selftest(args, cfg: dict, tol: Tolerances) -> int:
     seed = args.seed if args.seed is not None else int(cfg.get("seed", 42))
     report = _selftest_report(seed, args.trials, tol)
     _emit(report)
@@ -402,7 +384,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
-        return args.fn(args)
+        cfg = load_config(args.config)
+        return args.fn(args, cfg, config_tolerances(cfg))
     except (IndeterminateError, MethodDisagreement) as exc:
         print(f"indeterminate: {exc}", file=sys.stderr)
         return EXIT_INDETERMINATE

@@ -170,7 +170,7 @@ def member_matrix(rng, alpha: BlaschkeProduct, beta: BlaschkeProduct,
     sym = random_symbol(rng, alpha, beta)
     return atto_matrix(alpha, beta, sym,
                        build_basis(alpha, "clark", lam1, tol=tol),
-                       build_basis(beta, "clark", lam2, tol=tol), tol=tol)
+                       build_basis(beta, "clark", lam2, tol=tol), method="closed", tol=tol)
 
 
 def perturbed_nonmember(rng, member: OperatorMatrix, pairing: ClarkPairing,

@@ -263,7 +263,7 @@ def boundary_solve(b: BlaschkeProduct, u: complex, tol: Tolerances = DEFAULT) ->
         raise RuntimeError(
             f"boundary points miss the target by more than {tol.residual}: "
             f"max residual {resid:.3e}")
-    diff = np.abs(eta[:, None] - eta[None, :]) + np.eye(b.degree)
+    diff = np.abs(eta[:, None] - eta[None, :]) + np.diag(np.full(b.degree, np.inf))
     if np.min(diff) < tol.distinct:
         raise RootCollisionError(
             f"two boundary points lie within {tol.distinct}: numerical breakdown")
@@ -348,7 +348,7 @@ def build_basis(b: BlaschkeProduct, kind: str, lam: complex | None = None,
         return ModelBasis(b, kind, np.eye(m, dtype=complex))
     if kind == "kernel-zeros":
         zeros = np.array(b.zeros)
-        sep = np.abs(zeros[:, None] - zeros[None, :]) + np.eye(m)
+        sep = np.abs(zeros[:, None] - zeros[None, :]) + np.diag(np.full(m, np.inf))
         if np.min(sep) < tol.distinct:
             raise ValueError("kernel-zeros basis requires distinct zeros")
         cols = np.conj(tm_values(b, zeros))          # (m, m): column j = k_{a_j}
@@ -482,8 +482,9 @@ def conjugation(f: ModelVector, method: str = "boundary") -> ModelVector:
 
     method="boundary" uses the exact TM form of B(z) conj(z) conj(f(z))
     (see :func:`conj_tm`); method="kernel" extends C k_w = conj-kernel_w
-    antilinearly over a kernel basis at m interior points.  The two agree to
-    quadrature accuracy and are cross-checked in the test suite.
+    antilinearly over a kernel basis at m interior points.  Neither uses
+    quadrature; they agree up to the conditioning of that kernel basis and
+    are cross-checked in the test suite.
     """
     b = f.space
     if method == "boundary":

@@ -11,20 +11,21 @@ matrix, i.e. coefficients of A f_p over the output basis sit in column p.
 
 Two computation paths are provided.  The canonical one evaluates the pairing
 <phi f_p, g_s> by adaptive trapezoid quadrature on the unit circle (the
-projection is absorbed because g_s already lies in K_beta).  The trapezoid
-levels are nested, so each node is evaluated once: at every new node the TM
-values of each space are computed once, and a structured symbol whose parts
-live in the two spaces is built from those same values.  The new nodes of a
-level add up to one matrix product P = conj(V_beta) (phi V_alpha)^T in TM
-coordinates, and the basis change is done on this small n x m pairing,
-T_out^H P T_in.  For structured symbols conj(chi) + psi with distinct zeros
-the closed form
+projection is absorbed because g_s already lies in K_beta), on nested levels
+that evaluate each node once.  At a node the TM values of each space are
+computed once, also for a structured symbol whose parts live in the two
+spaces; a level adds up to one product P = conj(V_beta) (phi V_alpha)^T, and
+the basis change is done on this small n x m pairing, T_out^H P T_in.
 
-    A_psi f = sum_i psi(b_i)/beta'(b_i) * f(b_i) * conj-kernel at b_i,
+The exact path, for structured symbols conj(chi) + psi only, solves the
+rank-two identity (Sarason, Algebraic properties of truncated Toeplitz
+operators, 2007)
 
-an interpolation across the zeros b_i of beta, plus the adjoint of the mirror
-operator for the co-analytic part, gives an independent exact route; the two
-paths agree to quadrature accuracy.
+    A - S_beta A S_alpha^* = psi (x) k_0^alpha + k_0^beta (x) chi
+
+for A: with both compressed shifts lower triangular in TM coordinates it is
+a Stein equation solved column by column, for any zeros.  A part over
+another product is first projected by the operator of the symbol 1.
 
 The compressed shift, the modified shifts and the Clark unitaries use no
 quadrature: the shift has a closed lower-triangular form in TM coordinates,
@@ -39,7 +40,7 @@ import numpy as np
 import numpy.polynomial.polynomial as npoly
 
 from . import serialize
-from .blaschke import BlaschkeProduct, derivative, evaluate
+from .blaschke import BlaschkeProduct, evaluate
 from .config import DEFAULT, Tolerances
 from .modelspace import (ModelBasis, ModelVector, ShiftData, build_basis,
                          circle_nodes, conj_kernel, conj_tm, doubling_circle_mean,
@@ -235,14 +236,14 @@ def atto_matrix(alpha: BlaschkeProduct, beta: BlaschkeProduct, symbol: SymbolSpe
     """Matrix of the truncated multiplication-by-phi operator K_alpha -> K_beta.
 
     method="quadrature" (canonical) integrates <phi f_p, g_s> on the circle;
-    method="closed" uses the structured interpolation formula and requires a
-    structured symbol and distinct zeros in both products.
+    method="closed" solves the rank-two Stein identity of a structured symbol
+    (see the module docstring) and raises ValueError for a raw-only symbol.
     """
     in_basis, out_basis = _default_bases(alpha, beta, in_basis, out_basis)
     if method == "closed":
-        m_tm = _structured_tm_matrix(alpha, beta, symbol)
-        tm_op = OperatorMatrix(m_tm, build_basis(alpha, "tm"), build_basis(beta, "tm"))
-        return tm_op.in_bases(in_basis, out_basis)
+        m_tm = _closed_tm_matrix(alpha, beta, symbol)
+        entries = np.linalg.solve(out_basis.matrix, m_tm @ in_basis.matrix)
+        return OperatorMatrix(entries, in_basis, out_basis)
     if method != "quadrature":
         raise ValueError("method must be 'quadrature' or 'closed'")
 
@@ -266,34 +267,42 @@ def atto_matrix(alpha: BlaschkeProduct, beta: BlaschkeProduct, symbol: SymbolSpe
     return OperatorMatrix(entries, in_basis, out_basis)
 
 
-def _distinct_zero_data(b: BlaschkeProduct):
-    zeros = np.array(b.zeros)
-    sep = np.abs(zeros[:, None] - zeros[None, :]) + np.eye(b.degree)
-    if np.min(sep) < 1e-10:
-        raise ValueError("closed-form path requires distinct zeros")
-    return zeros, derivative(b, zeros)
+def _solve_stein(sb: np.ndarray, sa: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """X with X - sb X sa^H = d for lower-triangular sb (n x n), sa (m x m):
+    column j solves (I - conj(sa[j, j]) sb) x_j = d_j + sb sum_{k<j} conj(sa[j, k]) x_k.
+    For compressed shifts the pivots 1 - conj(a_j) b_i never vanish."""
+    n, m = d.shape
+    eye = np.eye(n)
+    x = np.empty((n, m), dtype=complex)
+    for j in range(m):
+        rhs = d[:, j] + sb @ (x[:, :j] @ np.conj(sa[j, :j]))
+        x[:, j] = np.linalg.solve(eye - np.conj(sa[j, j]) * sb, rhs)
+    return x
 
 
-def _structured_tm_matrix(alpha: BlaschkeProduct, beta: BlaschkeProduct,
-                          symbol: SymbolSpec) -> np.ndarray:
+def _part_in(f: ModelVector, target: ShiftData) -> np.ndarray:
+    """TM coordinates of the projection of f onto the space of ``target``, by
+    the operator X of the symbol 1: X - S X S'^H = k_0 k_0'^H."""
+    if f.space == target.space:
+        return f.tm()
+    src = ShiftData.of(f.space)
+    one = _solve_stein(target.shift, src.shift, np.outer(target.k0, np.conj(src.k0)))
+    return one @ f.tm()
+
+
+def _closed_tm_matrix(alpha: BlaschkeProduct, beta: BlaschkeProduct,
+                      symbol: SymbolSpec) -> np.ndarray:
+    """TM matrix of the operator of conj(chi) + psi from the rank-two identity
+    A - S_beta A S_alpha^H = psi k_0^alpha^H + k_0^beta chi^H."""
     if not symbol.structured:
         raise ValueError("closed-form path requires a structured symbol")
-    m, n = alpha.degree, beta.degree
-    out = np.zeros((n, m), dtype=complex)
-    psi = symbol.analytic
-    chi = symbol.co_analytic
-    if psi is not None:
-        zb, dzb = _distinct_zero_data(beta)
-        weights = psi(zb) / dzb
-        ktil = conj_tm(beta) @ tm_values(beta, zb)    # column i = conj kernel at b_i
-        out += ktil @ (weights[:, None] * tm_values(alpha, zb).T)
-    if chi is not None:
-        za, dza = _distinct_zero_data(alpha)
-        weights = chi(za) / dza
-        ktil = conj_tm(alpha) @ tm_values(alpha, za)
-        mirror = ktil @ (weights[:, None] * tm_values(beta, za).T)   # K_beta -> K_alpha
-        out += mirror.conj().T
-    return out
+    sa, sb = ShiftData.of(alpha), ShiftData.of(beta)
+    d = np.zeros((beta.degree, alpha.degree), dtype=complex)
+    if symbol.analytic is not None:
+        d += np.outer(_part_in(symbol.analytic, sb), np.conj(sa.k0))
+    if symbol.co_analytic is not None:
+        d += np.outer(sb.k0, np.conj(_part_in(symbol.co_analytic, sa)))
+    return _solve_stein(sb.shift, sa.shift, d)
 
 
 def compressed_shift(alpha: BlaschkeProduct, basis: ModelBasis | None = None,
@@ -396,7 +405,7 @@ def symbol_span_dimension(alpha: BlaschkeProduct, beta: BlaschkeProduct,
                           tol: Tolerances = DEFAULT):
     """Numerical rank of the span of the structured-symbol operator family,
     with the singular values backing the rank call."""
-    mats = [atto_matrix(alpha, beta, spec, tol=tol).entries.ravel()
+    mats = [atto_matrix(alpha, beta, spec, method="closed", tol=tol).entries.ravel()
             for spec in symbol_family(alpha, beta)]
     stack = np.array(mats)
     svals = np.linalg.svd(stack, compute_uv=False)

@@ -166,6 +166,11 @@ class TestBoundarySolve:
         with pytest.raises(RootCollisionError):
             clark_points(monomial(8), 1j, wide)
         assert len(boundary_solve(monomial(8), 1.0, Tolerances(distinct=0.75))) == 8
+        # the four points of monomial(4) are sqrt(2) = 1.414 apart; a point
+        # is never compared with itself, so separations >= 1 are judged too
+        assert len(boundary_solve(monomial(4), 1.0, Tolerances(distinct=1.4))) == 4
+        with pytest.raises(RootCollisionError):
+            boundary_solve(monomial(4), 1.0, Tolerances(distinct=1.5))
 
     def test_residual_guard(self, rng):
         b = random_blaschke(rng, 8)

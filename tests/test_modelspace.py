@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from attokit import clark_points
 from attokit.blaschke import BlaschkeProduct, derivative, evaluate, monomial
+from attokit.config import Tolerances
 from attokit.instances import random_blaschke, random_unimodular, random_vector
 from attokit.modelspace import (ModelVector, QuadratureError,
                                 adaptive_circle_mean, build_basis,
@@ -381,6 +382,13 @@ class TestBases:
     def test_kernel_zeros_rejects_multiplicity(self):
         with pytest.raises(ValueError):
             build_basis(BlaschkeProduct((0.3, 0.3)), "kernel-zeros")
+
+    def test_kernel_zeros_separation_above_one(self):
+        # zeros +-0.6 are 1.2 apart; a zero is never compared with itself
+        b = BlaschkeProduct((0.6, -0.6))
+        assert build_basis(b, "kernel-zeros", tol=Tolerances(distinct=1.1)).dim == 2
+        with pytest.raises(ValueError):
+            build_basis(b, "kernel-zeros", tol=Tolerances(distinct=1.3))
 
     def test_clark_requires_lambda(self):
         with pytest.raises(ValueError):

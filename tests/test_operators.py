@@ -151,6 +151,106 @@ class TestAttoMatrix:
         assert np.max(np.abs(direct.entries - via_symbol.entries)) <= 1e-10
 
 
+def widest_at(b, radius):
+    """b with its outermost zero moved out to modulus ``radius``."""
+    zeros = list(b.zeros)
+    k = int(np.argmax(np.abs(zeros)))
+    zeros[k] = radius * zeros[k] / abs(zeros[k])
+    return BlaschkeProduct(tuple(zeros), b.front)
+
+
+def clark_node_reference(alpha, beta, symbol, lam=1.0):
+    """TM matrix of a structured symbol by Clark's Parseval sum in K_gamma,
+    gamma = alpha beta: psi f, chi g, f and g all lie in K_gamma, so
+
+        <phi f, g> = sum over the Clark points eta of gamma of
+                     phi(eta) f(eta) conj(g(eta)) / |gamma'(eta)|,
+
+    exactly, however close the zeros come to the circle."""
+    gamma = BlaschkeProduct(alpha.zeros + beta.zeros, alpha.front * beta.front)
+    cp = modelspace.clark_points(gamma, lam)
+    va, vb = modelspace.tm_values(alpha, cp.points), modelspace.tm_values(beta, cp.points)
+    return np.conj(vb) @ ((symbol.values(cp.points) / cp.weights) * va).T
+
+
+def relative_gap(got, ref):
+    return np.max(np.abs(got - ref)) / (1.0 + np.max(np.abs(ref)))
+
+
+class TestClosedPath:
+    def test_matches_quadrature_at_degrees_1_to_64(self, rng):
+        shapes = ((1, 1), (1, 5), (2, 3), (3, 2), (5, 8), (8, 5), (12, 16), (24, 12),
+                  (32, 32), (48, 20), (64, 40), (40, 64))
+        for m, n in shapes:
+            alpha = widest_at(random_blaschke(rng, m, radius=0.95, min_sep=0.01), 0.95)
+            beta = widest_at(random_blaschke(rng, n, radius=0.95, min_sep=0.01), 0.95)
+            sym = random_symbol(rng, alpha, beta)
+            quad = atto_matrix(alpha, beta, sym).entries
+            closed = atto_matrix(alpha, beta, sym, method="closed").entries
+            assert relative_gap(closed, quad) <= 1e-12, (m, n)
+
+    def test_repeated_zeros_origin_and_equal_spaces(self, rng):
+        products = [monomial(1), monomial(4), BlaschkeProduct((0.3 - 0.4j,) * 5),
+                    BlaschkeProduct((0.5j, 0.5j, 0.0, 0.0, -0.7, -0.7, -0.7), -1j)]
+        zeros = list(random_blaschke(rng, 20).zeros)
+        zeros[1] = zeros[0]
+        zeros[7] = 0.0
+        products.append(BlaschkeProduct(tuple(zeros), random_unimodular(rng)))
+        for alpha in products:
+            for beta in (alpha, products[2], products[-1]):
+                sym = random_symbol(rng, alpha, beta)
+                quad = atto_matrix(alpha, beta, sym).entries
+                closed = atto_matrix(alpha, beta, sym, method="closed").entries
+                assert relative_gap(closed, quad) <= 1e-12
+
+    def test_clark_and_kernel_bases(self, rng):
+        for m, n in ((3, 2), (6, 5), (12, 16)):
+            alpha = random_blaschke(rng, m)
+            beta = random_blaschke(rng, n)
+            sym = random_symbol(rng, alpha, beta)
+            bases = [(build_basis(alpha, kind, random_unimodular(rng)),
+                      build_basis(beta, kind, random_unimodular(rng)))
+                     for kind in ("clark", "modified-clark")]
+            bases.append((build_basis(alpha, "kernel-zeros"), build_basis(beta, "clark", 1j)))
+            for ca, cb in bases:
+                quad = atto_matrix(alpha, beta, sym, ca, cb).entries
+                closed = atto_matrix(alpha, beta, sym, ca, cb, method="closed")
+                assert closed.in_basis is ca and closed.out_basis is cb
+                assert relative_gap(closed.entries, quad) <= 1e-12
+
+    def test_parts_over_other_products_and_bases(self, rng):
+        for m, n in ((3, 2), (5, 6), (12, 9)):
+            alpha = random_blaschke(rng, m)
+            beta = random_blaschke(rng, n)
+            others = (random_vector(rng, build_basis(random_blaschke(rng, 5), "kernel-zeros")),
+                      random_vector(rng, build_basis(random_blaschke(rng, 2), "clark", -1j)),
+                      random_vector(rng, build_basis(alpha, "clark", 1j)),
+                      random_vector(rng, build_basis(beta, "kernel-zeros")))
+            for chi in others:
+                for psi in others:
+                    sym = SymbolSpec(co_analytic=chi, analytic=psi)
+                    quad = atto_matrix(alpha, beta, SymbolSpec(raw=sym.values)).entries
+                    closed = atto_matrix(alpha, beta, sym, method="closed").entries
+                    assert relative_gap(closed, quad) <= 1e-12
+
+    def test_zeros_near_the_circle(self, rng):
+        # quadrature cannot converge at |a| = 0.9999; Clark's Parseval sum can
+        from attokit.modelspace import QuadratureError
+        for m, n in ((3, 2), (64, 40)):
+            alpha = widest_at(random_blaschke(rng, m, radius=0.95, min_sep=0.01), 0.9999)
+            beta = random_blaschke(rng, n, radius=0.95, min_sep=0.01)
+            for a, b in ((alpha, beta), (beta, alpha)):
+                sym = random_symbol(rng, a, b)
+                with pytest.raises(QuadratureError):
+                    atto_matrix(a, b, sym)
+                closed = atto_matrix(a, b, sym, method="closed").entries
+                assert relative_gap(closed, clark_node_reference(a, b, sym)) <= 1e-12
+
+    def test_raw_symbol_rejected(self):
+        with pytest.raises(ValueError, match="structured symbol"):
+            atto_matrix(monomial(2), monomial(2), z_symbol(), method="closed")
+
+
 class TestShifts:
     def test_jordan_block_for_cube(self):
         s = compressed_shift(monomial(3)).entries
