@@ -16,11 +16,10 @@ from .membership import (ClarkPairing, IndeterminateError, MembershipVerdict,
                          test_clark_recurrence, test_conjugate_residual,
                          test_rank_two_residual, test_shift_invariance)
 from .modelspace import (ModelBasis, ModelVector, QuadratureError,
-                         adaptive_circle_mean, boundary_solve, build_basis,
-                         change_of_basis, circle_nodes, clark_basis,
-                         clark_points, conj_kernel, conjugation,
-                         inner_product, kernel, multiply_by_z, project,
-                         tm_values, tm_vector)
+                         boundary_solve, build_basis, change_of_basis,
+                         circle_nodes, clark_basis, clark_points, conj_kernel,
+                         conjugation, inner_product, kernel, multiply_by_z,
+                         project, tm_values, tm_vector)
 from .operators import (IDENTITY_SYMBOL, OperatorMatrix, RationalSymbol,
                         SymbolSpec, atto_matrix, clark_coefficient,
                         clark_unitary, compressed_shift, conjugate_operator,

@@ -14,7 +14,7 @@ from attokit.operators import (IDENTITY_SYMBOL, OperatorMatrix, RationalSymbol,
                                SymbolSpec, atto_matrix, clark_unitary,
                                compressed_shift, conjugate_operator,
                                modified_shift, rank_one, standard_rank_one,
-                               symbol_span_dimension)
+                               symbol_family, symbol_span_dimension)
 from test_blaschke import reference_boundary_solve
 
 
@@ -177,6 +177,21 @@ def relative_gap(got, ref):
     return np.max(np.abs(got - ref)) / (1.0 + np.max(np.abs(ref)))
 
 
+def two_level_node_count(node_sum, tol, n_start=256, n_max=1 << 15):
+    """Nodes that nested doubling evaluates when it stops only once two
+    successive means agree to tol relative to 1 + max|mean| (inf when that
+    never happens within n_max nodes)."""
+    prev = None
+    n = n_start
+    while n <= n_max:
+        mean = node_sum(circle_nodes(n)) / n
+        if prev is not None and np.max(np.abs(mean - prev)) <= tol * (1.0 + np.max(np.abs(mean))):
+            return n
+        prev = mean
+        n *= 2
+    return np.inf
+
+
 class TestClosedPath:
     def test_matches_quadrature_at_degrees_1_to_64(self, rng):
         shapes = ((1, 1), (1, 5), (2, 3), (3, 2), (5, 8), (8, 5), (12, 16), (24, 12),
@@ -245,6 +260,49 @@ class TestClosedPath:
                     atto_matrix(a, b, sym)
                 closed = atto_matrix(a, b, sym, method="closed").entries
                 assert relative_gap(closed, clark_node_reference(a, b, sym)) <= 1e-12
+
+    def test_contraction_stop_on_repeated_clustered_and_high_degree_zeros(self, rng,
+                                                                           monkeypatch):
+        nested = operators.doubling_circle_mean
+        counts = []                           # (nodes evaluated, two-level rule's nodes)
+
+        def counting(node_sum, tol, *args):
+            sizes = []
+
+            def counted(z):
+                sizes.append(len(z))
+                return node_sum(z)
+
+            mean = nested(counted, tol, *args)
+            counts.append((sum(sizes), two_level_node_count(node_sum, tol, *args)))
+            return mean
+
+        monkeypatch.setattr(operators, "doubling_circle_mean", counting)
+        pairs = []
+        for radius in (0.95, 0.99):           # repeated poles: rate alone misjudges them
+            alpha = BlaschkeProduct((radius * random_unimodular(rng),) * 16, random_unimodular(rng))
+            pairs.append((alpha, alpha))
+        tilt = random_unimodular(rng)         # twelve zeros 1e-3 apart at |a| = 0.99
+        cluster = BlaschkeProduct(tuple(0.99 * tilt * np.exp(1e-3j * k / 0.99) for k in range(12)),
+                                  random_unimodular(rng))
+        other = random_blaschke(rng, 8)
+        pairs += [(cluster, other), (other, cluster)]
+        for alpha, beta in pairs:
+            sym = random_symbol(rng, alpha, beta)
+            counts.clear()
+            quad = atto_matrix(alpha, beta, sym).entries
+            closed = atto_matrix(alpha, beta, sym, method="closed").entries
+            assert relative_gap(closed, quad) <= 1e-12
+            [(evaluated, two_level)] = counts
+            assert evaluated <= two_level
+        alpha = widest_at(random_blaschke(rng, 64, radius=0.95, min_sep=0.01), 0.95)
+        beta = random_blaschke(rng, 40, radius=0.95, min_sep=0.01)
+        sym = random_symbol(rng, alpha, beta)
+        counts.clear()
+        quad = atto_matrix(alpha, beta, sym).entries
+        closed = atto_matrix(alpha, beta, sym, method="closed").entries
+        assert relative_gap(closed, quad) <= 1e-12
+        assert counts == [(1024, 2048)]
 
     def test_raw_symbol_rejected(self):
         with pytest.raises(ValueError, match="structured symbol"):
@@ -437,6 +495,21 @@ class TestSpanDimension:
         assert rank == 3          # m + n - 1 = mn when one degree is 1
         rank11, _ = symbol_span_dimension(random_blaschke(rng, 1), random_blaschke(rng, 1))
         assert rank11 == 1
+
+    def test_batched_generators_match_one_solve_each(self, rng):
+        repeated = list(random_blaschke(rng, 8).zeros)
+        repeated[3] = repeated[1]
+        repeated[5] = 0.0
+        pairs = [(random_blaschke(rng, 3), random_blaschke(rng, 2)),
+                 (BlaschkeProduct(tuple(repeated)), random_blaschke(rng, 12, radius=0.95)),
+                 (random_blaschke(rng, 24, radius=0.95), random_blaschke(rng, 24))]
+        for alpha, beta in pairs:
+            rank, svals = symbol_span_dimension(alpha, beta)
+            stack = np.array([atto_matrix(alpha, beta, spec, method="closed").entries.ravel()
+                              for spec in symbol_family(alpha, beta)])
+            ref = np.linalg.svd(stack, compute_uv=False)
+            assert rank == alpha.degree + beta.degree - 1
+            assert np.max(np.abs(svals - ref)) <= 1e-14 * ref[0]
 
 
 class TestBasesAndSerialization:
