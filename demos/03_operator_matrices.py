@@ -10,9 +10,9 @@ near machine precision.
 
 import numpy as np
 
-from attokit import (RationalSymbol, SymbolSpec, atto_matrix, clark_coefficient,
-                     clark_unitary, compressed_shift, modified_shift, monomial,
-                     symbol_span_dimension)
+from attokit import (DEFAULT, RationalSymbol, SymbolSpec, atto_matrix,
+                     clark_coefficient, clark_unitary, compressed_shift,
+                     monomial, symbol_span_dimension)
 from attokit.instances import random_blaschke, random_symbol
 
 rng = np.random.default_rng(3)
@@ -42,5 +42,5 @@ print("quadrature vs rank-two Stein solve:", np.max(np.abs(quad - closed)))
 print()
 print("== dimension of the whole operator class ==")
 rank, svals = symbol_span_dimension(alpha, beta)
-print(f"degrees (3, 2): dimension {rank} (= m + n - 1), "
-      f"singular gap {svals[rank - 1] / svals[rank]:.2e}")
+print(f"degrees (3, 2): dimension {rank} (= m + n - 1); smallest kept singular "
+      f"value {svals[rank - 1] / svals[0]:.2e} of the largest, cutoff {DEFAULT.rank:.0e}")

@@ -14,6 +14,7 @@ as the eigenvalues of the exact Clark unitary of the model space.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,6 +64,13 @@ class BlaschkeProduct:
     @property
     def degree(self) -> int:
         return len(self.zeros)
+
+    @functools.cached_property
+    def model_space(self):
+        """The exact TM-coordinate objects of K_B, each computed on first use
+        and kept for the life of the product (see modelspace.ModelSpace)."""
+        from .modelspace import ModelSpace
+        return ModelSpace(self)
 
     def __call__(self, z):
         return evaluate(self, z)

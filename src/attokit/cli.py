@@ -27,7 +27,7 @@ from .membership import (IndeterminateError, MethodDisagreement,
                          test_rank_two_residual, test_shift_invariance)
 from .modelspace import build_basis, clark_basis, clark_points, inner_product, kernel
 from .operators import (OperatorMatrix, SymbolSpec, atto_matrix, clark_unitary,
-                        compressed_shift, standard_rank_one,
+                        compressed_shift, modified_shift, standard_rank_one,
                         symbol_span_dimension)
 from .rankone import decompose_rank_one, example_4_1, example_4_1_candidates
 
@@ -129,10 +129,9 @@ def cmd_shift(args, cfg: dict, tol: Tolerances) -> int:
                     required=args.basis in ("clark", "modified-clark"))
     basis = build_basis(alpha, args.basis, lam1, tol=tol)
     if args.c is not None:
-        from .operators import modified_shift
-        mat = modified_shift(alpha, parse_complex(args.c), basis, tol)
+        mat = modified_shift(alpha, parse_complex(args.c), basis)
     else:
-        mat = compressed_shift(alpha, basis, tol)
+        mat = compressed_shift(alpha, basis)
     _emit(mat.to_json())
     return EXIT_OK
 
@@ -141,7 +140,7 @@ def cmd_unitary(args, cfg: dict, tol: Tolerances) -> int:
     alpha = _resolve(cfg, args, "alpha", args.alpha, parse_blaschke)
     lam1 = _resolve(cfg, args, "lambda1", args.lam, parse_complex)
     basis = build_basis(alpha, args.basis, lam1, tol=tol)
-    _emit(clark_unitary(alpha, lam1, basis, tol).to_json())
+    _emit(clark_unitary(alpha, lam1, basis).to_json())
     return EXIT_OK
 
 

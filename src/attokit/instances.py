@@ -176,7 +176,12 @@ def member_matrix(rng, alpha: BlaschkeProduct, beta: BlaschkeProduct,
 def perturbed_nonmember(rng, member: OperatorMatrix, pairing: ClarkPairing,
                         delta: float = 1e-3) -> OperatorMatrix:
     """Bump one constrained entry of a member by ``delta`` (times a random
-    phase and the matrix scale), producing a clean non-member."""
+    phase and the matrix scale), producing a non-member.
+
+    The bump is one entry in Clark coordinates, and its distance to the
+    class can be far smaller than ``delta``: a membership test may then
+    land in its indeterminate band and raise IndeterminateError instead of
+    rejecting."""
     n, m = member.entries.shape
     choices = constrained_entries(m, n, pairing.shared)
     if not choices:

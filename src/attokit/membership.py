@@ -32,8 +32,8 @@ import numpy as np
 
 from .blaschke import BlaschkeProduct, ClarkPointSet, evaluate
 from .config import DEFAULT, Tolerances
-from .modelspace import (ModelBasis, ModelVector, ShiftData, clark_basis,
-                         clark_points, conj_kernel_at_origin_tm, tm_vector)
+from .modelspace import (ModelBasis, ModelVector, clark_basis, clark_points,
+                         tm_vector)
 from .operators import OperatorMatrix, clark_coefficient
 
 METHOD_CLARK = "clark-recurrence"
@@ -253,22 +253,6 @@ def test_clark_recurrence(matrix: OperatorMatrix, pairing: ClarkPairing,
 # rank-two residual tests
 # ---------------------------------------------------------------------------
 
-@dataclass(eq=False, frozen=True)
-class _TMData:
-    """What the TM-coordinate tests of one matrix share: the matrix in TM
-    coordinates and each space's exact shift with its kernels at 0."""
-
-    matrix: OperatorMatrix
-    m_tm: np.ndarray
-    alpha: ShiftData
-    beta: ShiftData
-
-    @classmethod
-    def of(cls, matrix: OperatorMatrix) -> "_TMData":
-        return cls(matrix, matrix.tm_entries(),
-                   ShiftData.of(matrix.alpha), ShiftData.of(matrix.beta))
-
-
 def _complement_projector(vec: np.ndarray) -> np.ndarray:
     v = vec / np.linalg.norm(vec)
     return np.eye(len(vec), dtype=complex) - np.outer(v, np.conj(v))
@@ -287,25 +271,26 @@ def _split_residual(d: np.ndarray, left: np.ndarray, right: np.ndarray):
     return psi, chi
 
 
-def _residual_test(data: _TMData, method: str, a: complex, b: complex,
-                   tol: Tolerances) -> MembershipVerdict:
+def _residual_test(matrix: OperatorMatrix, m_tm: np.ndarray, method: str,
+                   a: complex, b: complex, tol: Tolerances) -> MembershipVerdict:
     """The rank-two test (METHOD_RESIDUAL) or its conjugate mirror
-    (METHOD_CONJUGATE) with the modified shifts S_{alpha,a}, S_{beta,b}."""
-    m_tm = data.m_tm
-    sa, sb = data.alpha.modified(a), data.beta.modified(b)
+    (METHOD_CONJUGATE) with the modified shifts S_{alpha,a}, S_{beta,b};
+    ``m_tm`` is ``matrix.tm_entries()``."""
+    space_a, space_b = matrix.alpha.model_space, matrix.beta.model_space
+    sa, sb = space_a.modified(a), space_b.modified(b)
     if method == METHOD_RESIDUAL:
         d = m_tm - sb @ m_tm @ sa.conj().T
-        left, right = data.alpha.k0, data.beta.k0
+        left, right = space_a.k0, space_b.k0
     else:
         d = m_tm - sb.conj().T @ m_tm @ sa
-        left, right = data.alpha.kt0, data.beta.kt0
+        left, right = space_a.kt0, space_b.kt0
     resid = np.max(np.abs(_complement_projector(right) @ d @ _complement_projector(left)))
-    verdict = _decide(method, float(resid), data.matrix.max_abs, tol)
+    verdict = _decide(method, float(resid), matrix.max_abs, tol)
     if not verdict.is_member:
         return verdict
     psi_c, chi_c = _split_residual(d, left, right)
-    witness = Witness(tm_vector(data.matrix.alpha, chi_c),
-                      tm_vector(data.matrix.beta, psi_c), complex(a), complex(b))
+    witness = Witness(tm_vector(matrix.alpha, chi_c),
+                      tm_vector(matrix.beta, psi_c), complex(a), complex(b))
     return MembershipVerdict(True, verdict.max_residual, method, witness)
 
 
@@ -316,14 +301,14 @@ def test_rank_two_residual(matrix: OperatorMatrix, a: complex = 0j, b: complex =
     The verdict holds for every choice of (a, b); the witness is returned in
     TM coordinates with <psi, kernel at 0 of K_beta> = 0.
     """
-    return _residual_test(_TMData.of(matrix), METHOD_RESIDUAL, a, b, tol)
+    return _residual_test(matrix, matrix.tm_entries(), METHOD_RESIDUAL, a, b, tol)
 
 
 def test_conjugate_residual(matrix: OperatorMatrix, a: complex = 0j, b: complex = 0j,
                             tol: Tolerances = DEFAULT) -> MembershipVerdict:
     """Mirror of the rank-two test: A - S_{beta,b}* A S_{alpha,a} collapses
     onto the spans of the conjugate kernels at 0."""
-    return _residual_test(_TMData.of(matrix), METHOD_CONJUGATE, a, b, tol)
+    return _residual_test(matrix, matrix.tm_entries(), METHOD_CONJUGATE, a, b, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -344,17 +329,18 @@ def shift_domain_basis(space: BlaschkeProduct) -> list[ModelVector]:
     """Orthonormal basis of { f : z f stays in the model space }, i.e. the
     orthocomplement of the conjugate kernel at 0 (dimension m - 1)."""
     return [tm_vector(space, col)
-            for col in _shift_domain_tm(conj_kernel_at_origin_tm(space)).T]
+            for col in _shift_domain_tm(space.model_space.kt0).T]
 
 
-def _shift_invariance(data: _TMData, tol: Tolerances) -> MembershipVerdict:
-    m_tm = data.m_tm
-    f = _shift_domain_tm(data.alpha.kt0)
-    g = _shift_domain_tm(data.beta.kt0)
-    zf = data.alpha.multiply_by_z(f)
-    zg = data.beta.multiply_by_z(g)
+def _shift_invariance(matrix: OperatorMatrix, m_tm: np.ndarray,
+                      tol: Tolerances) -> MembershipVerdict:
+    space_a, space_b = matrix.alpha.model_space, matrix.beta.model_space
+    f = _shift_domain_tm(space_a.kt0)
+    g = _shift_domain_tm(space_b.kt0)
+    zf = space_a.multiply_by_z(f)
+    zg = space_b.multiply_by_z(g)
     resid = np.max(np.abs(zg.conj().T @ m_tm @ zf - g.conj().T @ m_tm @ f), initial=0.0)
-    return _decide(METHOD_SHIFT, float(resid), data.matrix.max_abs, tol)
+    return _decide(METHOD_SHIFT, float(resid), matrix.max_abs, tol)
 
 
 def test_shift_invariance(matrix: OperatorMatrix, tol: Tolerances = DEFAULT) -> MembershipVerdict:
@@ -363,7 +349,7 @@ def test_shift_invariance(matrix: OperatorMatrix, tol: Tolerances = DEFAULT) -> 
     With the domain bases F, G as columns and Z_F, Z_G their images under
     multiplication by z, the residual is max |Z_G^H A Z_F - G^H A F|.
     """
-    return _shift_invariance(_TMData.of(matrix), tol)
+    return _shift_invariance(matrix, matrix.tm_entries(), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -439,8 +425,8 @@ def run_all(matrix: OperatorMatrix, pairing: ClarkPairing | None = None,
     IndeterminateError if any single test lands in its dead band and
     MethodDisagreement if the verdicts differ.  The Clark bases come from the
     pairing's own point sets, and the TM-coordinate tests share one TM
-    matrix and one exact shift per space, so the verdicts equal those of the
-    public test functions called one by one.
+    matrix and each space's ``model_space``, so the verdicts equal those of
+    the public test functions called one by one.
     """
     verdicts = {}
     if pairing is None and matrix.in_basis.kind == "clark" and matrix.out_basis.kind == "clark":
@@ -453,12 +439,12 @@ def run_all(matrix: OperatorMatrix, pairing: ClarkPairing | None = None,
         a1 = clark_coefficient(matrix.alpha, pairing.clark_a.lam)
         b1 = clark_coefficient(matrix.beta, pairing.clark_b.lam)
         residual_pairs = tuple(residual_pairs) + ((a1, b1),)
-    data = _TMData.of(matrix)
+    m_tm = matrix.tm_entries()
     for idx, (a, b) in enumerate(residual_pairs):
         name = METHOD_RESIDUAL if idx == 0 else f"{METHOD_RESIDUAL}[{idx}]"
-        verdicts[name] = _residual_test(data, METHOD_RESIDUAL, a, b, tol)
-    verdicts[METHOD_CONJUGATE] = _residual_test(data, METHOD_CONJUGATE, 0j, 0j, tol)
-    verdicts[METHOD_SHIFT] = _shift_invariance(data, tol)
+        verdicts[name] = _residual_test(matrix, m_tm, METHOD_RESIDUAL, a, b, tol)
+    verdicts[METHOD_CONJUGATE] = _residual_test(matrix, m_tm, METHOD_CONJUGATE, 0j, 0j, tol)
+    verdicts[METHOD_SHIFT] = _shift_invariance(matrix, m_tm, tol)
 
     answers = {v.is_member for v in verdicts.values()}
     if len(answers) != 1:

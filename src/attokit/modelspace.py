@@ -111,70 +111,6 @@ def doubling_circle_mean(node_sum, tol: float = DEFAULT.quadrature,
 # exact TM matrices of one space
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=256)
-def conj_tm(b: BlaschkeProduct) -> np.ndarray:
-    """The conjugation over the TM basis: C f has TM coordinates
-    ``conj_tm(b) @ conj(coords of f)``.
-
-    Column k holds the TM coordinates of C phi_k = eps * psi_k, where psi_k
-    is the TM element of the reversed zero order.  An odd-even transposition
-    network reverses the order in m rounds, every comparator swapping; each
-    round swaps disjoint adjacent pairs (a, c) at once by the exact unitary
-
-        (phi_p, phi_{p+1}) -> (x phi_p + y phi_{p+1}, u phi_p + x phi_{p+1}),
-        d = 1 - a conj(c),  x = s_a s_c / d,  u = (a - c) / d,  y = (conj(c) - conj(a)) / d,
-
-    which is the identity for equal zeros and needs no care at the origin.
-    The result is symmetric, and an involution to rounding at any degree.
-    The returned array is shared through the cache and is read-only.
-    """
-    a = np.array(b.zeros)
-    s = np.sqrt(1.0 - np.abs(a) ** 2)
-    m = b.degree
-    rows = np.eye(m, dtype=complex)               # row p: TM coordinates of the element at slot p
-    for rnd in range(m):
-        p = np.arange(rnd % 2, m - 1, 2)
-        q = p + 1
-        d = 1.0 - a[p] * np.conj(a[q])
-        x = (s[p] * s[q] / d)[:, None]
-        u = ((a[p] - a[q]) / d)[:, None]
-        y = ((np.conj(a[q]) - np.conj(a[p])) / d)[:, None]
-        top, bottom = rows[p], rows[q]
-        rows[p], rows[q] = x * top + y * bottom, u * top + x * bottom
-        a[p], a[q] = a[q], a[p]
-        s[p], s[q] = s[q], s[p]
-    out = b.front * (-1.0) ** m * rows[::-1].T    # slot m-1-k holds psi_k
-    out.flags.writeable = False
-    return out
-
-
-def shift_tm(b: BlaschkeProduct) -> np.ndarray:
-    """<z phi_j, phi_i> over the TM basis:
-
-        S[i, i] = a_i,   S[i, j] = s_i s_j prod_{j<k<i} (-conj(a_k))  (i > j),
-
-    and zero above the diagonal (Garcia-Mashreghi-Ross 2016).  Row i of the
-    product table is row i - 1 times -conj(a_{i-1}), extended by a 1, never a
-    quotient of cumulative products: a zero at the origin makes a factor 0.
-    """
-    a = np.array(b.zeros)
-    m = b.degree
-    s = np.sqrt(1.0 - np.abs(a) ** 2)
-    prods = np.zeros((m, m), dtype=complex)       # prods[i, j] = prod_{j<k<i} (-conj(a_k))
-    for i in range(1, m):
-        prods[i, : i - 1] = prods[i - 1, : i - 1] * -np.conj(a[i - 1])
-        prods[i, i - 1] = 1.0
-    return np.diag(a) + s[:, None] * s[None, :] * prods
-
-
-def conj_kernel_at_origin_tm(b: BlaschkeProduct) -> np.ndarray:
-    """TM coordinates eps * s_i * prod_{j>i} (-a_j) of (B(z) - B(0)) / z."""
-    a = np.array(b.zeros)
-    suffix = np.ones(b.degree, dtype=complex)     # suffix[i] = prod_{j>i} (-a_j)
-    suffix[:-1] = np.cumprod(-a[:0:-1])[::-1]
-    return b.front * (-1.0) ** b.degree * np.sqrt(1.0 - np.abs(a) ** 2) * suffix
-
-
 def tm_values(b: BlaschkeProduct, z) -> np.ndarray:
     """Values of the TM basis at z, stacked as shape (m,) + shape(z).
 
@@ -192,28 +128,91 @@ def tm_values(b: BlaschkeProduct, z) -> np.ndarray:
     return vals
 
 
-@dataclass(eq=False, frozen=True)
-class ShiftData:
-    """The compressed shift S of one space with its two defect vectors, all
-    in TM coordinates: the kernel k_0 and the conjugate kernel k~_0 at the
-    origin, so that I - S S* = k_0 k_0^H and I - S* S = k~_0 k~_0^H.
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
 
-    Computing it once lets every modified shift of the space, and every
-    multiplication by z, share one exact shift.  k_0 is computed on first
-    use: multiplication by z does not need it.
+
+@dataclass(eq=False, frozen=True)
+class ModelSpace:
+    """The exact objects of one model space in TM coordinates: the compressed
+    shift S, the kernel k_0 and the conjugate kernel k~_0 at the origin, so
+    that I - S S* = k_0 k_0^H and I - S* S = k~_0 k~_0^H, and the matrix of
+    the conjugation C.
+
+    Reached as ``b.model_space``, one per product.  Each array is computed on
+    first use, kept, and read-only, so every modified shift, multiplication
+    by z, conjugate kernel and Stein solve of the space shares it.
     """
 
     space: BlaschkeProduct
-    shift: np.ndarray
-    kt0: np.ndarray
 
-    @classmethod
-    def of(cls, b: BlaschkeProduct) -> "ShiftData":
-        return cls(b, shift_tm(b), conj_kernel_at_origin_tm(b))
+    @functools.cached_property
+    def shift(self) -> np.ndarray:
+        """<z phi_j, phi_i> over the TM basis:
+
+            S[i, i] = a_i,   S[i, j] = s_i s_j prod_{j<k<i} (-conj(a_k))  (i > j),
+
+        and zero above the diagonal (Garcia-Mashreghi-Ross 2016).  Row i of the
+        product table is row i - 1 times -conj(a_{i-1}), extended by a 1, never a
+        quotient of cumulative products: a zero at the origin makes a factor 0.
+        """
+        a = np.array(self.space.zeros)
+        m = self.space.degree
+        s = np.sqrt(1.0 - np.abs(a) ** 2)
+        prods = np.zeros((m, m), dtype=complex)   # prods[i, j] = prod_{j<k<i} (-conj(a_k))
+        for i in range(1, m):
+            prods[i, : i - 1] = prods[i - 1, : i - 1] * -np.conj(a[i - 1])
+            prods[i, i - 1] = 1.0
+        return _read_only(np.diag(a) + s[:, None] * s[None, :] * prods)
 
     @functools.cached_property
     def k0(self) -> np.ndarray:
-        return np.conj(tm_values(self.space, 0.0))
+        """TM coordinates conj(phi_i(0)) of the kernel at the origin."""
+        return _read_only(np.conj(tm_values(self.space, 0.0)))
+
+    @functools.cached_property
+    def kt0(self) -> np.ndarray:
+        """TM coordinates eps * s_i * prod_{j>i} (-a_j) of (B(z) - B(0)) / z."""
+        b = self.space
+        a = np.array(b.zeros)
+        suffix = np.ones(b.degree, dtype=complex)     # suffix[i] = prod_{j>i} (-a_j)
+        suffix[:-1] = np.cumprod(-a[:0:-1])[::-1]
+        return _read_only(b.front * (-1.0) ** b.degree * np.sqrt(1.0 - np.abs(a) ** 2) * suffix)
+
+    @functools.cached_property
+    def conj(self) -> np.ndarray:
+        """The conjugation over the TM basis: C f has TM coordinates
+        ``conj @ conj(coords of f)``.
+
+        Column k holds the TM coordinates of C phi_k = eps * psi_k, where psi_k
+        is the TM element of the reversed zero order.  An odd-even transposition
+        network reverses the order in m rounds, every comparator swapping; each
+        round swaps disjoint adjacent pairs (a, c) at once by the exact unitary
+
+            (phi_p, phi_{p+1}) -> (x phi_p + y phi_{p+1}, u phi_p + x phi_{p+1}),
+            d = 1 - a conj(c),  x = s_a s_c / d,  u = (a - c) / d,  y = (conj(c) - conj(a)) / d,
+
+        which is the identity for equal zeros and needs no care at the origin.
+        The result is symmetric, and an involution to rounding at any degree.
+        """
+        b = self.space
+        a = np.array(b.zeros)
+        s = np.sqrt(1.0 - np.abs(a) ** 2)
+        m = b.degree
+        rows = np.eye(m, dtype=complex)   # row p: TM coordinates of the element at slot p
+        for rnd in range(m):
+            p = np.arange(rnd % 2, m - 1, 2)
+            q = p + 1
+            d = 1.0 - a[p] * np.conj(a[q])
+            x = (s[p] * s[q] / d)[:, None]
+            u = ((a[p] - a[q]) / d)[:, None]
+            y = ((np.conj(a[q]) - np.conj(a[p])) / d)[:, None]
+            top, bottom = rows[p], rows[q]
+            rows[p], rows[q] = x * top + y * bottom, u * top + x * bottom
+            a[p], a[q] = a[q], a[p]
+            s[p], s[q] = s[q], s[p]
+        return _read_only(b.front * (-1.0) ** m * rows[::-1].T)   # slot m-1-k holds psi_k
 
     def modified(self, c: complex) -> np.ndarray:
         """The modified compressed shift S_c = S + c k_0 k~_0^H."""
@@ -253,7 +252,7 @@ def boundary_solve(b: BlaschkeProduct, u: complex, tol: Tolerances = DEFAULT) ->
     c = u / (1.0 - np.conj(evaluate(b, 0.0)) * u)
     # exp(i arg) is unimodular to half an ulp; eta / |eta| misses by a few
     # ulps, which the step in the argument cannot remove
-    eta = np.exp(1j * np.angle(np.linalg.eigvals(ShiftData.of(b).modified(c))))
+    eta = np.exp(1j * np.angle(np.linalg.eigvals(b.model_space.modified(c))))
     eta = eta * np.exp(-1j * np.angle(evaluate(b, eta) / u) / np.abs(derivative(b, eta)))
 
     resid = np.max(np.abs(evaluate(b, eta) - u))
@@ -328,7 +327,7 @@ class ModelBasis:
 
 
 def build_basis(b: BlaschkeProduct, kind: str, lam: complex | None = None,
-                arg_branch: float = 0.0, tol: Tolerances = DEFAULT) -> ModelBasis:
+                tol: Tolerances = DEFAULT) -> ModelBasis:
     """Construct one of the four supported bases.
 
     kernel-zeros requires distinct zeros; the Clark kinds require the spectral
@@ -338,8 +337,8 @@ def build_basis(b: BlaschkeProduct, kind: str, lam: complex | None = None,
         omega_j = exp(-i/2 (arg eta_j - arg target))
 
     make every basis vector a fixed point of the conjugation; arguments are
-    reduced to [arg_branch, arg_branch + 2*pi), and either branch works since
-    the fixed-point property is insensitive to the sign of omega_j.
+    reduced to [0, 2*pi), and any other branch would do since the
+    fixed-point property is insensitive to the sign of omega_j.
     """
     m = b.degree
     if kind == "tm":
@@ -358,8 +357,8 @@ def build_basis(b: BlaschkeProduct, kind: str, lam: complex | None = None,
         basis = clark_basis(b, cp)
         if kind == "clark":
             return basis
-        args = (np.angle(cp.points) - arg_branch) % (2.0 * np.pi) + arg_branch
-        arg_t = (np.angle(cp.target) - arg_branch) % (2.0 * np.pi) + arg_branch
+        args = np.angle(cp.points) % (2.0 * np.pi)
+        arg_t = np.angle(cp.target) % (2.0 * np.pi)
         omega = np.exp(-0.5j * (args - arg_t))
         return ModelBasis(b, kind, basis.matrix * omega[None, :], clark=cp, omega=omega)
     raise ValueError(f"unknown basis kind {kind!r}; expected one of {BASIS_KINDS}")
@@ -464,39 +463,23 @@ def kernel(b: BlaschkeProduct, w: complex, basis: ModelBasis | None = None) -> M
 def conj_kernel(b: BlaschkeProduct, w: complex, basis: ModelBasis | None = None) -> ModelVector:
     """Conjugate kernel (B(z) - B(w)) / (z - w), value B'(w) at z = w.
 
-    Computed as C k_w, i.e. ``conj_tm(b) @ tm_values(b, w)``; at w = 0 from
-    its closed form, with no matrix.
+    Computed as C k_w, i.e. ``b.model_space.conj @ tm_values(b, w)``; at
+    w = 0 it is a copy of ``b.model_space.kt0``, with no matrix.
     """
     w = complex(w)
     if abs(w) > 1.0 + 1e-12:
         raise ValueError("kernel point must lie in the closed unit disk")
-    coords = conj_kernel_at_origin_tm(b) if w == 0 else conj_tm(b) @ tm_values(b, w)
+    space = b.model_space
+    coords = space.kt0.copy() if w == 0 else space.conj @ tm_values(b, w)
     vec = tm_vector(b, coords)
     return vec if basis is None else vec.to(basis)
 
 
-def conjugation(f: ModelVector, method: str = "boundary") -> ModelVector:
-    """Apply the antilinear conjugation of the model space to f.
-
-    method="boundary" uses the exact TM form of B(z) conj(z) conj(f(z))
-    (see :func:`conj_tm`); method="kernel" extends C k_w = conj-kernel_w
-    antilinearly over a kernel basis at m interior points.  Neither uses
-    quadrature; they agree up to the conditioning of that kernel basis and
-    are cross-checked in the test suite.
-    """
+def conjugation(f: ModelVector) -> ModelVector:
+    """Apply the antilinear conjugation of the model space to f, through the
+    exact TM form of B(z) conj(z) conj(f(z)) (see :attr:`ModelSpace.conj`)."""
     b = f.space
-    if method == "boundary":
-        coords = conj_tm(b) @ np.conj(f.tm())
-    elif method == "kernel":
-        m = b.degree
-        pts = 0.4 * np.exp(2j * np.pi * np.arange(m) / m) + 0.11
-        kmat = np.column_stack([kernel(b, w).tm() for w in pts])
-        ktil = np.column_stack([conj_kernel(b, w).tm() for w in pts])
-        c = np.linalg.solve(kmat, f.tm())
-        coords = ktil @ np.conj(c)
-    else:
-        raise ValueError("method must be 'boundary' or 'kernel'")
-    return tm_vector(b, coords).to(f.basis)
+    return tm_vector(b, b.model_space.conj @ np.conj(f.tm())).to(f.basis)
 
 
 def inner_product(f: ModelVector, g: ModelVector) -> complex:
@@ -517,16 +500,9 @@ def project(b: BlaschkeProduct, values_fn, tol: Tolerances = DEFAULT) -> ModelVe
     return tm_vector(b, coords)
 
 
-def multiply_by_z_tm(b: BlaschkeProduct, coords: np.ndarray) -> np.ndarray:
-    """TM coordinates of z f for every f given by TM coordinates ``coords``
-    (a vector, or a matrix with one f per column); see
-    :meth:`ShiftData.multiply_by_z`."""
-    return ShiftData.of(b).multiply_by_z(coords)
-
-
-def multiply_by_z(f: ModelVector, tol: Tolerances = DEFAULT) -> ModelVector:
+def multiply_by_z(f: ModelVector) -> ModelVector:
     """The function z f(z), defined only when it stays in the model space,
     i.e. when f is orthogonal to the conjugate kernel at 0; raises
-    ValueError otherwise.
+    ValueError otherwise (see :meth:`ModelSpace.multiply_by_z`).
     """
-    return tm_vector(f.space, multiply_by_z_tm(f.space, f.tm())).to(f.basis)
+    return tm_vector(f.space, f.space.model_space.multiply_by_z(f.tm())).to(f.basis)

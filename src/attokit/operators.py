@@ -48,9 +48,9 @@ import numpy.polynomial.polynomial as npoly
 from . import serialize
 from .blaschke import BlaschkeProduct, evaluate
 from .config import DEFAULT, Tolerances
-from .modelspace import (ModelBasis, ModelVector, ShiftData, build_basis,
-                         circle_nodes, conj_kernel, conj_tm, doubling_circle_mean,
-                         kernel, shift_tm, tm_values, tm_vector)
+from .modelspace import (ModelBasis, ModelSpace, ModelVector, build_basis,
+                         circle_nodes, conj_kernel, doubling_circle_mean, kernel,
+                         tm_values, tm_vector)
 
 
 @dataclass(eq=False, frozen=True)
@@ -182,11 +182,17 @@ class OperatorMatrix:
         t_out = self.out_basis.matrix
         return np.linalg.solve(t_in.T, (t_out @ self.entries).T).T
 
+    @classmethod
+    def from_tm(cls, tm: np.ndarray, in_basis: ModelBasis,
+                out_basis: ModelBasis) -> "OperatorMatrix":
+        """The operator with matrix ``tm`` between TM coordinates, over the
+        given bases."""
+        return cls(np.linalg.solve(out_basis.matrix, tm @ in_basis.matrix), in_basis, out_basis)
+
     def in_bases(self, in_basis: ModelBasis, out_basis: ModelBasis) -> "OperatorMatrix":
         if in_basis.space != self.alpha or out_basis.space != self.beta:
             raise ValueError("target bases belong to different spaces")
-        ent = np.linalg.solve(out_basis.matrix, self.tm_entries() @ in_basis.matrix)
-        return OperatorMatrix(ent, in_basis, out_basis)
+        return OperatorMatrix.from_tm(self.tm_entries(), in_basis, out_basis)
 
     def apply(self, f: ModelVector) -> ModelVector:
         if f.space != self.alpha:
@@ -248,8 +254,7 @@ def atto_matrix(alpha: BlaschkeProduct, beta: BlaschkeProduct, symbol: SymbolSpe
     in_basis, out_basis = _default_bases(alpha, beta, in_basis, out_basis)
     if method == "closed":
         m_tm = _closed_tm_matrix(alpha, beta, symbol)
-        entries = np.linalg.solve(out_basis.matrix, m_tm @ in_basis.matrix)
-        return OperatorMatrix(entries, in_basis, out_basis)
+        return OperatorMatrix.from_tm(m_tm, in_basis, out_basis)
     if method != "quadrature":
         raise ValueError("method must be 'quadrature' or 'closed'")
 
@@ -288,12 +293,12 @@ def _solve_stein(sb: np.ndarray, sa: np.ndarray, d: np.ndarray) -> np.ndarray:
     return np.moveaxis(x.reshape((n,) + batch + (m,)), -1, 1)
 
 
-def _part_in(f: ModelVector, target: ShiftData) -> np.ndarray:
-    """TM coordinates of the projection of f onto the space of ``target``, by
-    the operator X of the symbol 1: X - S X S'^H = k_0 k_0'^H."""
+def _part_in(f: ModelVector, target: ModelSpace) -> np.ndarray:
+    """TM coordinates of the projection of f onto ``target``, by the operator
+    X of the symbol 1: X - S X S'^H = k_0 k_0'^H."""
     if f.space == target.space:
         return f.tm()
-    src = ShiftData.of(f.space)
+    src = f.space.model_space
     one = _solve_stein(target.shift, src.shift, np.outer(target.k0, np.conj(src.k0)))
     return one @ f.tm()
 
@@ -304,7 +309,7 @@ def _closed_tm_matrix(alpha: BlaschkeProduct, beta: BlaschkeProduct,
     A - S_beta A S_alpha^H = psi k_0^alpha^H + k_0^beta chi^H."""
     if not symbol.structured:
         raise ValueError("closed-form path requires a structured symbol")
-    sa, sb = ShiftData.of(alpha), ShiftData.of(beta)
+    sa, sb = alpha.model_space, beta.model_space
     d = np.zeros((beta.degree, alpha.degree), dtype=complex)
     if symbol.analytic is not None:
         d += np.outer(_part_in(symbol.analytic, sb), np.conj(sa.k0))
@@ -313,37 +318,30 @@ def _closed_tm_matrix(alpha: BlaschkeProduct, beta: BlaschkeProduct,
     return _solve_stein(sb.shift, sa.shift, d)
 
 
-def compressed_shift(alpha: BlaschkeProduct, basis: ModelBasis | None = None,
-                     tol: Tolerances = DEFAULT) -> OperatorMatrix:
+def compressed_shift(alpha: BlaschkeProduct, basis: ModelBasis | None = None) -> OperatorMatrix:
     """The compression of multiplication by z to the model space.
 
     Built from its closed form in TM coordinates (no quadrature), so it is
-    exact up to rounding for every zero configuration; ``tol`` is accepted
-    for the common signature and unused.
+    exact up to rounding for every zero configuration.
     """
     basis, _ = _default_bases(alpha, alpha, basis, basis)
-    op = OperatorMatrix(shift_tm(alpha), build_basis(alpha, "tm"), build_basis(alpha, "tm"))
-    return op.in_bases(basis, basis)
+    return OperatorMatrix.from_tm(alpha.model_space.shift, basis, basis)
 
 
 def rank_one(g: ModelVector, f: ModelVector, in_basis: ModelBasis | None = None,
              out_basis: ModelBasis | None = None) -> OperatorMatrix:
     """The operator h -> <h, f> g from the space of f to the space of g."""
     in_basis, out_basis = _default_bases(f.space, g.space, in_basis, out_basis)
-    tm = np.outer(g.tm(), np.conj(f.tm()))
-    op = OperatorMatrix(tm, build_basis(f.space, "tm"), build_basis(g.space, "tm"))
-    return op.in_bases(in_basis, out_basis)
+    return OperatorMatrix.from_tm(np.outer(g.tm(), np.conj(f.tm())), in_basis, out_basis)
 
 
-def modified_shift(alpha: BlaschkeProduct, c: complex, basis: ModelBasis | None = None,
-                   tol: Tolerances = DEFAULT) -> OperatorMatrix:
+def modified_shift(alpha: BlaschkeProduct, c: complex,
+                   basis: ModelBasis | None = None) -> OperatorMatrix:
     """Compressed shift plus c times the rank-one term (kernel at 0) tensor
     (conjugate kernel at 0), built in TM coordinates by
-    :meth:`ShiftData.modified` and moved to ``basis`` in one step; ``tol``
-    is accepted for the common signature and unused."""
+    :meth:`ModelSpace.modified` and moved to ``basis`` in one step."""
     basis, _ = _default_bases(alpha, alpha, basis, basis)
-    tm = build_basis(alpha, "tm")
-    return OperatorMatrix(ShiftData.of(alpha).modified(c), tm, tm).in_bases(basis, basis)
+    return OperatorMatrix.from_tm(alpha.model_space.modified(c), basis, basis)
 
 
 def clark_coefficient(alpha: BlaschkeProduct, lam: complex) -> complex:
@@ -353,14 +351,14 @@ def clark_coefficient(alpha: BlaschkeProduct, lam: complex) -> complex:
     return (complex(lam) + a0) / (1.0 - abs(a0) ** 2)
 
 
-def clark_unitary(alpha: BlaschkeProduct, lam: complex, basis: ModelBasis | None = None,
-                  tol: Tolerances = DEFAULT) -> OperatorMatrix:
+def clark_unitary(alpha: BlaschkeProduct, lam: complex,
+                  basis: ModelBasis | None = None) -> OperatorMatrix:
     """The rank-one unitary perturbation of the compressed shift whose
     eigenpairs are the Clark points and normalized boundary kernels."""
     lam = complex(lam)
     if abs(abs(lam) - 1.0) > 1e-9:
         raise ValueError("lam must be unimodular")
-    return modified_shift(alpha, clark_coefficient(alpha, lam), basis, tol)
+    return modified_shift(alpha, clark_coefficient(alpha, lam), basis)
 
 
 VARIANTS = ("conjk-kernel", "kernel-conjk")
@@ -387,11 +385,9 @@ def standard_rank_one(alpha: BlaschkeProduct, beta: BlaschkeProduct, w: complex,
 def conjugate_operator(a: OperatorMatrix) -> OperatorMatrix:
     """The operator C_beta A C_alpha (a linear map again, since the two
     antilinear conjugations cancel)."""
-    ca = conj_tm(a.alpha)
-    cb = conj_tm(a.beta)
-    tm = cb @ np.conj(a.tm_entries()) @ np.conj(ca)
-    op = OperatorMatrix(tm, build_basis(a.alpha, "tm"), build_basis(a.beta, "tm"))
-    return op.in_bases(a.in_basis, a.out_basis)
+    ca, cb = a.alpha.model_space.conj, a.beta.model_space.conj
+    return OperatorMatrix.from_tm(cb @ np.conj(a.tm_entries()) @ np.conj(ca),
+                                  a.in_basis, a.out_basis)
 
 
 def symbol_family(alpha: BlaschkeProduct, beta: BlaschkeProduct):
@@ -417,7 +413,7 @@ def symbol_span_dimension(alpha: BlaschkeProduct, beta: BlaschkeProduct,
     The m + n generators of :func:`symbol_family` come from one batched
     Stein solve: chi = e_k puts k_0^beta in column k of the right-hand side,
     psi = e_k puts conj(k_0^alpha) in row k."""
-    sa, sb = ShiftData.of(alpha), ShiftData.of(beta)
+    sa, sb = alpha.model_space, beta.model_space
     m, n = alpha.degree, beta.degree
     d = np.zeros((n, m, m + n), dtype=complex)
     d[:, np.arange(m), np.arange(m)] = sb.k0[:, None]

@@ -41,6 +41,8 @@ TAG_KERNEL = "kernel"
 TAG_CONJ_KERNEL = "conj-kernel"
 TAG_NEITHER = "neither"
 
+_BOUNDARY_PAD = 1e-9            # |w| within this of 1 counts as a boundary point
+
 
 @dataclass(eq=False, frozen=True)
 class VectorClassification:
@@ -95,8 +97,8 @@ def _fit_scalar(target: np.ndarray, model: np.ndarray, tol: Tolerances):
     return complex(c), float(resid)
 
 
-def classify_vector(f: ModelVector, lam: complex, tol: Tolerances = DEFAULT,
-                    boundary_pad: float = 1e-9) -> VectorClassification:
+def classify_vector(f: ModelVector, lam: complex,
+                    tol: Tolerances = DEFAULT) -> VectorClassification:
     """Classify f as a kernel multiple, a conjugate-kernel multiple or neither.
 
     Works over the Clark basis for ``lam``: a single surviving coefficient
@@ -125,40 +127,31 @@ def classify_vector(f: ModelVector, lam: complex, tol: Tolerances = DEFAULT,
     i, j = int(nz[0]), int(nz[1])
     target = cb.clark.target
 
-    def try_kernel(w):
-        if abs(w) > 1.0 + boundary_pad:
+    def try_candidate(tag, w):
+        if abs(w) > 1.0 + _BOUNDARY_PAD:
             return None
-        boundary = abs(w) > 1.0 - boundary_pad
+        boundary = abs(w) > 1.0 - _BOUNDARY_PAD
         if boundary:
             w = w / abs(w)
-        kvec = (1.0 - np.conj(evaluate(alpha, w)) * target) / (1.0 - np.conj(w) * eta) / sq
+        if tag == TAG_KERNEL:
+            kvec = (1.0 - np.conj(evaluate(alpha, w)) * target) / (1.0 - np.conj(w) * eta) / sq
+        else:
+            kvec = (target - evaluate(alpha, w)) / (eta - w) / sq
         cfit, resid = _fit_scalar(c, kvec, tol)
         if resid <= tol.fit:
-            return VectorClassification(TAG_KERNEL, complex(w), cfit, boundary)
-        return None
-
-    def try_conj_kernel(w):
-        if abs(w) > 1.0 + boundary_pad:
-            return None
-        boundary = abs(w) > 1.0 - boundary_pad
-        if boundary:
-            w = w / abs(w)
-        kvec = (target - evaluate(alpha, w)) / (eta - w) / sq
-        cfit, resid = _fit_scalar(c, kvec, tol)
-        if resid <= tol.fit:
-            return VectorClassification(TAG_CONJ_KERNEL, complex(w), cfit, boundary)
+            return VectorClassification(tag, complex(w), cfit, boundary)
         return None
 
     # kernel candidate: d_i (1 - conj(w) eta_i) = d_j (1 - conj(w) eta_j)
     den = d[i] * eta[i] - d[j] * eta[j]
     if abs(den) > 0:
-        out = try_kernel(np.conj((d[i] - d[j]) / den))
+        out = try_candidate(TAG_KERNEL, np.conj((d[i] - d[j]) / den))
         if out is not None:
             return out
     # conjugate-kernel candidate: d_i (eta_i - w) = d_j (eta_j - w)
     den = d[i] - d[j]
     if abs(den) > 0:
-        out = try_conj_kernel((d[i] * eta[i] - d[j] * eta[j]) / den)
+        out = try_candidate(TAG_CONJ_KERNEL, (d[i] * eta[i] - d[j] * eta[j]) / den)
         if out is not None:
             return out
     if alpha.degree <= 2:

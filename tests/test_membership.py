@@ -380,6 +380,27 @@ class TestRunAllSharedWork:
                         assert res["member"] is expect
                         assert {v.is_member for v in res["methods"].values()} == {expect}
 
+    def test_repeat_run_all_evaluates_nothing_at_the_origin(self, rng, monkeypatch):
+        import attokit.modelspace
+        tm_values = attokit.modelspace.tm_values
+        at_origin = []
+
+        def counting(b, z):
+            if np.ndim(z) == 0 and z == 0:
+                at_origin.append(b)
+            return tm_values(b, z)
+
+        *_, pairing, mat = clark_member(rng, 4, 3, 1)
+        bad = perturbed_nonmember(rng, mat, pairing)
+        first = run_all(mat, pairing)
+        monkeypatch.setattr(attokit.modelspace, "tm_values", counting)
+        again = run_all(mat, pairing)
+        assert at_origin == []
+        assert run_all(bad, pairing)["member"] is False
+        assert at_origin == []
+        for name, verdict in again["methods"].items():
+            assert verdict.max_residual == first["methods"][name].max_residual
+
     def test_verdicts_equal_the_public_tests(self, rng):
         cases = []
         for m, n in ((3, 2), (4, 4), (5, 3)):

@@ -12,10 +12,9 @@ from attokit.config import Tolerances
 from attokit.instances import random_blaschke, random_unimodular, random_vector
 from attokit.modelspace import (ModelVector, QuadratureError, build_basis,
                                 change_of_basis, circle_nodes, conj_kernel,
-                                conj_kernel_at_origin_tm, conj_tm, conjugation,
-                                doubling_circle_mean, inner_product, kernel,
-                                multiply_by_z, multiply_by_z_tm, project,
-                                tm_values, tm_vector)
+                                conjugation, doubling_circle_mean, inner_product,
+                                kernel, multiply_by_z, project, tm_values,
+                                tm_vector)
 
 
 def circle_mean(fn):
@@ -52,6 +51,18 @@ def power_basis_conj_tm(b):
     C(p/q) = front (-1)^m rev(p)/q with rev(p)_i = conj(p_{m-1-i})."""
     numer = power_basis_numerators(b)
     return np.linalg.solve(numer, b.front * (-1.0) ** b.degree * np.conj(numer[::-1, :]))
+
+
+def kernel_route_conjugation(f):
+    """Reference conjugation: C k_w = conj-kernel_w extended antilinearly
+    over a kernel basis at m interior points."""
+    b = f.space
+    m = b.degree
+    pts = 0.4 * np.exp(2j * np.pi * np.arange(m) / m) + 0.11
+    kmat = np.column_stack([kernel(b, w).tm() for w in pts])
+    ktil = np.column_stack([conj_kernel(b, w).tm() for w in pts])
+    c = np.linalg.solve(kmat, f.tm())
+    return tm_vector(b, ktil @ np.conj(c)).to(f.basis)
 
 
 def power_basis_multiply_by_z(b, coords):
@@ -250,11 +261,11 @@ class TestConjKernel:
 class TestExactConjugation:
     def test_matches_power_basis_reference(self, rng):
         for b in small_products(rng):
-            assert np.max(np.abs(conj_tm(b) - power_basis_conj_tm(b))) <= 1e-13
+            assert np.max(np.abs(b.model_space.conj - power_basis_conj_tm(b))) <= 1e-13
 
     def test_involution_and_symmetry_at_degree_64(self, rng):
         for b in degree_64_products(rng):
-            c = conj_tm(b)
+            c = b.model_space.conj
             assert np.max(np.abs(c @ np.conj(c) - np.eye(64))) <= 1e-13
             assert np.max(np.abs(c - c.T)) <= 1e-13
 
@@ -268,8 +279,8 @@ class TestExactConjugation:
 
     def test_closed_form_at_origin(self, rng):
         for b in small_products(rng) + degree_64_products(rng):
-            full = conj_tm(b) @ tm_values(b, 0.0)
-            assert np.max(np.abs(conj_kernel_at_origin_tm(b) - full)) <= 1e-14
+            full = b.model_space.conj @ tm_values(b, 0.0)
+            assert np.max(np.abs(b.model_space.kt0 - full)) <= 1e-14
 
 
 class TestConjugation:
@@ -311,7 +322,7 @@ class TestConjugation:
         for _ in range(50):
             b = random_blaschke(rng, int(rng.integers(1, 6)))
             f = random_vector(rng, build_basis(b, "tm"))
-            d = (conjugation(f, "boundary") - conjugation(f, "kernel")).norm()
+            d = (conjugation(f) - kernel_route_conjugation(f)).norm()
             assert d <= 1e-9 * (1 + f.norm())
 
     def test_matches_sampled_boundary_formula(self, rng):
@@ -456,10 +467,43 @@ class TestMultiplyByZ:
             if b.degree < 2:
                 continue
             f = _shift_domain_tm(conj_kernel(b, 0.0).tm())
-            assert np.max(np.abs(multiply_by_z_tm(b, f) - power_basis_multiply_by_z(b, f))) <= 1e-13
+            zf = b.model_space.multiply_by_z(f)
+            assert np.max(np.abs(zf - power_basis_multiply_by_z(b, f))) <= 1e-13
             kt = conj_kernel(b, 0.0).tm()
             with pytest.raises(ValueError):
-                multiply_by_z_tm(b, np.column_stack([f[:, 0], kt]))
+                b.model_space.multiply_by_z(np.column_stack([f[:, 0], kt]))
+
+
+class TestModelSpace:
+    def test_one_per_product(self, rng):
+        b = random_blaschke(rng, 4)
+        space = b.model_space
+        assert space is b.model_space and space.space is b
+        twin = BlaschkeProduct(b.zeros, b.front)
+        assert twin == b and hash(twin) == hash(b)
+        assert twin.model_space is not space
+        assert BlaschkeProduct.from_json(json.loads(json.dumps(b.to_json()))) == b
+
+    def test_cached_arrays_are_read_only(self, rng):
+        b = random_blaschke(rng, 4)
+        for name in ("shift", "k0", "kt0", "conj"):
+            arr = getattr(b.model_space, name)
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 7.0
+
+    def test_returned_values_do_not_alias_the_cache(self, rng):
+        from attokit.operators import compressed_shift
+        b = random_blaschke(rng, 4)
+        for make in (lambda: conj_kernel(b, 0.0).coeffs, lambda: kernel(b, 0.0).coeffs,
+                     lambda: compressed_shift(b).entries):
+            first = make()
+            expect = first.copy()
+            try:
+                first[...] = 7.0
+            except ValueError:
+                pass
+            assert np.array_equal(make(), expect)
 
 
 class TestSerialization:
