@@ -21,11 +21,11 @@ from .blaschke import BlaschkeProduct, monomial
 from .config import DEFAULT, Tolerances
 from .instances import (member_matrix, perturbed_nonmember, random_blaschke,
                         random_unimodular, random_vector, shared_clark_instance)
-from .membership import (IndeterminateError, MethodDisagreement,
-                         clark_pairing, recover_chi_psi_clark, run_all,
+from .membership import (IndeterminateError, MethodDisagreement, clark_pairing,
+                         match_clark_points, recover_chi_psi_clark, run_all,
                          test_clark_recurrence, test_conjugate_residual,
                          test_rank_two_residual, test_shift_invariance)
-from .modelspace import build_basis, clark_basis, clark_points, inner_product, kernel
+from .modelspace import build_basis, clark_points, inner_product, kernel
 from .operators import (OperatorMatrix, SymbolSpec, atto_matrix, clark_unitary,
                         compressed_shift, modified_shift, standard_rank_one,
                         symbol_span_dimension)
@@ -75,7 +75,7 @@ def config_tolerances(cfg: dict) -> Tolerances:
     return dataclasses.replace(DEFAULT, **{k: float(v) for k, v in given.items()})
 
 
-def _resolve(cfg: dict, args, key: str, flag_value, parser, required=True):
+def _resolve(cfg: dict, key: str, flag_value, parser, required=True):
     if flag_value is not None:
         return parser(flag_value) if isinstance(flag_value, str) else flag_value
     if key in cfg:
@@ -95,25 +95,25 @@ def _emit(obj) -> None:
 
 
 def cmd_clark(args, cfg: dict, tol: Tolerances) -> int:
-    alpha = _resolve(cfg, args, "alpha", args.alpha, parse_blaschke)
-    lam1 = _resolve(cfg, args, "lambda1", args.lam, parse_complex)
+    alpha = _resolve(cfg, "alpha", args.alpha, parse_blaschke)
+    lam1 = _resolve(cfg, "lambda1", args.lam, parse_complex)
     out = {"alpha": clark_points(alpha, lam1, tol).to_json()}
-    beta = _resolve(cfg, args, "beta", args.beta, parse_blaschke, required=False)
+    beta = _resolve(cfg, "beta", args.beta, parse_blaschke, required=False)
     if beta is not None:
-        lam2 = _resolve(cfg, args, "lambda2", args.lam2, parse_complex)
+        lam2 = _resolve(cfg, "lambda2", args.lam2, parse_complex)
         out["beta"] = clark_points(beta, lam2, tol).to_json()
     _emit(out)
     return EXIT_OK
 
 
 def cmd_atto(args, cfg: dict, tol: Tolerances) -> int:
-    alpha = _resolve(cfg, args, "alpha", args.alpha, parse_blaschke)
-    beta = _resolve(cfg, args, "beta", args.beta, parse_blaschke)
+    alpha = _resolve(cfg, "alpha", args.alpha, parse_blaschke)
+    beta = _resolve(cfg, "beta", args.beta, parse_blaschke)
     with open(args.symbol, "r", encoding="utf-8") as fh:
         symbol = SymbolSpec.from_json(json.load(fh))
-    lam1 = _resolve(cfg, args, "lambda1", args.lam, parse_complex,
+    lam1 = _resolve(cfg, "lambda1", args.lam, parse_complex,
                     required=args.in_basis in ("clark", "modified-clark"))
-    lam2 = _resolve(cfg, args, "lambda2", args.lam2, parse_complex,
+    lam2 = _resolve(cfg, "lambda2", args.lam2, parse_complex,
                     required=args.out_basis in ("clark", "modified-clark"))
     mat = atto_matrix(alpha, beta, symbol,
                       build_basis(alpha, args.in_basis, lam1, tol=tol),
@@ -124,8 +124,8 @@ def cmd_atto(args, cfg: dict, tol: Tolerances) -> int:
 
 
 def cmd_shift(args, cfg: dict, tol: Tolerances) -> int:
-    alpha = _resolve(cfg, args, "alpha", args.alpha, parse_blaschke)
-    lam1 = _resolve(cfg, args, "lambda1", args.lam, parse_complex,
+    alpha = _resolve(cfg, "alpha", args.alpha, parse_blaschke)
+    lam1 = _resolve(cfg, "lambda1", args.lam, parse_complex,
                     required=args.basis in ("clark", "modified-clark"))
     basis = build_basis(alpha, args.basis, lam1, tol=tol)
     if args.c is not None:
@@ -137,8 +137,8 @@ def cmd_shift(args, cfg: dict, tol: Tolerances) -> int:
 
 
 def cmd_unitary(args, cfg: dict, tol: Tolerances) -> int:
-    alpha = _resolve(cfg, args, "alpha", args.alpha, parse_blaschke)
-    lam1 = _resolve(cfg, args, "lambda1", args.lam, parse_complex)
+    alpha = _resolve(cfg, "alpha", args.alpha, parse_blaschke)
+    lam1 = _resolve(cfg, "lambda1", args.lam, parse_complex)
     basis = build_basis(alpha, args.basis, lam1, tol=tol)
     _emit(clark_unitary(alpha, lam1, basis).to_json())
     return EXIT_OK
@@ -147,12 +147,11 @@ def cmd_unitary(args, cfg: dict, tol: Tolerances) -> int:
 def cmd_membership(args, cfg: dict, tol: Tolerances) -> int:
     with open(args.matrix, "r", encoding="utf-8") as fh:
         mat = OperatorMatrix.from_json(json.load(fh))
-    lam1 = _resolve(cfg, args, "lambda1", args.lam, parse_complex, required=False)
-    lam2 = _resolve(cfg, args, "lambda2", args.lam2, parse_complex, required=False)
+    lam1 = _resolve(cfg, "lambda1", args.lam, parse_complex, required=False)
+    lam2 = _resolve(cfg, "lambda2", args.lam2, parse_complex, required=False)
     pairing = None
     if mat.in_basis.kind == "clark" and mat.out_basis.kind == "clark":
-        pairing = clark_pairing(mat.alpha, mat.beta,
-                                mat.in_basis.lam, mat.out_basis.lam, tol)
+        pairing = match_clark_points(mat.in_basis.clark, mat.out_basis.clark, tol)
     elif lam1 is not None and lam2 is not None:
         pairing = clark_pairing(mat.alpha, mat.beta, lam1, lam2, tol)
 
@@ -168,9 +167,7 @@ def cmd_membership(args, cfg: dict, tol: Tolerances) -> int:
     if args.method == "clark":
         if pairing is None:
             raise ValueError("clark method needs Clark bases or lambda1/lambda2")
-        mat_clark = mat.in_bases(clark_basis(mat.alpha, pairing.clark_a),
-                                 clark_basis(mat.beta, pairing.clark_b))
-        verdict = test_clark_recurrence(mat_clark, pairing, tol)
+        verdict = test_clark_recurrence(pairing.clark_matrix(mat), pairing, tol)
     elif args.method == "residual":
         verdict = test_rank_two_residual(mat, a, b, tol)
     elif args.method == "conjugate":
@@ -200,8 +197,8 @@ def cmd_rankone(args, cfg: dict, tol: Tolerances) -> int:
 
 
 def cmd_dim(args, cfg: dict, tol: Tolerances) -> int:
-    alpha = _resolve(cfg, args, "alpha", args.alpha, parse_blaschke)
-    beta = _resolve(cfg, args, "beta", args.beta, parse_blaschke)
+    alpha = _resolve(cfg, "alpha", args.alpha, parse_blaschke)
+    beta = _resolve(cfg, "beta", args.beta, parse_blaschke)
     rank, svals = symbol_span_dimension(alpha, beta, tol)
     out = {"dim": rank}
     if min(alpha.degree, beta.degree) == 1:

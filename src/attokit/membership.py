@@ -3,10 +3,13 @@
 Three independent characterizations of "A is a truncated Toeplitz operator
 from K_alpha to K_beta" are implemented and cross-validated:
 
-1. Clark-basis recurrences.  With Clark bases on both sides whose point sets
-   share exactly l elements (placed first), every matrix entry r[s, p] is a
-   fixed rational combination of the first row, the first column and, when
-   l > 0, the free diagonal entries r[s, s] for s <= l.
+1. Clark-basis recurrences.  The rank-two identity of item 2 for the Clark
+   unitaries, the unitary modified shifts S + c k_0 k~_0*.  In Clark bases
+   whose point sets share exactly l elements (placed first) both are
+   diagonal, and A - U_beta A U_alpha* is the matrix r scaled entry by entry:
+   w[s, p] r[s, p] = x[s] + y[p] (``ClarkPairing.weight``).  So every entry
+   but the free diagonal r[s, s], s < l, follows from the first row and
+   column, and x, y are the witness's boundary samples.
 
 2. Rank-two residual identity.  For any complex (a, b), membership is
    equivalent to A - S_{beta,b} A S_{alpha,a}* collapsing onto
@@ -32,8 +35,7 @@ import numpy as np
 
 from .blaschke import BlaschkeProduct, ClarkPointSet, evaluate
 from .config import DEFAULT, Tolerances
-from .modelspace import (ModelBasis, ModelVector, clark_basis, clark_points,
-                         tm_vector)
+from .modelspace import ModelVector, clark_basis, clark_points, tm_vector
 from .operators import OperatorMatrix, clark_coefficient
 
 METHOD_CLARK = "clark-recurrence"
@@ -140,6 +142,19 @@ class ClarkPairing:
     def weights_b(self) -> np.ndarray:
         return self.clark_b.weights[self.perm_b]
 
+    @property
+    def weight(self) -> np.ndarray:
+        """w[s, p] = (1 - conj(eta_p) zeta_s) sqrt(w_p w_s), in the paired
+        order: w r is A - U_beta A U_alpha* in the paired Clark bases, times
+        sqrt(w_p w_s).  It vanishes on the shared diagonal."""
+        return ((1.0 - np.conj(self.eta)[None, :] * self.zeta[:, None])
+                * (np.sqrt(self.weights_a)[None, :] * np.sqrt(self.weights_b)[:, None]))
+
+    def clark_matrix(self, matrix: OperatorMatrix) -> OperatorMatrix:
+        """``matrix`` over the Clark bases of the pairing's own point sets."""
+        return matrix.in_bases(clark_basis(matrix.alpha, self.clark_a),
+                               clark_basis(matrix.beta, self.clark_b))
+
 
 def match_clark_points(clark_a: ClarkPointSet, clark_b: ClarkPointSet,
                        tol: Tolerances = DEFAULT) -> ClarkPairing:
@@ -147,7 +162,7 @@ def match_clark_points(clark_a: ClarkPointSet, clark_b: ClarkPointSet,
 
     Shared points are ordered by principal argument and moved first; an error
     is raised when a point has two match candidates inside the tolerance
-    (tighten the tolerances) or when the shared count exceeds min(m, n).
+    (tighten the tolerances), so each point has at most one partner.
     """
     pa = clark_a.points
     pb = clark_b.points
@@ -164,15 +179,12 @@ def match_clark_points(clark_a: ClarkPointSet, clark_b: ClarkPointSet,
             if len(close_a) > 1:
                 raise ValueError(f"ambiguous Clark-point match for {pb[i]}")
             pairs.append((j, i))
-    shared = len(pairs)
-    if shared > min(len(pa), len(pb)):
-        raise ValueError("shared Clark points exceed min(m, n): invalid data")
     pairs.sort(key=lambda ji: np.angle(pa[ji[0]]) % (2.0 * np.pi))
     lead_a = [j for j, _ in pairs]
     lead_b = [i for _, i in pairs]
     rest_a = [j for j in range(len(pa)) if j not in lead_a]
     rest_b = [i for i in range(len(pb)) if i not in lead_b]
-    return ClarkPairing(clark_a, clark_b, shared,
+    return ClarkPairing(clark_a, clark_b, len(pairs),
                         np.array(lead_a + rest_a, dtype=int),
                         np.array(lead_b + rest_b, dtype=int))
 
@@ -188,49 +200,55 @@ def clark_pairing(alpha: BlaschkeProduct, beta: BlaschkeProduct,
 # recurrence test
 # ---------------------------------------------------------------------------
 
-def _clark_basis_of(matrix_basis: ModelBasis, point_set: ClarkPointSet) -> None:
-    if matrix_basis.kind != "clark" or matrix_basis.clark is None:
-        raise ValueError("recurrence test requires the matrix in Clark bases")
-    if matrix_basis.clark.lam != point_set.lam:
-        raise ValueError("matrix basis and pairing disagree on the spectral parameter")
-    if not np.allclose(matrix_basis.clark.points, point_set.points, atol=1e-12):
-        raise ValueError("matrix basis and pairing disagree on the Clark points")
+def _paired_entries(matrix: OperatorMatrix, pairing: ClarkPairing) -> np.ndarray:
+    """The entries of ``matrix`` in the paired order, after checking that its
+    bases are the Clark bases of the pairing's point sets."""
+    for basis, point_set in ((matrix.in_basis, pairing.clark_a),
+                             (matrix.out_basis, pairing.clark_b)):
+        if basis.kind != "clark" or basis.clark is None:
+            raise ValueError("recurrence test requires the matrix in Clark bases")
+        if basis.clark.lam != point_set.lam:
+            raise ValueError("matrix basis and pairing disagree on the spectral parameter")
+        if not np.allclose(basis.clark.points, point_set.points, atol=1e-12):
+            raise ValueError("matrix basis and pairing disagree on the Clark points")
+    r = matrix.entries[np.ix_(pairing.perm_b, pairing.perm_a)]
+    if pairing.shared > min(r.shape):
+        raise ValueError("shared Clark points exceed min(m, n)")
+    return r
+
+
+def _row_column_split(q: np.ndarray, shared: int, x0: complex = 0j):
+    """x, y with x[s] + y[p] = q[s, p], read off the first row and column of
+    q with x[0] = x0; on the shared diagonal q vanishes, so x[s] = -y[s] for
+    s < shared."""
+    y = q[0] - x0
+    x = q[:, 0] - y[0]
+    x[:shared] = -y[:shared]
+    x[0] = x0
+    return x, y
 
 
 def recurrence_rhs(r: np.ndarray, pairing: ClarkPairing,
                    tol: Tolerances = DEFAULT):
     """Predicted entries and the applicability mask, in the paired order.
 
-    For l = 0 every entry is determined by the first row and column; for
-    l > 0 entries with s < l (s != p) are determined by the first row, those
-    with s >= l by first row plus first column, and the leading diagonal is
-    free data.
+    A member satisfies w r = x[s] + y[p] (w = ``pairing.weight``), so the
+    predicted entry is (x[s] + y[p]) / w[s, p] with x, y read off the first
+    row and column of w r.  The leading diagonal s = p < l, where w
+    vanishes, is free data.
     """
-    eta, zeta = pairing.eta, pairing.zeta
-    sqa = np.sqrt(pairing.weights_a)
-    sqb = np.sqrt(pairing.weights_b)
     n, m = r.shape
     l = pairing.shared
-    den = eta[None, :] - zeta[:, None]            # den[s, p] = eta_p - zeta_s
     applicable = np.ones((n, m), dtype=bool)
     free = np.arange(min(l, m))
     applicable[free, free] = False
+    den = pairing.eta[None, :] - pairing.zeta[:, None]
     if np.any(np.abs(den[applicable]) < tol.match):
         raise ToleranceBreakdown("Clark points of the two spaces nearly collide "
                                  "outside the matched pairs; tighten tolerances")
-    d = np.where(applicable, den, 1.0)            # the free entries are zeroed below
-    ep, zs = eta[None, :], zeta[:, None]
-    ap, bs = sqa[None, :], sqb[:, None]
-    from_row = (sqb[0] / bs) * (ep - zeta[0]) / d * r[0:1, :]
-    # rows s >= l (every row when l = 0): first row plus first column
-    rhs = (sqa[0] / ap) * (ep / eta[0]) * (eta[0] - zs) / d * r[:, 0:1] + from_row
-    if l == 0:
-        rhs += (sqa[0] * sqb[0] / (ap * bs)) * (ep / eta[0]) * (zeta[0] - eta[0]) / d * r[0, 0]
-    else:
-        # rows s < l: the first row alone, with r[0, s] in place of r[s, 0]
-        t = np.arange(l)[:, None]
-        rhs[:l] = ((sqa[t] * sqb[0] / (ap * sqb[t])) * (ep / eta[t]) * (eta[0] - zeta[t])
-                   / d[:l] * r[0, t] + from_row[:l])
+    w = pairing.weight
+    x, y = _row_column_split(w * r, l)
+    rhs = (x[:, None] + y[None, :]) / np.where(applicable, w, 1.0)
     rhs[~applicable] = 0.0
     return rhs, applicable
 
@@ -238,11 +256,7 @@ def recurrence_rhs(r: np.ndarray, pairing: ClarkPairing,
 def test_clark_recurrence(matrix: OperatorMatrix, pairing: ClarkPairing,
                           tol: Tolerances = DEFAULT) -> MembershipVerdict:
     """Membership via the Clark-basis recurrences."""
-    _clark_basis_of(matrix.in_basis, pairing.clark_a)
-    _clark_basis_of(matrix.out_basis, pairing.clark_b)
-    r = matrix.entries[np.ix_(pairing.perm_b, pairing.perm_a)]
-    if pairing.shared > min(r.shape):
-        raise ValueError("shared Clark points exceed min(m, n)")
+    r = _paired_entries(matrix, pairing)
     rhs, applicable = recurrence_rhs(r, pairing, tol)
     resid = np.abs(r - rhs)
     resid[~applicable] = 0.0
@@ -360,57 +374,30 @@ def recover_chi_psi_clark(matrix: OperatorMatrix, pairing: ClarkPairing,
                           psi1: complex = 0j, tol: Tolerances = DEFAULT):
     """Closed-form witness (chi, psi) for a member matrix in Clark bases.
 
-    ``psi1`` is the free parameter of the construction.  The boundary samples
-    chi_p, psi_s are produced from the first row and column of the paired
-    matrix (plus the zero pattern on the shared diagonal when l > 0) and
-    assembled as chi = sum_p chi_p / sqrt(w_p) v_p and likewise for psi.  The
-    full consistency system
+    ``psi1`` is the free parameter of the construction.  With q = w r
+    (w = ``pairing.weight``) the rank-two identity at the Clark points reads
 
-        psi_s conj(k0a) + k0b conj(chi_p)
-            = (1 - conj(eta_p) zeta_s) r[s, p] sqrt(w_p) sqrt(w_s)
+        psi_s conj(k0a) + k0b conj(chi_p) = q[s, p],
 
+    so x[s] = psi_s conj(k0a) and y[p] = k0b conj(chi_p) are read off the
+    first row and column of q with x[0] = psi1 conj(k0a), and assembled as
+    chi = sum_p chi_p / sqrt(w_p) v_p and likewise for psi.  The full system
     is verified; a non-member input fails it with a diagnostic.
     """
-    _clark_basis_of(matrix.in_basis, pairing.clark_a)
-    _clark_basis_of(matrix.out_basis, pairing.clark_b)
-    r = matrix.entries[np.ix_(pairing.perm_b, pairing.perm_a)]
-    n, m = r.shape
-    l = pairing.shared
-    eta, zeta = pairing.eta, pairing.zeta
-    sqa = np.sqrt(pairing.weights_a)
-    sqb = np.sqrt(pairing.weights_b)
-    a0 = evaluate(matrix.alpha, 0.0)
-    b0 = evaluate(matrix.beta, 0.0)
-    k0a = 1.0 - np.conj(a0) * pairing.clark_a.target    # = k_0^alpha(eta_p), p-independent
-    k0b = 1.0 - np.conj(b0) * pairing.clark_b.target
-
-    psi1 = complex(psi1)
-    chi_p = (((1.0 - eta * np.conj(zeta[0])) * np.conj(r[0, :]) * sqa * sqb[0])
-             - np.conj(psi1) * k0a) / np.conj(k0b)
-    psi_s = np.empty(n, dtype=complex)
-    psi_s[0] = psi1
-    for s in range(1, n):
-        if s < l:
-            psi_s[s] = -k0b * np.conj(chi_p[s]) / np.conj(k0a)
-        else:
-            psi_s[s] = ((1.0 - np.conj(eta[0]) * zeta[s]) * r[s, 0] * sqa[0] * sqb[s]
-                        - k0b * np.conj(chi_p[0])) / np.conj(k0a)
-
-    lhs = psi_s[:, None] * np.conj(k0a) + k0b * np.conj(chi_p)[None, :]
-    rhs = (1.0 - np.conj(eta)[None, :] * zeta[:, None]) * r * (sqa[None, :] * sqb[:, None])
-    scale = 1.0 + float(np.max(np.abs(rhs)))
-    worst = float(np.max(np.abs(lhs - rhs)))
-    if worst / scale > tol.reject_band:
+    r = _paired_entries(matrix, pairing)
+    k0a = 1.0 - np.conj(evaluate(matrix.alpha, 0.0)) * pairing.clark_a.target   # = k_0^alpha(eta_p)
+    k0b = 1.0 - np.conj(evaluate(matrix.beta, 0.0)) * pairing.clark_b.target
+    q = pairing.weight * r
+    x, y = _row_column_split(q, pairing.shared, complex(psi1) * np.conj(k0a))
+    worst = float(np.max(np.abs(x[:, None] + y[None, :] - q)))
+    if worst / (1.0 + float(np.max(np.abs(q)))) > tol.reject_band:
         raise ValueError(f"witness recovery failed: consistency residual {worst:.3e}; "
                          "the matrix is not a member")
 
-    chi_coeffs = np.zeros(m, dtype=complex)
-    psi_coeffs = np.zeros(n, dtype=complex)
-    chi_coeffs[pairing.perm_a] = chi_p / sqa
-    psi_coeffs[pairing.perm_b] = psi_s / sqb
-    chi = ModelVector(matrix.in_basis, chi_coeffs)
-    psi = ModelVector(matrix.out_basis, psi_coeffs)
-    return chi, psi
+    chi = np.conj(y / k0b) / np.sqrt(pairing.weights_a)
+    psi = x / np.conj(k0a) / np.sqrt(pairing.weights_b)
+    return (ModelVector(matrix.in_basis, chi[np.argsort(pairing.perm_a)]),
+            ModelVector(matrix.out_basis, psi[np.argsort(pairing.perm_b)]))
 
 
 # ---------------------------------------------------------------------------
@@ -432,10 +419,8 @@ def run_all(matrix: OperatorMatrix, pairing: ClarkPairing | None = None,
     if pairing is None and matrix.in_basis.kind == "clark" and matrix.out_basis.kind == "clark":
         pairing = match_clark_points(matrix.in_basis.clark, matrix.out_basis.clark, tol)
     if pairing is not None:
-        verdicts[METHOD_CLARK] = test_clark_recurrence(
-            matrix.in_bases(clark_basis(matrix.alpha, pairing.clark_a),
-                            clark_basis(matrix.beta, pairing.clark_b)),
-            pairing, tol)
+        verdicts[METHOD_CLARK] = test_clark_recurrence(pairing.clark_matrix(matrix),
+                                                       pairing, tol)
         a1 = clark_coefficient(matrix.alpha, pairing.clark_a.lam)
         b1 = clark_coefficient(matrix.beta, pairing.clark_b.lam)
         residual_pairs = tuple(residual_pairs) + ((a1, b1),)

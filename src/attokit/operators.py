@@ -49,7 +49,7 @@ from . import serialize
 from .blaschke import BlaschkeProduct, evaluate
 from .config import DEFAULT, Tolerances
 from .modelspace import (ModelBasis, ModelSpace, ModelVector, build_basis,
-                         circle_nodes, conj_kernel, doubling_circle_mean, kernel,
+                         conj_kernel, doubling_circle_mean, kernel,
                          tm_values, tm_vector)
 
 
@@ -80,24 +80,19 @@ IDENTITY_SYMBOL = RationalSymbol((0.0, 1.0))        # the symbol z
 @dataclass(eq=False, frozen=True)
 class SymbolSpec:
     """Symbol phi = conj(chi) + psi with chi in K_alpha, psi in K_beta, or a
-    raw boundary function (callable on circle nodes, or a RationalSymbol).
-
-    When both the structured and the raw forms are present they must agree
-    pointwise on the circle; this is checked on 64 samples at construction.
-    """
+    raw boundary function (callable on circle nodes, or a RationalSymbol);
+    exactly one of the two forms."""
 
     co_analytic: ModelVector | None = None
     analytic: ModelVector | None = None
     raw: object | None = None
 
     def __post_init__(self):
-        if self.co_analytic is None and self.analytic is None and self.raw is None:
+        if not self.structured and self.raw is None:
             raise ValueError("symbol needs a structured part or a raw boundary function")
-        if self.raw is not None and (self.co_analytic is not None or self.analytic is not None):
-            z = circle_nodes(64)
-            diff = np.max(np.abs(self._structured_values(z) - self.raw(z)))
-            if diff > 1e-9:
-                raise ValueError(f"structured and raw symbol forms disagree by {diff:.3e}")
+        if self.structured and self.raw is not None:
+            raise ValueError("symbol takes a structured part or a raw boundary function, "
+                             "not both")
 
     @property
     def structured(self) -> bool:
@@ -118,7 +113,7 @@ class SymbolSpec:
         return out
 
     def values(self, z):
-        """Boundary values on |z| = 1 (structured form wins when present)."""
+        """Boundary values on |z| = 1."""
         if self.structured:
             return self._structured_values(z)
         return self.raw(np.asarray(z, dtype=complex))

@@ -87,7 +87,7 @@ class RankOneDecomposition:
         return out
 
 
-def _fit_scalar(target: np.ndarray, model: np.ndarray, tol: Tolerances):
+def _fit_scalar(target: np.ndarray, model: np.ndarray):
     """Least-squares c with target ~ c * model; returns (c, relative residual)."""
     denom = np.vdot(model, model)
     if denom == 0:
@@ -137,7 +137,7 @@ def classify_vector(f: ModelVector, lam: complex,
             kvec = (1.0 - np.conj(evaluate(alpha, w)) * target) / (1.0 - np.conj(w) * eta) / sq
         else:
             kvec = (target - evaluate(alpha, w)) / (eta - w) / sq
-        cfit, resid = _fit_scalar(c, kvec, tol)
+        cfit, resid = _fit_scalar(c, kvec)
         if resid <= tol.fit:
             return VectorClassification(tag, complex(w), cfit, boundary)
         return None
@@ -202,8 +202,8 @@ def decompose_rank_one(a: OperatorMatrix, lam: complex = 1.0 + 0j,
             w = cls.w
             model = kernel if tag == TAG_KERNEL else conj_kernel
             mate = conj_kernel if tag == TAG_KERNEL else kernel
-            c_primary, resid_p = _fit_scalar(primary.tm(), model(primary.space, w).tm(), tol)
-            c_partner, resid_q = _fit_scalar(partner.tm(), mate(partner.space, w).tm(), tol)
+            c_primary, resid_p = _fit_scalar(primary.tm(), model(primary.space, w).tm())
+            c_partner, resid_q = _fit_scalar(partner.tm(), mate(partner.space, w).tm())
             if resid_p > tol.fit or resid_q > tol.fit:
                 continue
             if primary_is_g:
@@ -222,8 +222,8 @@ def decompose_rank_one(a: OperatorMatrix, lam: complex = 1.0 + 0j,
         out = standard_form(f, g, primary_is_g=False)
     else:
         # both spaces are lines: everything is conjk-kernel at the origin
-        c_g, _ = _fit_scalar(g.tm(), conj_kernel(beta, 0.0).tm(), tol)
-        c_f, _ = _fit_scalar(f.tm(), kernel(alpha, 0.0).tm(), tol)
+        c_g, _ = _fit_scalar(g.tm(), conj_kernel(beta, 0.0).tm())
+        c_f, _ = _fit_scalar(f.tm(), kernel(alpha, 0.0).tm())
         return RankOneDecomposition("standard", "conjk-kernel", 0j,
                                     complex(c_g * np.conj(c_f)), False)
 

@@ -121,6 +121,26 @@ class TestMembership:
         assert code == 4
         assert "indeterminate" in err
 
+    def test_clark_matrix_solves_each_boundary_once(self, capsys, instance, monkeypatch):
+        # the Clark bases are rebuilt from the file (one solve per space);
+        # the pairing reuses their point sets
+        import attokit.modelspace
+        boundary_solve = attokit.modelspace.boundary_solve
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return boundary_solve(*args, **kwargs)
+
+        monkeypatch.setattr(attokit.modelspace, "boundary_solve", counting)
+        mpath, _ = instance
+        for method in ("all", "clark"):
+            calls.clear()
+            code, _, _ = run_cli(capsys, "membership", "--matrix", str(mpath),
+                                 "--method", method)
+            assert code == 0
+            assert len(calls) == 2
+
     def test_missing_file_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "membership", "--matrix", "/nonexistent.json")
         assert code == 2

@@ -4,7 +4,8 @@ import pytest
 from attokit import clark_points
 from attokit.blaschke import BlaschkeProduct, evaluate, monomial
 from attokit.config import DEFAULT
-from attokit.instances import (constrained_entries, member_matrix,
+from attokit.instances import (blaschke_through_points, constrained_entries,
+                               lambda_for_target, member_matrix,
                                perturbed_nonmember, random_blaschke,
                                random_symbol, random_unimodular,
                                shared_clark_instance)
@@ -18,7 +19,7 @@ from attokit.membership import test_clark_recurrence as check_recurrence
 from attokit.membership import test_conjugate_residual as check_conjugate
 from attokit.membership import test_rank_two_residual as check_residual
 from attokit.membership import test_shift_invariance as check_shift
-from attokit.modelspace import (ModelVector, build_basis, conj_kernel,
+from attokit.modelspace import (ModelVector, build_basis, clark_basis, conj_kernel,
                                 inner_product, kernel, multiply_by_z, tm_vector)
 from attokit.operators import (OperatorMatrix, SymbolSpec, atto_matrix,
                                clark_coefficient, clark_unitary,
@@ -154,6 +155,46 @@ class TestClarkRecurrence:
                 ref_rhs, ref_applicable = loop_recurrence_rhs(r, pairing)
                 assert np.array_equal(applicable, ref_applicable)
                 assert np.max(np.abs(rhs - ref_rhs)) <= 1e-14 * (1 + np.max(np.abs(ref_rhs)))
+
+
+def paired_clark_unitaries(alpha, beta, lam1, lam2, pairing):
+    """U_alpha and U_beta over the pairing's Clark bases, in the paired order."""
+    ua = clark_unitary(alpha, lam1, clark_basis(alpha, pairing.clark_a)).entries
+    ub = clark_unitary(beta, lam2, clark_basis(beta, pairing.clark_b)).entries
+    return ua[np.ix_(pairing.perm_a, pairing.perm_a)], ub[np.ix_(pairing.perm_b, pairing.perm_b)]
+
+
+class TestClarkIdentity:
+    @staticmethod
+    def cases(rng):
+        for m, n in ((1, 3), (3, 1), (2, 2), (4, 3), (3, 5), (8, 4), (4, 8), (6, 6)):
+            for l in range(min(m, n) + 1):
+                yield shared_clark_instance(rng, m, n, l), l
+        # degree 24 with 6 shared points, from a jittered grid of 42 points:
+        # rejection sampling in shared_clark_instance does not reach this size
+        pts = np.exp(2j * np.pi * (np.arange(42) + 0.4 * rng.random(42)) / 42)
+        rng.shuffle(pts)
+        alpha, beta = (blaschke_through_points(side, u, weights=0.5 + rng.random(24))
+                       for side, u in ((pts[:24], 1j), (np.r_[pts[:6], pts[24:]], -1.0)))
+        yield (alpha, beta, lambda_for_target(alpha, 1j), lambda_for_target(beta, -1.0)), 6
+
+    def test_clark_unitary_is_diagonal_in_the_paired_bases(self, rng):
+        for (alpha, beta, lam1, lam2), l in self.cases(rng):
+            pairing = clark_pairing(alpha, beta, lam1, lam2)
+            assert pairing.shared == l
+            ua, ub = paired_clark_unitaries(alpha, beta, lam1, lam2, pairing)
+            assert np.max(np.abs(ua - np.diag(pairing.eta))) <= 1e-12
+            assert np.max(np.abs(ub - np.diag(pairing.zeta))) <= 1e-12
+
+    def test_weight_scales_the_rank_two_residual(self, rng):
+        for (alpha, beta, lam1, lam2), _ in self.cases(rng):
+            pairing = clark_pairing(alpha, beta, lam1, lam2)
+            ua, ub = paired_clark_unitaries(alpha, beta, lam1, lam2, pairing)
+            n, m = beta.degree, alpha.degree
+            r = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
+            ref = (r - ub @ r @ ua.conj().T) * np.sqrt(np.outer(pairing.weights_b,
+                                                               pairing.weights_a))
+            assert np.max(np.abs(pairing.weight * r - ref)) <= 1e-12 * (1 + np.max(np.abs(ref)))
 
 
 class TestRankTwoResidual:

@@ -74,11 +74,13 @@ class TestAttoMatrix:
         mat = atto_matrix(alpha, beta, one).entries
         assert np.allclose(mat, np.eye(2, 3), atol=1e-12)
 
-    def test_structured_and_raw_agreement_enforced(self, rng):
+    def test_structured_and_raw_forms_exclusive(self, rng):
         alpha = random_blaschke(rng, 2)
         chi = random_vector(rng, build_basis(alpha, "tm"))
-        with pytest.raises(ValueError):
-            SymbolSpec(co_analytic=chi, raw=RationalSymbol((5.0,)))
+        agreeing = SymbolSpec(co_analytic=chi).values
+        for raw in (RationalSymbol((5.0,)), agreeing):
+            with pytest.raises(ValueError, match="not both"):
+                SymbolSpec(co_analytic=chi, raw=raw)
 
     def test_quadrature_error_for_pole_on_circle(self):
         from attokit.modelspace import QuadratureError
