@@ -8,13 +8,16 @@ unimodular target u, the Herglotz sum
 
 yields a degree-m Blaschke product B = u (G - 1)/(G + 1) with B(eta_j) = u
 for every j.  That makes it easy to engineer two products whose Clark point
-sets share exactly l prescribed points.
+sets share exactly l prescribed points.  With C = sum_j c_j, G = -C +
+2 sum_j c_j eta_j/(eta_j - z), so the zeros of B, where G = 1, are the
+eigenvalues of the diagonal-plus-rank-one matrix diag(eta) - v 1^T with
+v = 2 c eta / (1 + C) (Golub, Some modified matrix eigenvalue problems,
+1973); no polynomial coefficients are formed.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import numpy.polynomial.polynomial as npoly
 
 from .blaschke import BlaschkeProduct, evaluate
 from .config import DEFAULT, Tolerances
@@ -75,33 +78,15 @@ def separated_boundary_points(rng, count: int, min_angle: float = 0.3) -> np.nda
     raise RuntimeError("could not separate boundary points; lower min_angle")
 
 
-def blaschke_through_points(points, u: complex, weights=None,
-                            tol: Tolerances = DEFAULT) -> BlaschkeProduct:
+def blaschke_through_points(points, u: complex, weights=None) -> BlaschkeProduct:
     """Degree-len(points) product B with B(eta_j) = u at every given point."""
     points = np.asarray(points, dtype=complex)
-    u = complex(u)
-    mdeg = len(points)
-    if weights is None:
-        weights = np.ones(mdeg)
-    num = np.zeros(mdeg + 1, dtype=complex)     # A(z) = sum c_j (eta_j + z) prod_{i!=j} (eta_i - z)
-    den = np.array([1.0 + 0.0j])                # B(z) = prod (eta_j - z)
-    for j in range(mdeg):
-        term = np.array([weights[j] * points[j], weights[j]], dtype=complex)
-        for i in range(mdeg):
-            if i != j:
-                term = npoly.polymul(term, [points[i], -1.0])
-        num[: len(term)] += term
-    for j in range(mdeg):
-        den = npoly.polymul(den, [points[j], -1.0])
-    diff = npoly.polysub(num, den)              # zeros of B
-    zeros = npoly.polyroots(diff)
+    c = np.ones(len(points)) if weights is None else np.asarray(weights, dtype=float)
+    v = 2.0 * c * points / (1.0 + np.sum(c))
+    zeros = np.sort(np.linalg.eigvals(np.diag(points) - v[:, None]))
     if np.max(np.abs(zeros)) >= 1.0:
         raise RuntimeError("interpolation produced a zero outside the open disk")
-    shell = BlaschkeProduct(tuple(zeros))
-    probe = 0.1234 + 0.0567j
-    gsum = np.sum(np.asarray(weights) * (points + probe) / (points - probe))
-    target_val = u * (gsum - 1.0) / (gsum + 1.0)
-    front = target_val / evaluate(shell, probe)
+    front = complex(u) / evaluate(BlaschkeProduct(tuple(zeros)), points[0])
     out = BlaschkeProduct(tuple(zeros), front)
     resid = np.max(np.abs(evaluate(out, points) - u))
     if resid > 1e-8:
@@ -109,8 +94,7 @@ def blaschke_through_points(points, u: complex, weights=None,
     return out
 
 
-def shared_clark_instance(rng, m: int, n: int, shared: int,
-                          tol: Tolerances = DEFAULT):
+def shared_clark_instance(rng, m: int, n: int, shared: int):
     """Products and parameters whose Clark sets share exactly ``shared`` points.
 
     Returns (alpha, beta, lam1, lam2).  For shared = 0 the points are sampled
@@ -122,8 +106,8 @@ def shared_clark_instance(rng, m: int, n: int, shared: int,
     pts_b = np.concatenate([pts[:shared], pts[m: total]])
     u_a = random_unimodular(rng)
     u_b = random_unimodular(rng)
-    alpha = blaschke_through_points(pts_a, u_a, weights=0.5 + rng.random(m), tol=tol)
-    beta = blaschke_through_points(pts_b, u_b, weights=0.5 + rng.random(n), tol=tol)
+    alpha = blaschke_through_points(pts_a, u_a, weights=0.5 + rng.random(m))
+    beta = blaschke_through_points(pts_b, u_b, weights=0.5 + rng.random(n))
     return alpha, beta, lambda_for_target(alpha, u_a), lambda_for_target(beta, u_b)
 
 

@@ -14,14 +14,15 @@ Two computation paths are provided.  The canonical one evaluates the pairing
 projection is absorbed because g_s already lies in K_beta), on nested levels
 that evaluate each node once.  At a node the TM values of each space are
 computed once, also for a structured symbol whose parts live in the two
-spaces; a level adds up to one product P = conj(V_beta) (phi V_alpha)^T, and
-the basis change is done on this small n x m pairing, T_out^H P T_in.  The
-doubling stops at the first level whose gap d to the previous level is
-within the tolerance, or, from the third level on, whose gap times the last
-observed contraction d / d_prev is.  The integrand is rational with poles
-off the circle, so its error falls geometrically; the observed contraction
-also sees the slow start that repeated or clustered poles give, which a rate
-read off the largest zero modulus misses.
+spaces; a level adds up to one product P = conj(V_beta) (phi V_alpha)^T.  The
+TM bases are orthonormal, so P is the operator's TM matrix, and it moves to
+the requested bases as on the exact path.  The doubling stops at the first
+level whose gap d to the previous level is within the tolerance, or, from the
+third level on, whose gap times the last observed contraction d / d_prev is.
+The integrand is rational with poles off the circle, so its error falls
+geometrically; the observed contraction also sees the slow start that
+repeated or clustered poles give, which a rate read off the largest zero
+modulus misses.
 
 The exact path, for structured symbols conj(chi) + psi only, solves the
 rank-two identity (Sarason, Algebraic properties of truncated Toeplitz
@@ -257,20 +258,15 @@ def atto_matrix(alpha: BlaschkeProduct, beta: BlaschkeProduct, symbol: SymbolSpe
     # phi from the nodes' TM values when its parts live in K_alpha and K_beta
     shared = (symbol.structured and (chi is None or chi.space == alpha)
               and (psi is None or psi.space == beta))
-    t_in = in_basis.matrix
-    t_out_h = out_basis.matrix.conj().T
 
     def node_sum(z):
         va = tm_values(alpha, z)                  # (m, N) TM values of K_alpha
         vb = va if beta == alpha else tm_values(beta, z)
         phi = symbol._structured_values(z, va, vb) if shared else symbol.values(z)
-        pairing = np.conj(vb) @ (phi * va).T      # (n, m), TM coordinates
-        return t_out_h @ pairing @ t_in
+        return np.conj(vb) @ (phi * va).T         # (n, m), TM coordinates
 
-    pairings = doubling_circle_mean(node_sum, tol.quadrature)
-    gram = out_basis.gram
-    entries = np.linalg.solve(gram, pairings)     # pairing matrix -> coefficient matrix
-    return OperatorMatrix(entries, in_basis, out_basis)
+    return OperatorMatrix.from_tm(doubling_circle_mean(node_sum, tol.quadrature),
+                                  in_basis, out_basis)
 
 
 def _solve_stein(sb: np.ndarray, sa: np.ndarray, d: np.ndarray) -> np.ndarray:

@@ -1,4 +1,5 @@
 import numpy as np
+import numpy.polynomial.polynomial as npoly
 import pytest
 
 from attokit import clark_points
@@ -63,6 +64,27 @@ def loop_recurrence_rhs(r, pairing):
                     * (eta[0] - zeta[s]) / d * r[0, s]
                     + (sqb[0] / sqb[s]) * (eta[p] - zeta[0]) / d * r[0, p])
     return rhs, applicable
+
+
+def polynomial_through_points(points, weights):
+    """The former power-basis route to the zeros of blaschke_through_points,
+    kept as a reference: G = 1 cleared of denominators, sum_j c_j (eta_j + z)
+    prod_{i != j} (eta_i - z) = prod_j (eta_j - z), solved by the companion
+    matrix of its coefficients (roots sorted)."""
+    num = np.zeros(len(points) + 1, dtype=complex)
+    den = np.array([1.0 + 0.0j])
+    for j in range(len(points)):
+        term = np.array([weights[j] * points[j], weights[j]], dtype=complex)
+        for i in range(len(points)):
+            if i != j:
+                term = npoly.polymul(term, [points[i], -1.0])
+        num += term
+        den = npoly.polymul(den, [points[j], -1.0])
+    return npoly.polyroots(npoly.polysub(num, den))
+
+
+def jittered_grid(rng, count):
+    return np.exp(2j * np.pi * (np.arange(count) + 0.4 * rng.random(count)) / count)
 
 
 def loop_shift_residual(mat):
@@ -157,6 +179,29 @@ class TestClarkRecurrence:
                 assert np.max(np.abs(rhs - ref_rhs)) <= 1e-14 * (1 + np.max(np.abs(ref_rhs)))
 
 
+class TestBlaschkeThroughPoints:
+    def test_zeros_match_the_polynomial_route_in_order(self, rng):
+        for degree in range(1, 13):
+            for _ in range(5):
+                pts = jittered_grid(rng, degree)
+                rng.shuffle(pts)
+                weights = 0.5 + rng.random(degree)
+                b = blaschke_through_points(pts, random_unimodular(rng), weights=weights)
+                ref = polynomial_through_points(pts, weights)
+                assert np.max(np.abs(np.array(b.zeros) - ref)) <= 1e-12
+
+    def test_high_degree_interpolates(self, rng):
+        # ordered jittered grids: the power-basis route loses the residual
+        # bound here (and raises at 1e-8 on most of them)
+        for degree in (40, 48, 64):
+            for _ in range(10):
+                pts = jittered_grid(rng, degree)
+                u = random_unimodular(rng)
+                b = blaschke_through_points(pts, u, weights=0.5 + rng.random(degree))
+                assert np.max(np.abs(b.zeros)) < 1.0
+                assert np.max(np.abs(evaluate(b, pts) - u)) <= 1e-11
+
+
 def paired_clark_unitaries(alpha, beta, lam1, lam2, pairing):
     """U_alpha and U_beta over the pairing's Clark bases, in the paired order."""
     ua = clark_unitary(alpha, lam1, clark_basis(alpha, pairing.clark_a)).entries
@@ -170,13 +215,16 @@ class TestClarkIdentity:
         for m, n in ((1, 3), (3, 1), (2, 2), (4, 3), (3, 5), (8, 4), (4, 8), (6, 6)):
             for l in range(min(m, n) + 1):
                 yield shared_clark_instance(rng, m, n, l), l
-        # degree 24 with 6 shared points, from a jittered grid of 42 points:
-        # rejection sampling in shared_clark_instance does not reach this size
-        pts = np.exp(2j * np.pi * (np.arange(42) + 0.4 * rng.random(42)) / 42)
-        rng.shuffle(pts)
-        alpha, beta = (blaschke_through_points(side, u, weights=0.5 + rng.random(24))
-                       for side, u in ((pts[:24], 1j), (np.r_[pts[:6], pts[24:]], -1.0)))
-        yield (alpha, beta, lambda_for_target(alpha, 1j), lambda_for_target(beta, -1.0)), 6
+        # degree 24 with 6 shared points and degree 64 with 16, from jittered
+        # grids: rejection sampling in shared_clark_instance does not reach
+        # these sizes
+        for m, n, l in ((24, 24, 6), (64, 64, 16)):
+            pts = jittered_grid(rng, m + n - l)
+            rng.shuffle(pts)
+            alpha = blaschke_through_points(pts[:m], 1j, weights=0.5 + rng.random(m))
+            beta = blaschke_through_points(np.r_[pts[:l], pts[m:]], -1.0,
+                                           weights=0.5 + rng.random(n))
+            yield (alpha, beta, lambda_for_target(alpha, 1j), lambda_for_target(beta, -1.0)), l
 
     def test_clark_unitary_is_diagonal_in_the_paired_bases(self, rng):
         for (alpha, beta, lam1, lam2), l in self.cases(rng):
