@@ -151,7 +151,8 @@ class ClarkPairing:
                 * (np.sqrt(self.weights_a)[None, :] * np.sqrt(self.weights_b)[:, None]))
 
     def clark_matrix(self, matrix: OperatorMatrix) -> OperatorMatrix:
-        """``matrix`` over the Clark bases of the pairing's own point sets."""
+        """``matrix`` over the Clark bases of the pairing's own point sets:
+        ``matrix`` itself when it is over the stored bases of stored sets."""
         return matrix.in_bases(clark_basis(matrix.alpha, self.clark_a),
                                clark_basis(matrix.beta, self.clark_b))
 

@@ -41,7 +41,7 @@ eps = front * (-1)^m (so B = eps * prod b_j):
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -51,6 +51,7 @@ from .blaschke import (BlaschkeProduct, ClarkPointSet, RootCollisionError, deriv
 from .config import DEFAULT, Tolerances
 
 BASIS_KINDS = ("tm", "kernel-zeros", "clark", "modified-clark")
+CLARK_ENTRIES = 8               # (lam, tol) entries a space keeps; the oldest goes first
 
 
 class QuadratureError(RuntimeError):
@@ -143,9 +144,16 @@ class ModelSpace:
     Reached as ``b.model_space``, one per product.  Each array is computed on
     first use, kept, and read-only, so every modified shift, multiplication
     by z, conjugate kernel and Stein solve of the space shares it.
+
+    It also stores Clark work per (lam, tol) (see :meth:`clark`): the point
+    set, solved once, and its Clark and modified-Clark bases, each built on
+    first use, all with read-only arrays.  ``tol`` is part of the key because
+    its residual and separation checks gate the solve.  A solve that raises
+    stores nothing, and the store keeps the last ``CLARK_ENTRIES`` keys.
     """
 
     space: BlaschkeProduct
+    _clark: dict = field(default_factory=dict, init=False, repr=False)
 
     @functools.cached_property
     def shift(self) -> np.ndarray:
@@ -233,6 +241,18 @@ class ModelSpace:
                              "conjugate kernel at 0")
         return self.shift @ coords
 
+    def clark(self, lam: complex, tol: Tolerances = DEFAULT) -> "ClarkEntry":
+        """The stored Clark entry for (lam, tol), solved on first use; when
+        the store is full, the oldest entry is dropped."""
+        key = (complex(lam), tol)
+        entry = self._clark.get(key)
+        if entry is None:
+            entry = ClarkEntry(self.space, _solve_clark_points(self.space, key[0], tol))
+            if len(self._clark) >= CLARK_ENTRIES:
+                del self._clark[next(iter(self._clark))]
+            self._clark[key] = entry
+        return entry
+
 
 def boundary_solve(b: BlaschkeProduct, u: complex, tol: Tolerances = DEFAULT) -> np.ndarray:
     """All m distinct unimodular solutions of B(eta) = u, |u| = 1, sorted by
@@ -269,13 +289,17 @@ def boundary_solve(b: BlaschkeProduct, u: complex, tol: Tolerances = DEFAULT) ->
 
 def clark_points(b: BlaschkeProduct, lam: complex, tol: Tolerances = DEFAULT) -> ClarkPointSet:
     """Clark point set for spectral parameter lam: the m unimodular solutions
-    of B(eta) = target together with the weights |B'(eta_j)|."""
-    lam = complex(lam)
+    of B(eta) = target together with the weights |B'(eta_j)|.  Solved once
+    per (lam, tol) and kept on ``b.model_space``; its arrays are read-only."""
+    return b.model_space.clark(lam, tol).point_set
+
+
+def _solve_clark_points(b: BlaschkeProduct, lam: complex, tol: Tolerances) -> ClarkPointSet:
     if abs(abs(lam) - 1.0) > 1e-9:
         raise ValueError("lam must be unimodular")
     target = mobius_target(b, lam)
-    pts = boundary_solve(b, target, tol)
-    wts = np.abs(derivative(b, pts))
+    pts = _read_only(boundary_solve(b, target, tol))
+    wts = _read_only(np.abs(derivative(b, pts)))
     return ClarkPointSet(lam, target, pts, wts)
 
 
@@ -353,23 +377,51 @@ def build_basis(b: BlaschkeProduct, kind: str, lam: complex | None = None,
     if kind in ("clark", "modified-clark"):
         if lam is None:
             raise ValueError(f"{kind} basis requires the spectral parameter lam")
-        cp = clark_points(b, lam, tol)
-        basis = clark_basis(b, cp)
-        if kind == "clark":
-            return basis
-        args = np.angle(cp.points) % (2.0 * np.pi)
-        arg_t = np.angle(cp.target) % (2.0 * np.pi)
-        omega = np.exp(-0.5j * (args - arg_t))
-        return ModelBasis(b, kind, basis.matrix * omega[None, :], clark=cp, omega=omega)
+        entry = b.model_space.clark(lam, tol)
+        return entry.clark_basis if kind == "clark" else entry.modified_basis
     raise ValueError(f"unknown basis kind {kind!r}; expected one of {BASIS_KINDS}")
 
 
 def clark_basis(b: BlaschkeProduct, point_set: ClarkPointSet) -> ModelBasis:
     """The Clark basis at the points of ``point_set``: the boundary kernels
     k_eta / sqrt(|B'(eta)|), in the point set's order.  Solves no boundary
-    equation, so a caller holding the points pays only for the kernels."""
+    equation, so a caller holding the points pays only for the kernels.
+
+    For a point set stored on ``b.model_space`` (one from :func:`clark_points`
+    or a Clark basis) this is the stored basis, the very object
+    ``build_basis`` returns; any other point set gets a new basis."""
+    for entry in b.model_space._clark.values():
+        if entry.point_set is point_set:
+            return entry.clark_basis
+    return _kernel_basis(b, point_set)
+
+
+def _kernel_basis(b: BlaschkeProduct, point_set: ClarkPointSet) -> ModelBasis:
     cols = np.conj(tm_values(b, point_set.points)) / np.sqrt(point_set.weights)[None, :]
-    return ModelBasis(b, "clark", cols, clark=point_set)
+    return ModelBasis(b, "clark", _read_only(cols), clark=point_set)
+
+
+@dataclass(eq=False)
+class ClarkEntry:
+    """One stored (lam, tol) entry of a space: the point set and its two
+    bases, each basis built on first use."""
+
+    space: BlaschkeProduct
+    point_set: ClarkPointSet
+
+    @functools.cached_property
+    def clark_basis(self) -> ModelBasis:
+        return _kernel_basis(self.space, self.point_set)
+
+    @functools.cached_property
+    def modified_basis(self) -> ModelBasis:
+        cp = self.point_set
+        args = np.angle(cp.points) % (2.0 * np.pi)
+        arg_t = np.angle(cp.target) % (2.0 * np.pi)
+        omega = _read_only(np.exp(-0.5j * (args - arg_t)))
+        return ModelBasis(self.space, "modified-clark",
+                          _read_only(self.clark_basis.matrix * omega[None, :]),
+                          clark=cp, omega=omega)
 
 
 def change_of_basis(src: ModelBasis, dst: ModelBasis) -> np.ndarray:

@@ -186,6 +186,10 @@ class OperatorMatrix:
         return cls(np.linalg.solve(out_basis.matrix, tm @ in_basis.matrix), in_basis, out_basis)
 
     def in_bases(self, in_basis: ModelBasis, out_basis: ModelBasis) -> "OperatorMatrix":
+        """The same operator over the given bases; ``self`` when they are
+        the matrix's own basis objects."""
+        if in_basis is self.in_basis and out_basis is self.out_basis:
+            return self
         if in_basis.space != self.alpha or out_basis.space != self.beta:
             raise ValueError("target bases belong to different spaces")
         return OperatorMatrix.from_tm(self.tm_entries(), in_basis, out_basis)

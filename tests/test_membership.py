@@ -469,6 +469,19 @@ class TestRunAllSharedWork:
                         assert res["member"] is expect
                         assert {v.is_member for v in res["methods"].values()} == {expect}
 
+    def test_clark_test_changes_no_basis(self, rng, monkeypatch):
+        # a matrix over its pairing's stored Clark bases is already the
+        # Clark matrix: no TM round trip
+        def refuse(*args, **kwargs):
+            raise AssertionError("run_all changed the basis of a Clark-basis matrix")
+
+        *_, pairing, mat = clark_member(rng, 4, 3, 1)
+        bad = perturbed_nonmember(rng, mat, pairing)
+        monkeypatch.setattr(OperatorMatrix, "from_tm", classmethod(refuse))
+        assert pairing.clark_matrix(mat) is mat
+        assert run_all(mat, pairing)["member"] is True
+        assert run_all(bad, pairing)["member"] is False
+
     def test_repeat_run_all_evaluates_nothing_at_the_origin(self, rng, monkeypatch):
         import attokit.modelspace
         tm_values = attokit.modelspace.tm_values

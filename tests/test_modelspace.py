@@ -7,14 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from attokit import clark_points
-from attokit.blaschke import BlaschkeProduct, derivative, evaluate, monomial
+from attokit.blaschke import (BlaschkeProduct, ClarkPointSet, RootCollisionError,
+                              derivative, evaluate, monomial)
 from attokit.config import Tolerances
 from attokit.instances import random_blaschke, random_unimodular, random_vector
-from attokit.modelspace import (ModelVector, QuadratureError, build_basis,
-                                change_of_basis, circle_nodes, conj_kernel,
-                                conjugation, doubling_circle_mean, inner_product,
-                                kernel, multiply_by_z, project, tm_values,
-                                tm_vector)
+from attokit.modelspace import (CLARK_ENTRIES, ModelVector, QuadratureError,
+                                build_basis, change_of_basis, circle_nodes,
+                                clark_basis, conj_kernel, conjugation,
+                                doubling_circle_mean, inner_product, kernel,
+                                multiply_by_z, project, tm_values, tm_vector)
 
 
 def circle_mean(fn):
@@ -504,6 +505,90 @@ class TestModelSpace:
             except ValueError:
                 pass
             assert np.array_equal(make(), expect)
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """The products passed to boundary_solve, one per call."""
+    import attokit.modelspace
+    boundary_solve = attokit.modelspace.boundary_solve
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return boundary_solve(*args, **kwargs)
+
+    monkeypatch.setattr(attokit.modelspace, "boundary_solve", counting)
+    return calls
+
+
+class TestClarkStore:
+    def test_every_clark_caller_shares_one_solve(self, rng, solves):
+        from attokit.membership import clark_pairing
+        from attokit.rankone import classify_vector
+        b = random_blaschke(rng, 4)
+        lam = random_unimodular(rng)
+        clark_points(b, lam)
+        clark_pairing(b, b, lam, lam)
+        build_basis(b, "clark", lam)
+        build_basis(b, "modified-clark", lam)
+        assert classify_vector(conj_kernel(b, 0.3 + 0.1j), lam).tag == "conj-kernel"
+        assert solves == [b]
+
+    def test_bases_share_the_stored_point_set(self, rng):
+        b = random_blaschke(rng, 4)
+        lam = random_unimodular(rng)
+        cb = build_basis(b, "clark", lam)
+        cp = clark_points(b, lam)
+        assert cb.clark is cp and build_basis(b, "modified-clark", lam).clark is cp
+        assert build_basis(b, "clark", lam) is cb
+        assert clark_basis(b, cp) is cb
+        # a point set built by hand gets a fresh basis with the same columns
+        by_hand = ClarkPointSet(cp.lam, cp.target, cp.points.copy(), cp.weights.copy())
+        fresh = clark_basis(b, by_hand)
+        assert fresh is not cb and fresh.clark is by_hand
+        assert np.array_equal(fresh.matrix, cb.matrix)
+
+    def test_stored_arrays_are_read_only(self, rng):
+        b = random_blaschke(rng, 3)
+        cp = clark_points(b, 1j)
+        arrays = [cp.points, cp.weights, build_basis(b, "clark", 1j).matrix,
+                  build_basis(b, "modified-clark", 1j).matrix]
+        for arr in arrays:
+            with pytest.raises(ValueError):
+                arr[0] = 7.0
+
+    def test_each_tolerance_has_its_own_entry(self, solves):
+        b = monomial(8)
+        cp = clark_points(b, 1j)
+        assert len(cp.points) == 8
+        # the eight points are 0.765 apart: the default set must not pass
+        # for a tolerance that rejects them
+        with pytest.raises(RootCollisionError):
+            clark_points(b, 1j, Tolerances(distinct=0.8))
+        narrow = clark_points(b, 1j, Tolerances(distinct=0.75))
+        assert narrow is not cp and np.array_equal(narrow.points, cp.points)
+        assert clark_points(b, 1j, Tolerances()) is cp
+        assert len(solves) == 3
+
+    def test_failed_solve_is_not_stored(self, solves):
+        b = monomial(8)
+        wide = Tolerances(distinct=0.8)
+        for _ in range(2):
+            with pytest.raises(RootCollisionError):
+                build_basis(b, "clark", 1j, tol=wide)
+        assert len(solves) == 2 and b.model_space._clark == {}
+
+    def test_store_keeps_the_last_entries(self, rng, solves):
+        b = random_blaschke(rng, 3)
+        lams = np.exp(2j * np.pi * (np.arange(20) + 0.5) / 20)
+        sets = [clark_points(b, lam) for lam in lams]
+        assert len(b.model_space._clark) == CLARK_ENTRIES == 8
+        assert clark_points(b, lams[-1]) is sets[-1]
+        assert len(solves) == 20
+        again = clark_points(b, lams[0])          # evicted: solved anew
+        assert again is not sets[0] and np.array_equal(again.points, sets[0].points)
+        assert len(solves) == 21 and len(b.model_space._clark) == 8
 
 
 class TestSerialization:

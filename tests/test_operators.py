@@ -530,6 +530,17 @@ class TestBasesAndSerialization:
         back = other.in_bases(tm_mat.in_basis, tm_mat.out_basis)
         assert np.max(np.abs(back.entries - tm_mat.entries)) <= 1e-9
 
+    def test_own_bases_return_the_matrix(self, rng):
+        alpha = random_blaschke(rng, 3)
+        beta = random_blaschke(rng, 2)
+        m = atto_matrix(alpha, beta, random_symbol(rng, alpha, beta),
+                        build_basis(alpha, "clark", 1j), build_basis(beta, "modified-clark", 1.0))
+        assert m.in_bases(m.in_basis, m.out_basis) is m
+        assert m.in_bases(build_basis(alpha, "clark", 1j),
+                          build_basis(beta, "modified-clark", 1.0)) is m
+        moved = m.in_bases(build_basis(alpha, "tm"), m.out_basis)
+        assert moved is not m and moved.in_basis.kind == "tm"
+
     def test_operator_json_round_trip(self, rng):
         alpha = random_blaschke(rng, 2)
         beta = random_blaschke(rng, 2)
