@@ -190,9 +190,7 @@ def cmd_rankone(args, cfg: dict, tol: Tolerances) -> int:
         return EXIT_OK
     with open(args.matrix, "r", encoding="utf-8") as fh:
         mat = OperatorMatrix.from_json(json.load(fh))
-    lam = parse_complex(args.lam) if args.lam else 1.0 + 0j
-    dec = decompose_rank_one(mat, lam, tol)
-    _emit(dec.to_json())
+    _emit(decompose_rank_one(mat, tol=tol).to_json())
     return EXIT_OK
 
 
@@ -349,7 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rankone", help="decompose a rank-one member")
     common(p)
     p.add_argument("--matrix")
-    p.add_argument("--lambda", dest="lam")
     p.add_argument("--example-4-1", action="store_true", dest="example_4_1")
     p.add_argument("--a", default=None)
     p.set_defaults(fn=cmd_rankone)

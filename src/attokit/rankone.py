@@ -1,16 +1,20 @@
 """Rank-one members of the truncated-Toeplitz class and their classification.
 
-Over a Clark basis the coefficients of a kernel k_w are
+A vector is classified from the compressed shift S of its space.  For every
+w in the closed disk the kernel satisfies
 
-    c_j = const / (1 - conj(w) eta_j) / sqrt(w_j),
+    k_w - conj(w) S k_w = k_0,
 
-and those of a conjugate kernel are const / (eta_j - w) / sqrt(w_j), so a
-kernel multiple is detected by eliminating w from the ratio of two nonzero
-coefficients (a linear equation in conj(w) or w) and then verifying the
-candidate against all m coefficients.  For dimension <= 2 one of the two
-candidates is guaranteed to land in the closed disk (they are reflections
-w -> 1/conj(w) of each other); for dimension >= 3 vectors with a zero
-coefficient next to two nonzero ones are classifiable as neither.
+since (1 - conj(w) z) k_w = 1 - conj(B(w)) B projects onto k_0, and
+I - conj(w) S is invertible there (the spectrum of S is the zero set of B).
+So f is a multiple of k_w exactly when f - conj(w) S f lies in span(k_0)
+(Sarason 2007; Garcia-Mashreghi-Ross 2016).  Projected onto the orthogonal
+complement of k_0 these are m - 1 equations in the one unknown conj(w): one
+least-squares step gives w, and its residual decides.  A conjugate kernel
+k~_w = C k_w is the same test on C f.  In dimension 2 there is one equation,
+and the kernel and conjugate-kernel solutions are reflections
+w -> 1/conj(w) of each other, so one of them lies in the closed disk; in
+dimension 1 every vector is a multiple of k_0.
 
 A rank-one operator g (x) f in the class is either a scalar multiple of a
 standard pair, (conjugate kernel) (x) (kernel) or (kernel) (x) (conjugate
@@ -33,8 +37,7 @@ from . import serialize
 from .blaschke import BlaschkeProduct, evaluate
 from .config import DEFAULT, Tolerances
 from .membership import test_rank_two_residual
-from .modelspace import (ModelVector, build_basis, conj_kernel, kernel,
-                         tm_vector)
+from .modelspace import ModelSpace, ModelVector, conj_kernel, kernel, tm_vector
 from .operators import OperatorMatrix, rank_one
 
 TAG_KERNEL = "kernel"
@@ -97,79 +100,65 @@ def _fit_scalar(target: np.ndarray, model: np.ndarray):
     return complex(c), float(resid)
 
 
-def classify_vector(f: ModelVector, lam: complex,
+def _shift_fit(space: ModelSpace, y: np.ndarray):
+    """The w for which y - conj(w) S y lies closest to span(k_0), and that
+    distance relative to ||y||, for TM coordinates ``y``."""
+    k0 = space.k0
+
+    def perp(v):
+        return v - k0 * (np.vdot(k0, v) / np.vdot(k0, k0))
+
+    py, psy = perp(y), perp(space.shift @ y)
+    denom = np.vdot(psy, psy)
+    wbar = np.vdot(psy, py) / denom if denom > 0 else 0j
+    return complex(np.conj(wbar)), float(np.linalg.norm(py - wbar * psy) / np.linalg.norm(y))
+
+
+def classify_vector(f: ModelVector, lam: complex | None = None,
                     tol: Tolerances = DEFAULT) -> VectorClassification:
     """Classify f as a kernel multiple, a conjugate-kernel multiple or neither.
 
-    Works over the Clark basis for ``lam``: a single surviving coefficient
-    means a boundary kernel at that Clark point; otherwise w-candidates come
-    from the first two nonzero coefficients and are accepted only when inside
-    the closed disk and consistent with every coefficient.  For spaces of
-    dimension <= 2 a non-classification is impossible and treated as an
-    internal error.
+    The kernel test fits w to f - conj(w) S f in span(k_0) (see the module
+    docstring); the conjugate-kernel test is the same fit on C f.  A w is
+    accepted when the residual relative to ||f|| is within ``tol.fit`` and
+    |w| <= 1 + 1e-9; within 1e-9 of the circle it is put on the circle and
+    reported with the kernel tag.  ``scale`` is the least-squares c with
+    f ~ c k_w, resp. c k~_w.  Dimension 1 gives the kernel at the origin,
+    and in dimension 2 a non-classification is impossible and treated as an
+    internal error.  ``lam`` is accepted and ignored: no Clark basis is used.
     """
-    alpha = f.space
-    cb = build_basis(alpha, "clark", lam, tol=tol)
-    c = f.to(cb).coeffs
-    scale_c = np.linalg.norm(c)
-    if scale_c == 0:
+    b = f.space
+    x = f.tm()
+    if np.linalg.norm(x) == 0:
         raise ValueError("cannot classify the zero vector")
-    eta = cb.clark.points
-    sq = np.sqrt(cb.clark.weights)
-    nz = np.nonzero(np.abs(c) > tol.fit * scale_c)[0]
-
-    if len(nz) == 1:
-        j = int(nz[0])
-        return VectorClassification(TAG_KERNEL, complex(eta[j]),
-                                    complex(c[j] / sq[j]), boundary=True)
-
-    d = c * sq                       # d_j proportional to 1/(1 - conj(w) eta_j), resp. 1/(eta_j - w)
-    i, j = int(nz[0]), int(nz[1])
-    target = cb.clark.target
-
-    def try_candidate(tag, w):
-        if abs(w) > 1.0 + _BOUNDARY_PAD:
-            return None
+    if b.degree == 1:
+        return VectorClassification(TAG_KERNEL, 0j, _fit_scalar(x, kernel(b, 0.0).tm())[0])
+    space = b.model_space
+    for tag in (TAG_KERNEL, TAG_CONJ_KERNEL):
+        w, resid = _shift_fit(space, x if tag == TAG_KERNEL else space.conj @ np.conj(x))
+        if resid > tol.fit or abs(w) > 1.0 + _BOUNDARY_PAD:
+            continue
         boundary = abs(w) > 1.0 - _BOUNDARY_PAD
         if boundary:
-            w = w / abs(w)
-        if tag == TAG_KERNEL:
-            kvec = (1.0 - np.conj(evaluate(alpha, w)) * target) / (1.0 - np.conj(w) * eta) / sq
-        else:
-            kvec = (target - evaluate(alpha, w)) / (eta - w) / sq
-        cfit, resid = _fit_scalar(c, kvec)
-        if resid <= tol.fit:
-            return VectorClassification(tag, complex(w), cfit, boundary)
-        return None
-
-    # kernel candidate: d_i (1 - conj(w) eta_i) = d_j (1 - conj(w) eta_j)
-    den = d[i] * eta[i] - d[j] * eta[j]
-    if abs(den) > 0:
-        out = try_candidate(TAG_KERNEL, np.conj((d[i] - d[j]) / den))
-        if out is not None:
-            return out
-    # conjugate-kernel candidate: d_i (eta_i - w) = d_j (eta_j - w)
-    den = d[i] - d[j]
-    if abs(den) > 0:
-        out = try_candidate(TAG_CONJ_KERNEL, (d[i] * eta[i] - d[j] * eta[j]) / den)
-        if out is not None:
-            return out
-    if alpha.degree <= 2:
-        raise AssertionError("classification cannot fail in dimension <= 2: "
+            tag, w = TAG_KERNEL, w / abs(w)
+        model = kernel if tag == TAG_KERNEL else conj_kernel
+        return VectorClassification(tag, w, _fit_scalar(x, model(b, w).tm())[0], boundary)
+    if b.degree == 2:
+        raise AssertionError("classification cannot fail in dimension 2: "
                              "one reflected candidate always lies in the closed disk")
     return VectorClassification(TAG_NEITHER)
 
 
-def decompose_rank_one(a: OperatorMatrix, lam: complex = 1.0 + 0j,
-                       tol: Tolerances = DEFAULT) -> RankOneDecomposition:
+def decompose_rank_one(a: OperatorMatrix, tol: Tolerances = DEFAULT) -> RankOneDecomposition:
     """Factor a rank-one member of the class into a standard form if one exists.
 
     The dominant singular triple gives a = g (x) f (g carries the singular
     value; f is unit norm with its largest coefficient rotated to the positive
     real axis).  The vector living in the space of dimension >= 2 is
-    classified, its partner verified at the same point w.  A failed partner
-    check yields "nonstandard", which the dichotomy only permits when one
-    degree is 1 and the other exceeds 2; anything else raises.
+    classified, which fixes w and its scale; only its partner is fitted, to
+    the mate at the same w.  A failed partner fit yields "nonstandard",
+    which the dichotomy only permits when one degree is 1 and the other
+    exceeds 2; anything else raises.
     """
     alpha, beta = a.alpha, a.beta
     m, n = alpha.degree, beta.degree
@@ -192,19 +181,17 @@ def decompose_rank_one(a: OperatorMatrix, lam: complex = 1.0 + 0j,
     def standard_form(primary: ModelVector, partner: ModelVector, primary_is_g: bool):
         """If primary ~ (conj-)kernel at w and partner matches the mate at the
         same w, rebuild g (x) f = c_g conj(c_f) * (standard pair at w)."""
-        cls = classify_vector(primary, lam, tol)
+        cls = classify_vector(primary, tol=tol)
         if cls.tag == TAG_NEITHER:
             return None
-        tags = [cls.tag]
-        if cls.boundary:
-            tags.append(TAG_CONJ_KERNEL if cls.tag == TAG_KERNEL else TAG_KERNEL)
-        for tag in tags:
-            w = cls.w
-            model = kernel if tag == TAG_KERNEL else conj_kernel
+        w = cls.w
+        scales = {cls.tag: cls.scale}
+        if cls.boundary:        # k_w = conj(B(w)) w k~_w on the circle
+            scales[TAG_CONJ_KERNEL] = cls.scale * np.conj(evaluate(primary.space, w)) * w
+        for tag, c_primary in scales.items():
             mate = conj_kernel if tag == TAG_KERNEL else kernel
-            c_primary, resid_p = _fit_scalar(primary.tm(), model(primary.space, w).tm())
-            c_partner, resid_q = _fit_scalar(partner.tm(), mate(partner.space, w).tm())
-            if resid_p > tol.fit or resid_q > tol.fit:
+            c_partner, resid = _fit_scalar(partner.tm(), mate(partner.space, w).tm())
+            if resid > tol.fit:
                 continue
             if primary_is_g:
                 c_g, c_f = c_primary, c_partner

@@ -525,15 +525,23 @@ def solves(monkeypatch):
 class TestClarkStore:
     def test_every_clark_caller_shares_one_solve(self, rng, solves):
         from attokit.membership import clark_pairing
-        from attokit.rankone import classify_vector
         b = random_blaschke(rng, 4)
         lam = random_unimodular(rng)
         clark_points(b, lam)
         clark_pairing(b, b, lam, lam)
         build_basis(b, "clark", lam)
         build_basis(b, "modified-clark", lam)
-        assert classify_vector(conj_kernel(b, 0.3 + 0.1j), lam).tag == "conj-kernel"
         assert solves == [b]
+
+    def test_rank_one_work_solves_nothing(self, rng, solves):
+        from attokit.operators import standard_rank_one
+        from attokit.rankone import classify_vector, decompose_rank_one
+        alpha, beta = random_blaschke(rng, 4), random_blaschke(rng, 3)
+        w = 0.3 + 0.1j
+        assert classify_vector(conj_kernel(alpha, w), random_unimodular(rng)).tag == "conj-kernel"
+        dec = decompose_rank_one(standard_rank_one(alpha, beta, w, "kernel-conjk"))
+        assert dec.variant == "kernel-conjk" and abs(dec.w - w) <= 1e-12
+        assert solves == []
 
     def test_bases_share_the_stored_point_set(self, rng):
         b = random_blaschke(rng, 4)

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from attokit.blaschke import BlaschkeProduct, monomial
-from attokit.instances import (random_blaschke, random_unimodular,
-                               random_vector, shared_clark_instance)
+from attokit.blaschke import BlaschkeProduct, evaluate, monomial
+from attokit.config import DEFAULT
+from attokit.instances import (random_blaschke, random_points_in_disk,
+                               random_unimodular, random_vector,
+                               shared_clark_instance)
 from attokit.membership import clark_pairing, run_all
 from attokit.modelspace import (ModelVector, build_basis, conj_kernel, kernel,
                                 tm_vector)
@@ -12,6 +14,66 @@ from attokit.rankone import (VectorClassification,
                              boundary_kernel_identity_check, classify_vector,
                              decompose_rank_one, example_4_1,
                              example_4_1_candidates)
+
+
+def clark_classify(f, lam, tol=DEFAULT):
+    """Reference: the Clark-coefficient route, as (tag, w).
+
+    Over the Clark basis for ``lam`` the coefficients of k_w are
+    const / (1 - conj(w) eta_j) / sqrt(w_j), those of k~_w are
+    const / (eta_j - w) / sqrt(w_j).  A single nonzero coefficient is a
+    boundary kernel at its Clark point; otherwise w is eliminated from the
+    first two nonzero coefficients (a linear equation in conj(w), resp. w)
+    and accepted in the closed disk when the kernel fits every coefficient.
+    """
+    b = f.space
+    cb = build_basis(b, "clark", lam, tol=tol)
+    c = f.to(cb).coeffs
+    eta, target = cb.clark.points, cb.clark.target
+    sq = np.sqrt(cb.clark.weights)
+    nz = np.nonzero(np.abs(c) > tol.fit * np.linalg.norm(c))[0]
+    if len(nz) == 1:
+        return "kernel", complex(eta[nz[0]])
+    d = c * sq
+    i, j = nz[:2]
+    candidates = [("kernel", np.conj((d[i] - d[j]) / (d[i] * eta[i] - d[j] * eta[j]))),
+                  ("conj-kernel", (d[i] * eta[i] - d[j] * eta[j]) / (d[i] - d[j]))]
+    for tag, w in candidates:
+        if not np.isfinite(w) or abs(w) > 1.0 + 1e-9:
+            continue
+        if abs(w) > 1.0 - 1e-9:
+            w = w / abs(w)
+        if tag == "kernel":
+            model = (1.0 - np.conj(evaluate(b, w)) * target) / (1.0 - np.conj(w) * eta) / sq
+        else:
+            model = (target - evaluate(b, w)) / (eta - w) / sq
+        fit = np.vdot(model, c) / np.vdot(model, model)
+        if np.linalg.norm(c - fit * model) <= tol.fit * np.linalg.norm(c):
+            return tag, complex(w)
+    return "neither", None
+
+
+def sweep_products(rng, degree):
+    """Zeros up to 0.95; distinct zeros at 0.9999; and a triple zero at
+    0.9999 with a double zero at 0.95 (the triple zero alone at degree 3)."""
+    near = 0.9999 * np.exp(2j * np.pi * (np.arange(degree) + rng.random()) / degree)
+    a, b = 0.9999 * random_unimodular(rng), 0.95 * random_unimodular(rng)
+    rest = list(random_points_in_disk(rng, degree - 5)) if degree > 5 else []
+    return {"0.95": random_blaschke(rng, degree, radius=0.95, min_sep=0.01),
+            "0.9999": BlaschkeProduct(tuple(near), random_unimodular(rng)),
+            "repeated": BlaschkeProduct(tuple(([a] * 3 + [b] * 2 + rest)[:degree]),
+                                        random_unimodular(rng))}
+
+
+SWEEP_RADII = (0.0, 0.3, 0.9, 0.99, 0.9999, 1.0)
+
+
+def sweep_bound(degree, kind):
+    # a triple zero at 0.9999 costs the conjugation matrix about four digits
+    # (its involution defect is 3e-12), and the conj-kernel test reads C f
+    if degree == 3 and kind == "repeated":
+        return 1e-8
+    return 1e-13 if degree == 64 else 1e-11
 
 
 class TestClassifyVector:
@@ -69,10 +131,109 @@ class TestClassifyVector:
             cls2 = classify_vector(scale * conj_kernel(b, w), 1.0)
             assert cls2.tag == "conj-kernel" and abs(cls2.w - w) <= 1e-7
 
+    def test_dimension_one_gives_kernel_at_origin(self, rng):
+        b = random_blaschke(rng, 1)
+        f = random_vector(rng, build_basis(b, "tm"))
+        cls = classify_vector(f)
+        assert (cls.tag, cls.w, cls.boundary) == ("kernel", 0j, False)
+        assert (f - cls.scale * kernel(b, 0.0)).norm() <= 1e-12 * f.norm()
+
+    def test_triple_zero_near_circle_conj_kernels(self):
+        # the Clark route called all four "neither"
+        a = 0.537157428086792 + 0.8433634492027638j           # |a| = 0.9999
+        b = BlaschkeProduct((a, a, a), -0.09675302298241523 - 0.9953084208142541j)
+        for w in (-0.2326227658873399 + 0.18943771744540164j,
+                  -0.29834205182192647 - 0.031496350815339455j,
+                  -0.271950034639705 + 0.1266616700484532j,
+                  -0.25648039047580073 - 0.15562072259625578j):
+            f = (0.5 + 2j) * conj_kernel(b, w)
+            cls = classify_vector(f, 1.0)
+            assert cls.tag == "conj-kernel" and abs(cls.w - w) <= 1e-8
+            assert abs(cls.scale - (0.5 + 2j)) <= 1e-8
+
     def test_zero_vector_rejected(self, rng):
         b = random_blaschke(rng, 2)
         with pytest.raises(ValueError):
             classify_vector(tm_vector(b, np.zeros(2)), 1.0)
+
+
+class TestShiftClassificationSweep:
+    @pytest.mark.parametrize("degree", [3, 16, 64])
+    def test_kernels_and_conj_kernels(self, rng, degree):
+        for kind, b in sweep_products(rng, degree).items():
+            bound = sweep_bound(degree, kind)
+            for r in SWEEP_RADII:
+                w = r * random_unimodular(rng)
+                for tag, vec in (("kernel", kernel), ("conj-kernel", conj_kernel)):
+                    c = complex(rng.standard_normal(), rng.standard_normal())
+                    cls = classify_vector(c * vec(b, w))
+                    # on the circle the two tags coincide and "kernel" is reported
+                    assert cls.tag == ("kernel" if r == 1.0 else tag), (kind, r, tag)
+                    if bound < 1e-9:        # the flag needs w to within its 1e-9 pad
+                        assert cls.boundary == (r == 1.0), (kind, tag, abs(cls.w))
+                    assert abs(cls.w - w) <= bound, (kind, r, tag, abs(cls.w - w))
+
+    @pytest.mark.parametrize("degree", [3, 16, 64])
+    def test_decomposition(self, rng, degree):
+        for kind, b in sweep_products(rng, degree).items():
+            bound = sweep_bound(degree, kind)
+            for r in SWEEP_RADII:
+                w = r * random_unimodular(rng)
+                partner = random_blaschke(rng, int(rng.integers(2, degree + 1)))
+                for variant in ("conjk-kernel", "kernel-conjk"):
+                    c = complex(rng.standard_normal(), rng.standard_normal())
+                    for mat in (c * standard_rank_one(b, partner, w, variant),
+                                c * standard_rank_one(partner, b, w, variant)):
+                        dec = decompose_rank_one(mat)
+                        assert dec.tag == "standard"
+                        if r < 1.0:
+                            assert dec.variant == variant
+                        if bound < 1e-9:
+                            assert dec.boundary == (r == 1.0), (kind, variant, abs(dec.w))
+                        assert abs(dec.w - w) <= bound, (kind, r, variant, abs(dec.w - w))
+                        rec = dec.scale * standard_rank_one(mat.alpha, mat.beta, dec.w,
+                                                            dec.variant)
+                        assert (np.max(np.abs(rec.entries - mat.entries))
+                                <= 1e-8 * np.max(np.abs(mat.entries)))
+
+    @pytest.mark.parametrize("degree", [3, 16, 64])
+    def test_random_vectors_are_neither(self, rng, degree):
+        for b in sweep_products(rng, degree).values():
+            for _ in range(5):
+                assert classify_vector(random_vector(rng, build_basis(b, "tm"))).tag == "neither"
+
+    def test_dimension_two_near_circle_always_classifies(self, rng):
+        # one equation in conj(w): the kernel and conj-kernel solutions are
+        # reflections w -> 1/conj(w), so one lies in the closed disk
+        a = 0.9999 * random_unimodular(rng)
+        products = [BlaschkeProduct((a, a)),
+                    BlaschkeProduct((a, -a), random_unimodular(rng)),
+                    BlaschkeProduct((a, 0.9999 * random_unimodular(rng)))]
+        for b in products:
+            for _ in range(100):
+                f = random_vector(rng, build_basis(b, "tm"))
+                cls = classify_vector(f)
+                assert cls.tag in ("kernel", "conj-kernel") and abs(cls.w) <= 1.0
+                model = kernel if cls.tag == "kernel" else conj_kernel
+                assert (f - cls.scale * model(b, cls.w)).norm() <= 1e-8 * f.norm()
+
+    def test_agrees_with_clark_reference(self, rng):
+        for _ in range(40):
+            b = random_blaschke(rng, int(rng.integers(2, 7)))
+            lam = random_unimodular(rng)
+            w = 0.9 * np.sqrt(rng.random()) * random_unimodular(rng)
+            for tag, vec in (("kernel", kernel), ("conj-kernel", conj_kernel)):
+                f = complex(rng.standard_normal(), rng.standard_normal()) * vec(b, w)
+                ref_tag, ref_w = clark_classify(f, lam)
+                cls = classify_vector(f)
+                assert cls.tag == ref_tag == tag
+                assert abs(cls.w - ref_w) <= 1e-9
+            if b.degree >= 3:
+                f = random_vector(rng, build_basis(b, "tm"))
+                assert classify_vector(f).tag == clark_classify(f, lam)[0] == "neither"
+                f = ModelVector(build_basis(b, "clark", lam), np.eye(b.degree)[0]
+                                + np.eye(b.degree)[1])
+                assert classify_vector(f).tag == clark_classify(f, lam)[0] == "neither"
 
 
 class TestDecomposeRankOne:
@@ -153,7 +314,7 @@ class TestExample41:
         assert res["member"]
 
     def test_decomposition_is_nonstandard(self):
-        for a in (0.5, 0.3 + 0.2j):
+        for a in (0.5, 0.3 + 0.2j, 0.9j, -0.05 + 0.02j, 0.99, 0.7 - 0.7j, 1e-3):
             _, _, mat = example_4_1(a)
             assert decompose_rank_one(mat).tag == "nonstandard"
 
