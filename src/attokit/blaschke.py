@@ -175,5 +175,5 @@ def mobius_target(b: BlaschkeProduct, lam: complex) -> complex:
     """(lam + B(0)) / (1 + conj(B(0)) lam), the boundary value shared by all
     eigenvectors of the rank-one unitary perturbation with parameter lam."""
     lam = complex(lam)
-    b0 = evaluate(b, 0.0)
+    b0 = b.model_space.b0
     return (lam + b0) / (1.0 + np.conj(b0) * lam)

@@ -70,9 +70,12 @@ def config_tolerances(cfg: dict) -> Tolerances:
     if bad:
         raise ValueError(f"unknown tolerance keys: {sorted(bad)}")
     for key, val in given.items():
-        if float(val) <= 0:
-            raise ValueError(f"tolerance {key} must be positive")
-    return dataclasses.replace(DEFAULT, **{k: float(v) for k, v in given.items()})
+        if not isinstance(val, (int, float, str)) or not 0 < float(val) < np.inf:
+            raise ValueError(f"tolerance {key} must be positive and finite")
+    tol = dataclasses.replace(DEFAULT, **{k: float(v) for k, v in given.items()})
+    if tol.decision >= tol.reject_band:
+        raise ValueError("tolerance decision must lie below reject_band")
+    return tol
 
 
 def _resolve(cfg: dict, key: str, flag_value, parser, required=True):

@@ -65,7 +65,7 @@ def random_symbol(rng, alpha: BlaschkeProduct, beta: BlaschkeProduct) -> SymbolS
 
 def lambda_for_target(b: BlaschkeProduct, u: complex) -> complex:
     """The spectral parameter lam whose Moebius image is u."""
-    b0 = evaluate(b, 0.0)
+    b0 = b.model_space.b0
     return complex((complex(u) - b0) / (1.0 - np.conj(b0) * complex(u)))
 
 

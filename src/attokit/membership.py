@@ -11,12 +11,12 @@ from K_alpha to K_beta" are implemented and cross-validated:
    but the free diagonal r[s, s], s < l, follows from the first row and
    column, and x, y are the witness's boundary samples.
 
-2. Rank-two residual identity.  For any complex (a, b), membership is
-   equivalent to A - S_{beta,b} A S_{alpha,a}* collapsing onto
-   span(kernel at 0) on both sides, i.e. the compression of the residual to
-   the orthocomplements vanishes.  The witness pair (chi, psi) is recovered
-   with the normalization <psi, kernel at 0 in K_beta> = 0.  A conjugated
-   variant swaps shift and adjoint and uses conjugate kernels.
+2. Rank-two residual identity.  For any (a, b), membership is equivalent to
+   D = A - S_{beta,b} A S_{alpha,a}* collapsing onto span(kernel at 0) on
+   both sides (Sarason 2007).  The witness (chi, psi) is split off D with
+   <psi, kernel at 0 in K_beta> = 0; the test decides on the rest,
+   D - psi (x) k_0 - k_0 (x) chi, the compression of D to the orthocomplements.
+   A conjugated variant swaps shift and adjoint and uses conjugate kernels.
 
 3. Shift invariance.  <A(zf), zg> = <Af, g> whenever zf and zg stay inside
    their model spaces; the admissible f are exactly those orthogonal to the
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blaschke import BlaschkeProduct, ClarkPointSet, evaluate
+from .blaschke import BlaschkeProduct, ClarkPointSet
 from .config import DEFAULT, Tolerances
 from .modelspace import ModelVector, clark_basis, clark_points, tm_vector
 from .operators import OperatorMatrix, clark_coefficient
@@ -268,11 +268,6 @@ def test_clark_recurrence(matrix: OperatorMatrix, pairing: ClarkPairing,
 # rank-two residual tests
 # ---------------------------------------------------------------------------
 
-def _complement_projector(vec: np.ndarray) -> np.ndarray:
-    v = vec / np.linalg.norm(vec)
-    return np.eye(len(vec), dtype=complex) - np.outer(v, np.conj(v))
-
-
 def _split_residual(d: np.ndarray, left: np.ndarray, right: np.ndarray):
     """Decompose d = psi left^H + right chi^H with <psi, right> = 0.
 
@@ -299,14 +294,11 @@ def _residual_test(matrix: OperatorMatrix, m_tm: np.ndarray, method: str,
     else:
         d = m_tm - sb.conj().T @ m_tm @ sa
         left, right = space_a.kt0, space_b.kt0
-    resid = np.max(np.abs(_complement_projector(right) @ d @ _complement_projector(left)))
-    verdict = _decide(method, float(resid), matrix.max_abs, tol)
-    if not verdict.is_member:
-        return verdict
-    psi_c, chi_c = _split_residual(d, left, right)
-    witness = Witness(tm_vector(matrix.alpha, chi_c),
-                      tm_vector(matrix.beta, psi_c), complex(a), complex(b))
-    return MembershipVerdict(True, verdict.max_residual, method, witness)
+    psi, chi = _split_residual(d, left, right)
+    resid = np.max(np.abs(d - np.outer(psi, np.conj(left)) - np.outer(right, np.conj(chi))))
+    witness = Witness(tm_vector(matrix.alpha, chi), tm_vector(matrix.beta, psi),
+                      complex(a), complex(b))
+    return _decide(method, float(resid), matrix.max_abs, tol, witness)
 
 
 def test_rank_two_residual(matrix: OperatorMatrix, a: complex = 0j, b: complex = 0j,
@@ -330,28 +322,16 @@ def test_conjugate_residual(matrix: OperatorMatrix, a: complex = 0j, b: complex 
 # shift invariance
 # ---------------------------------------------------------------------------
 
-def _shift_domain_tm(kt0: np.ndarray) -> np.ndarray:
-    """TM coordinates, one column each, of an orthonormal basis of
-    { f : z f stays in the model space }, i.e. the orthocomplement of the
-    conjugate kernel at 0, given by its TM coordinates ``kt0`` (dimension
-    m - 1)."""
-    row = np.conj(kt0 / np.linalg.norm(kt0)).reshape(1, -1)   # row @ x = <x, kt>/|kt|
-    _, _, vh = np.linalg.svd(row, full_matrices=True)
-    return np.conj(vh[1:]).T
-
-
 def shift_domain_basis(space: BlaschkeProduct) -> list[ModelVector]:
     """Orthonormal basis of { f : z f stays in the model space }, i.e. the
     orthocomplement of the conjugate kernel at 0 (dimension m - 1)."""
-    return [tm_vector(space, col)
-            for col in _shift_domain_tm(space.model_space.kt0).T]
+    return [tm_vector(space, col) for col in space.model_space.shift_domain.T]
 
 
 def _shift_invariance(matrix: OperatorMatrix, m_tm: np.ndarray,
                       tol: Tolerances) -> MembershipVerdict:
     space_a, space_b = matrix.alpha.model_space, matrix.beta.model_space
-    f = _shift_domain_tm(space_a.kt0)
-    g = _shift_domain_tm(space_b.kt0)
+    f, g = space_a.shift_domain, space_b.shift_domain
     zf = space_a.multiply_by_z(f)
     zg = space_b.multiply_by_z(g)
     resid = np.max(np.abs(zg.conj().T @ m_tm @ zf - g.conj().T @ m_tm @ f), initial=0.0)
@@ -386,8 +366,8 @@ def recover_chi_psi_clark(matrix: OperatorMatrix, pairing: ClarkPairing,
     is verified; a non-member input fails it with a diagnostic.
     """
     r = _paired_entries(matrix, pairing)
-    k0a = 1.0 - np.conj(evaluate(matrix.alpha, 0.0)) * pairing.clark_a.target   # = k_0^alpha(eta_p)
-    k0b = 1.0 - np.conj(evaluate(matrix.beta, 0.0)) * pairing.clark_b.target
+    k0a = 1.0 - np.conj(matrix.alpha.model_space.b0) * pairing.clark_a.target   # = k_0^alpha(eta_p)
+    k0b = 1.0 - np.conj(matrix.beta.model_space.b0) * pairing.clark_b.target
     q = pairing.weight * r
     x, y = _row_column_split(q, pairing.shared, complex(psi1) * np.conj(k0a))
     worst = float(np.max(np.abs(x[:, None] + y[None, :] - q)))

@@ -138,8 +138,8 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 class ModelSpace:
     """The exact objects of one model space in TM coordinates: the compressed
     shift S, the kernel k_0 and the conjugate kernel k~_0 at the origin, so
-    that I - S S* = k_0 k_0^H and I - S* S = k~_0 k~_0^H, and the matrix of
-    the conjugation C.
+    that I - S S* = k_0 k_0^H and I - S* S = k~_0 k~_0^H, an orthonormal
+    basis of the shift domain, the conjugation matrix and B(0).
 
     Reached as ``b.model_space``, one per product.  Each array is computed on
     first use, kept, and read-only, so every modified shift, multiplication
@@ -175,6 +175,11 @@ class ModelSpace:
         return _read_only(np.diag(a) + s[:, None] * s[None, :] * prods)
 
     @functools.cached_property
+    def b0(self) -> complex:
+        """B(0), read by every Moebius target and Clark coefficient."""
+        return complex(evaluate(self.space, 0.0))
+
+    @functools.cached_property
     def k0(self) -> np.ndarray:
         """TM coordinates conj(phi_i(0)) of the kernel at the origin."""
         return _read_only(np.conj(tm_values(self.space, 0.0)))
@@ -187,6 +192,15 @@ class ModelSpace:
         suffix = np.ones(b.degree, dtype=complex)     # suffix[i] = prod_{j>i} (-a_j)
         suffix[:-1] = np.cumprod(-a[:0:-1])[::-1]
         return _read_only(b.front * (-1.0) ** b.degree * np.sqrt(1.0 - np.abs(a) ** 2) * suffix)
+
+    @functools.cached_property
+    def shift_domain(self) -> np.ndarray:
+        """TM coordinates, one column each, of an orthonormal basis of
+        { f : z f stays in the model space }, the orthocomplement of k~_0
+        (dimension m - 1)."""
+        row = np.conj(self.kt0 / np.linalg.norm(self.kt0)).reshape(1, -1)   # row @ x = <x, kt>/|kt|
+        _, _, vh = np.linalg.svd(row, full_matrices=True)
+        return _read_only(np.conj(vh[1:]).T)
 
     @functools.cached_property
     def conj(self) -> np.ndarray:
@@ -202,6 +216,8 @@ class ModelSpace:
             d = 1 - a conj(c),  x = s_a s_c / d,  u = (a - c) / d,  y = (conj(c) - conj(a)) / d,
 
         which is the identity for equal zeros and needs no care at the origin.
+        d is computed as s_a^2 + a conj(a - c), so that for equal zeros
+        d = s_a s_c and x = 1 exactly, even next to the circle.
         The result is symmetric, and an involution to rounding at any degree.
         """
         b = self.space
@@ -212,7 +228,7 @@ class ModelSpace:
         for rnd in range(m):
             p = np.arange(rnd % 2, m - 1, 2)
             q = p + 1
-            d = 1.0 - a[p] * np.conj(a[q])
+            d = s[p] ** 2 + a[p] * np.conj(a[p] - a[q])
             x = (s[p] * s[q] / d)[:, None]
             u = ((a[p] - a[q]) / d)[:, None]
             y = ((np.conj(a[q]) - np.conj(a[p])) / d)[:, None]
@@ -269,7 +285,7 @@ def boundary_solve(b: BlaschkeProduct, u: complex, tol: Tolerances = DEFAULT) ->
     u = complex(u)
     if abs(abs(u) - 1.0) > 1e-9:
         raise ValueError("target must be unimodular")
-    c = u / (1.0 - np.conj(evaluate(b, 0.0)) * u)
+    c = u / (1.0 - np.conj(b.model_space.b0) * u)
     # exp(i arg) is unimodular to half an ulp; eta / |eta| misses by a few
     # ulps, which the step in the argument cannot remove
     eta = np.exp(1j * np.angle(np.linalg.eigvals(b.model_space.modified(c))))

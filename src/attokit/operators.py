@@ -47,7 +47,7 @@ import numpy as np
 import numpy.polynomial.polynomial as npoly
 
 from . import serialize
-from .blaschke import BlaschkeProduct, evaluate
+from .blaschke import BlaschkeProduct
 from .config import DEFAULT, Tolerances
 from .modelspace import (ModelBasis, ModelSpace, ModelVector, build_basis,
                          conj_kernel, doubling_circle_mean, kernel,
@@ -342,7 +342,7 @@ def modified_shift(alpha: BlaschkeProduct, c: complex,
 def clark_coefficient(alpha: BlaschkeProduct, lam: complex) -> complex:
     """(lam + B(0)) / (1 - |B(0)|^2): the modified-shift coefficient whose
     perturbation of the compressed shift is unitary."""
-    a0 = evaluate(alpha, 0.0)
+    a0 = alpha.model_space.b0
     return (complex(lam) + a0) / (1.0 - abs(a0) ** 2)
 
 

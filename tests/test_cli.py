@@ -250,8 +250,16 @@ class TestConfig:
         assert json.loads(out)["alpha"]["points"] == [[1.0, 0.0], [-1.0, 0.0]]
 
     def test_bad_tolerance_rejected(self, capsys, tmp_path):
+        # json writes nan and inf as NaN and Infinity, which json.load accepts
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"tolerances": {"residual": -1}}))
-        code, _, err = run_cli(capsys, "clark", "--config", str(path),
-                               "--alpha", "z2", "--lambda", "1")
-        assert code == 2
+        for tolerances, argv in (
+                ({"residual": -1}, ("clark", "--alpha", "z2", "--lambda", "1")),
+                ({"decision": float("nan")}, ("example-4-1",)),
+                ({"decision": "nan"}, ("example-4-1",)),
+                ({"decision": [1e-7]}, ("example-4-1",)),
+                ({"reject_band": float("inf")}, ("selftest",)),
+                ({"decision": 1e-3}, ("example-4-1",)),
+                ({"decision": 1e-5, "reject_band": 1e-5}, ("selftest",))):
+            path.write_text(json.dumps({"tolerances": tolerances}))
+            code, _, err = run_cli(capsys, *argv, "--config", str(path))
+            assert code == 2 and "tolerance" in err, tolerances

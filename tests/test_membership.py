@@ -87,6 +87,27 @@ def jittered_grid(rng, count):
     return np.exp(2j * np.pi * (np.arange(count) + 0.4 * rng.random(count)) / count)
 
 
+def projector_compression(mat, method, a=0j, b=0j):
+    """Dense reference for the rank-two (or conjugate) residual: d compressed
+    by the complement projectors of the kernels (conjugate kernels) at 0,
+    relative to 1 + max|entry|."""
+    m_tm = mat.tm_entries()
+    sa, sb = mat.alpha.model_space.modified(a), mat.beta.model_space.modified(b)
+    if method == METHOD_RESIDUAL:
+        d = m_tm - sb @ m_tm @ sa.conj().T
+        vec = kernel
+    else:
+        d = m_tm - sb.conj().T @ m_tm @ sa
+        vec = conj_kernel
+
+    def complement(space):
+        v = vec(space, 0.0).tm()
+        v = v / np.linalg.norm(v)
+        return np.eye(len(v)) - np.outer(v, np.conj(v))
+
+    return np.max(np.abs(complement(mat.beta) @ d @ complement(mat.alpha))) / (1.0 + mat.max_abs)
+
+
 def loop_shift_residual(mat):
     """Pair-by-pair reference for the shift-invariance residual."""
     m_tm = mat.tm_entries()
@@ -283,6 +304,28 @@ class TestRankTwoResidual:
         assert np.max(np.abs(d - rec)) <= 1e-9 * (1 + np.max(np.abs(d)))
         # normalization: psi orthogonal to the kernel at 0
         assert abs(inner_product(w.psi, kernel(beta, 0.0))) <= 1e-10
+
+    def test_matches_projector_compression(self, rng):
+        # the residual of the witness split is the compression of d
+        worst = {True: 0.0, False: 0.0}
+        for m, n in ((2, 3), (3, 2), (8, 6), (24, 12), (12, 24), (64, 40), (40, 64)):
+            alpha = random_blaschke(rng, m, radius=0.95)
+            beta = random_blaschke(rng, n, radius=0.95)
+            mat = atto_matrix(alpha, beta, random_symbol(rng, alpha, beta))
+            bumped = mat.entries.copy()
+            bumped[rng.integers(n), rng.integers(m)] += 0.1 * (1.0 + mat.max_abs)
+            bad = OperatorMatrix(bumped, mat.in_basis, mat.out_basis)
+            a, b = complex(rng.standard_normal(), rng.standard_normal()), 0.5j
+            for op, member in ((mat, True), (bad, False)):
+                for method, check, pair in ((METHOD_RESIDUAL, check_residual, (0j, 0j)),
+                                            (METHOD_RESIDUAL, check_residual, (a, b)),
+                                            (METHOD_CONJUGATE, check_conjugate, (0j, 0j))):
+                    verdict = check(op, *pair)
+                    ref = projector_compression(op, method, *pair)
+                    assert verdict.is_member is member
+                    gap = abs(verdict.max_residual - ref) / (1.0 if member else ref)
+                    worst[member] = max(worst[member], gap)
+        assert worst[True] <= 1e-15 and worst[False] <= 1e-12, worst
 
     def test_choice_independence(self, rng):
         *_, pairing, mat = clark_member(rng, 3, 2, 1)
@@ -502,6 +545,30 @@ class TestRunAllSharedWork:
         assert at_origin == []
         for name, verdict in again["methods"].items():
             assert verdict.max_residual == first["methods"][name].max_residual
+
+    def test_warm_run_all_evaluates_nothing_and_factors_nothing(self, rng, monkeypatch):
+        # every evaluate and derivative goes through _pole_guard; B(0) and
+        # the shift domains are read off each space's model_space
+        import attokit.blaschke
+        calls = []
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapped
+
+        *_, pairing, mat = clark_member(rng, 5, 4, 2)
+        bad = perturbed_nonmember(rng, mat, pairing)
+        run_all(mat, pairing)
+        recover_chi_psi_clark(mat, pairing)
+        monkeypatch.setattr(attokit.blaschke, "_pole_guard",
+                            counting("pole guard", attokit.blaschke._pole_guard))
+        monkeypatch.setattr(np.linalg, "svd", counting("svd", np.linalg.svd))
+        assert run_all(mat, pairing)["member"] is True
+        assert run_all(bad, pairing)["member"] is False
+        recover_chi_psi_clark(mat, pairing)
+        assert calls == []
 
     def test_verdicts_equal_the_public_tests(self, rng):
         cases = []

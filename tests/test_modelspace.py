@@ -283,6 +283,14 @@ class TestExactConjugation:
             full = b.model_space.conj @ tm_values(b, 0.0)
             assert np.max(np.abs(b.model_space.kt0 - full)) <= 1e-14
 
+    def test_involution_for_a_triple_zero_next_to_the_circle(self):
+        # equal zeros swap by the identity only if d = 1 - a conj(c) is
+        # rounded like s_a s_c; rounded apart, the defect here is 3.3e-12
+        a = 0.537157428086792 + 0.8433634492027638j           # |a| = 0.9999
+        b = BlaschkeProduct((a, a, a), -0.09675302298241523 - 0.9953084208142541j)
+        c = b.model_space.conj
+        assert np.max(np.abs(c @ np.conj(c) - np.eye(3))) <= 1e-14
+
 
 class TestConjugation:
     def test_is_involution(self, rng):
@@ -463,11 +471,10 @@ class TestMultiplyByZ:
             multiply_by_z(kt)
 
     def test_matches_power_basis_reference(self, rng):
-        from attokit.membership import _shift_domain_tm
         for b in small_products(rng):
             if b.degree < 2:
                 continue
-            f = _shift_domain_tm(conj_kernel(b, 0.0).tm())
+            f = b.model_space.shift_domain
             zf = b.model_space.multiply_by_z(f)
             assert np.max(np.abs(zf - power_basis_multiply_by_z(b, f))) <= 1e-13
             kt = conj_kernel(b, 0.0).tm()
@@ -487,11 +494,25 @@ class TestModelSpace:
 
     def test_cached_arrays_are_read_only(self, rng):
         b = random_blaschke(rng, 4)
-        for name in ("shift", "k0", "kt0", "conj"):
+        for name in ("shift", "k0", "kt0", "shift_domain", "conj"):
             arr = getattr(b.model_space, name)
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0] = 7.0
+
+    def test_b0_is_the_value_at_the_origin(self, rng):
+        for b in small_products(rng) + degree_64_products(rng):
+            b0 = b.model_space.b0
+            assert type(b0) is complex and b0 == evaluate(b, 0.0)
+
+    def test_shift_domain_is_the_conj_kernel_complement(self, rng):
+        for b in small_products(rng) + degree_64_products(rng):
+            space = b.model_space
+            f = space.shift_domain
+            assert f.shape == (b.degree, b.degree - 1)
+            assert np.max(np.abs(f.conj().T @ f - np.eye(b.degree - 1)), initial=0.0) <= 1e-14
+            assert np.max(np.abs(space.kt0.conj() @ f), initial=0.0) <= 1e-14
+            assert space.shift_domain is f
 
     def test_returned_values_do_not_alias_the_cache(self, rng):
         from attokit.operators import compressed_shift
