@@ -203,11 +203,14 @@ def clark_pairing(alpha: BlaschkeProduct, beta: BlaschkeProduct,
 
 def _paired_entries(matrix: OperatorMatrix, pairing: ClarkPairing) -> np.ndarray:
     """The entries of ``matrix`` in the paired order, after checking that its
-    bases are the Clark bases of the pairing's point sets."""
+    bases are the Clark bases of the pairing's point sets (at once when a
+    basis holds the very point set, as stored bases and pairings share)."""
     for basis, point_set in ((matrix.in_basis, pairing.clark_a),
                              (matrix.out_basis, pairing.clark_b)):
         if basis.kind != "clark" or basis.clark is None:
             raise ValueError("recurrence test requires the matrix in Clark bases")
+        if basis.clark is point_set:
+            continue
         if basis.clark.lam != point_set.lam:
             raise ValueError("matrix basis and pairing disagree on the spectral parameter")
         if not np.allclose(basis.clark.points, point_set.points, atol=1e-12):
@@ -332,8 +335,7 @@ def _shift_invariance(matrix: OperatorMatrix, m_tm: np.ndarray,
                       tol: Tolerances) -> MembershipVerdict:
     space_a, space_b = matrix.alpha.model_space, matrix.beta.model_space
     f, g = space_a.shift_domain, space_b.shift_domain
-    zf = space_a.multiply_by_z(f)
-    zg = space_b.multiply_by_z(g)
+    zf, zg = space_a.shift_image, space_b.shift_image
     resid = np.max(np.abs(zg.conj().T @ m_tm @ zf - g.conj().T @ m_tm @ f), initial=0.0)
     return _decide(METHOD_SHIFT, float(resid), matrix.max_abs, tol)
 

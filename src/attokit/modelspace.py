@@ -150,10 +150,20 @@ class ModelSpace:
     first use, all with read-only arrays.  ``tol`` is part of the key because
     its residual and separation checks gate the solve.  A solve that raises
     stores nothing, and the store keeps the last ``CLARK_ENTRIES`` keys.
+
+    And it stores the TM values at the levels of the nested circle quadrature
+    (see :meth:`level_values`), keyed by the level: its node count n and
+    whether it is the full first level or the odd half of a doubling.  A
+    level is stored, read-only, on its second evaluation; the first keeps
+    nothing, so a product evaluated once (and freed only by the cyclic
+    collector, since it refers to its space and back) holds no node arrays.
+    The library's quadratures all start at 256 nodes, so a space stores at
+    most one ladder of levels: m x ``n_max`` (32768) complex values.
     """
 
     space: BlaschkeProduct
     _clark: dict = field(default_factory=dict, init=False, repr=False)
+    _levels: dict = field(default_factory=dict, init=False, repr=False)
 
     @functools.cached_property
     def shift(self) -> np.ndarray:
@@ -201,6 +211,12 @@ class ModelSpace:
         row = np.conj(self.kt0 / np.linalg.norm(self.kt0)).reshape(1, -1)   # row @ x = <x, kt>/|kt|
         _, _, vh = np.linalg.svd(row, full_matrices=True)
         return _read_only(np.conj(vh[1:]).T)
+
+    @functools.cached_property
+    def shift_image(self) -> np.ndarray:
+        """TM coordinates of z f for each column f of :attr:`shift_domain`,
+        i.e. S F."""
+        return _read_only(self.multiply_by_z(self.shift_domain))
 
     @functools.cached_property
     def conj(self) -> np.ndarray:
@@ -256,6 +272,19 @@ class ModelSpace:
             raise ValueError("z*f leaves the model space: f is not orthogonal to the "
                              "conjugate kernel at 0")
         return self.shift @ coords
+
+    def level_values(self, z: np.ndarray) -> np.ndarray:
+        """``tm_values(space, z)`` at one level z of :func:`doubling_circle_mean`,
+        the full level ``circle_nodes(n)`` or the odd half
+        ``circle_nodes(n)[1::2]`` that a doubling to n adds.  The level is read
+        off z: the full level starts at the node 1, the odd half does not.
+        Stored on the level's second evaluation, then returned as stored."""
+        key = (len(z), False) if z[0] == 1.0 else (2 * len(z), True)
+        vals = self._levels.get(key)
+        if vals is None:          # the first evaluation marks the level, the second stores it
+            vals = tm_values(self.space, z)
+            self._levels[key] = _read_only(vals) if key in self._levels else None
+        return vals
 
     def clark(self, lam: complex, tol: Tolerances = DEFAULT) -> "ClarkEntry":
         """The stored Clark entry for (lam, tol), solved on first use; when
@@ -562,7 +591,7 @@ def project(b: BlaschkeProduct, values_fn, tol: Tolerances = DEFAULT) -> ModelVe
     """Orthogonal projection onto the model space of a circle function given
     by ``values_fn(nodes)``, expanded in TM coordinates by quadrature."""
     def node_sum(z):
-        return np.conj(tm_values(b, z)) @ values_fn(z)
+        return np.conj(b.model_space.level_values(z)) @ values_fn(z)
 
     coords = doubling_circle_mean(node_sum, tol.quadrature)
     return tm_vector(b, coords)

@@ -14,9 +14,13 @@ Two computation paths are provided.  The canonical one evaluates the pairing
 projection is absorbed because g_s already lies in K_beta), on nested levels
 that evaluate each node once.  At a node the TM values of each space are
 computed once, also for a structured symbol whose parts live in the two
-spaces; a level adds up to one product P = conj(V_beta) (phi V_alpha)^T.  The
-TM bases are orthonormal, so P is the operator's TM matrix, and it moves to
-the requested bases as on the exact path.  The doubling stops at the first
+spaces.  They are read through the space's ``model_space``, which keeps a
+level's values from its second evaluation on (``ModelSpace.level_values``):
+a reused space evaluates its TM basis at a level at most twice, and a space
+used once keeps nothing.  A level adds up to one product
+P = conj(V_beta) (phi V_alpha)^T.  The TM bases are orthonormal, so P is the
+operator's TM matrix, and it moves to the requested bases as on the exact
+path.  The doubling stops at the first
 level whose gap d to the previous level is within the tolerance, or, from the
 third level on, whose gap times the last observed contraction d / d_prev is.
 The integrand is rational with poles off the circle, so its error falls
@@ -264,8 +268,8 @@ def atto_matrix(alpha: BlaschkeProduct, beta: BlaschkeProduct, symbol: SymbolSpe
               and (psi is None or psi.space == beta))
 
     def node_sum(z):
-        va = tm_values(alpha, z)                  # (m, N) TM values of K_alpha
-        vb = va if beta == alpha else tm_values(beta, z)
+        va = alpha.model_space.level_values(z)    # (m, N) TM values of K_alpha
+        vb = va if beta == alpha else beta.model_space.level_values(z)
         phi = symbol._structured_values(z, va, vb) if shared else symbol.values(z)
         return np.conj(vb) @ (phi * va).T         # (n, m), TM coordinates
 

@@ -3,7 +3,7 @@ import numpy.polynomial.polynomial as npoly
 import pytest
 
 from attokit import clark_points
-from attokit.blaschke import BlaschkeProduct, evaluate, monomial
+from attokit.blaschke import BlaschkeProduct, ClarkPointSet, evaluate, monomial
 from attokit.config import DEFAULT
 from attokit.instances import (blaschke_through_points, constrained_entries,
                                lambda_for_target, member_matrix,
@@ -178,6 +178,24 @@ class TestClarkRecurrence:
         mat = atto_matrix(alpha, beta, random_symbol(rng, alpha, beta))
         with pytest.raises(ValueError):
             check_recurrence(mat, pairing)
+
+    def test_hand_built_point_sets_are_still_compared(self, rng):
+        # the stored set is the pairing's own, so the point comparison is
+        # skipped for it; a hand-built set is compared point by point
+        *_, pairing, mat = clark_member(rng, 4, 3, 1)
+        assert mat.in_basis.clark is pairing.clark_a and mat.out_basis.clark is pairing.clark_b
+        cp = pairing.clark_a
+        copy = ClarkPointSet(cp.lam, cp.target, cp.points.copy(), cp.weights.copy())
+        same = match_clark_points(copy, pairing.clark_b)
+        assert check_recurrence(mat, same).max_residual == \
+            check_recurrence(mat, pairing).max_residual
+        moved = copy.points.copy()
+        moved[2] *= np.exp(1e-3j)
+        bad = ClarkPointSet(cp.lam, cp.target, moved, cp.weights.copy())
+        with pytest.raises(ValueError, match="disagree on the Clark points"):
+            check_recurrence(mat, match_clark_points(bad, pairing.clark_b))
+        with pytest.raises(ValueError, match="disagree on the Clark points"):
+            recover_chi_psi_clark(mat, match_clark_points(bad, pairing.clark_b))
 
     def test_shared_instances(self, rng):
         for (m, n, l) in [(3, 2, 1), (3, 3, 2), (4, 3, 3)]:

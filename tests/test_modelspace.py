@@ -494,7 +494,7 @@ class TestModelSpace:
 
     def test_cached_arrays_are_read_only(self, rng):
         b = random_blaschke(rng, 4)
-        for name in ("shift", "k0", "kt0", "shift_domain", "conj"):
+        for name in ("shift", "k0", "kt0", "shift_domain", "shift_image", "conj"):
             arr = getattr(b.model_space, name)
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
@@ -513,6 +513,8 @@ class TestModelSpace:
             assert np.max(np.abs(f.conj().T @ f - np.eye(b.degree - 1)), initial=0.0) <= 1e-14
             assert np.max(np.abs(space.kt0.conj() @ f), initial=0.0) <= 1e-14
             assert space.shift_domain is f
+            assert np.array_equal(space.shift_image, space.multiply_by_z(f))
+            assert space.shift_image is space.shift_image
 
     def test_returned_values_do_not_alias_the_cache(self, rng):
         from attokit.operators import compressed_shift

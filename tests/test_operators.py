@@ -9,7 +9,8 @@ from attokit.instances import (member_matrix, random_blaschke, random_symbol,
                                shared_clark_instance)
 from attokit import modelspace, operators
 from attokit.modelspace import (ModelVector, build_basis, circle_nodes,
-                                conj_kernel, inner_product, kernel, tm_vector)
+                                conj_kernel, inner_product, kernel, project,
+                                tm_vector)
 from attokit.operators import (IDENTITY_SYMBOL, OperatorMatrix, RationalSymbol,
                                SymbolSpec, atto_matrix, clark_unitary,
                                compressed_shift, conjugate_operator,
@@ -20,6 +21,19 @@ from test_blaschke import reference_boundary_solve
 
 def z_symbol():
     return SymbolSpec(raw=IDENTITY_SYMBOL)
+
+
+def counted_tm_values(monkeypatch):
+    """Record the points of every ``modelspace.tm_values`` call, per space."""
+    seen = {}
+    real = modelspace.tm_values
+
+    def counting(b, z):
+        seen.setdefault(b, []).append(np.array(z))
+        return real(b, z)
+
+    monkeypatch.setattr(modelspace, "tm_values", counting)
+    return seen
 
 
 class TestAttoMatrix:
@@ -91,15 +105,8 @@ class TestAttoMatrix:
             atto_matrix(b, b, spiky)
 
     def test_each_node_evaluated_once_per_space(self, rng, monkeypatch):
-        seen = {}
-        real = modelspace.tm_values
-
-        def counting(b, z):
-            seen.setdefault(b, []).append(np.array(z))
-            return real(b, z)
-
-        monkeypatch.setattr(modelspace, "tm_values", counting)
-        monkeypatch.setattr(operators, "tm_values", counting)
+        seen = counted_tm_values(monkeypatch)
+        monkeypatch.setattr(operators, "tm_values", modelspace.tm_values)   # counted too
         alpha = random_blaschke(rng, 5, radius=0.95)
         beta = random_blaschke(rng, 4, radius=0.95)
         for a, b in ((alpha, beta), (alpha, alpha)):
@@ -112,6 +119,10 @@ class TestAttoMatrix:
                 n = len(nodes)
                 assert n >= 512 and n & (n - 1) == 0
                 assert np.array_equal(np.sort_complex(nodes), np.sort_complex(circle_nodes(n)))
+                # one call per level, in ladder order
+                assert np.array_equal(seen[space][0], circle_nodes(256))
+                assert [len(z) for z in seen[space]] == [256] + [256 << k for k in
+                                                               range(len(seen[space]) - 1)]
 
     def test_symbol_parts_over_other_bases_and_spaces(self, rng):
         for m, n in ((3, 2), (5, 6), (12, 9)):
@@ -192,6 +203,84 @@ def two_level_node_count(node_sum, tol, n_start=256, n_max=1 << 15):
         prev = mean
         n *= 2
     return np.inf
+
+
+class TestLevelStore:
+    """Each space keeps its quadrature levels' TM values from their second
+    evaluation on (``ModelSpace.level_values``)."""
+
+    def test_third_quadrature_evaluates_nothing(self, rng, monkeypatch):
+        for m, n in ((5, 4), (12, 16)):
+            alpha, beta = random_blaschke(rng, m), random_blaschke(rng, n)
+            lam1, lam2 = random_unimodular(rng), random_unimodular(rng)
+            syms = [random_symbol(rng, alpha, beta) for _ in range(3)]
+            cold_a = BlaschkeProduct(alpha.zeros, alpha.front)
+            cold_b = BlaschkeProduct(beta.zeros, beta.front)
+            warm_bases = build_basis(alpha, "clark", lam1), build_basis(beta, "clark", lam2)
+            cold_bases = build_basis(cold_a, "clark", lam1), build_basis(cold_b, "clark", lam2)
+            for sym in syms[:2]:
+                atto_matrix(alpha, beta, sym)
+            seen = counted_tm_values(monkeypatch)
+            warm = [atto_matrix(alpha, beta, syms[2]),
+                    atto_matrix(alpha, beta, syms[2], *warm_bases)]
+            assert seen == {}
+            cold = [atto_matrix(cold_a, cold_b, syms[2]),
+                    atto_matrix(cold_a, cold_b, syms[2], *cold_bases)]
+            assert len(seen[cold_a]) >= 4 and len(seen[cold_b]) >= 4
+            for got, ref in zip(warm, cold):
+                assert np.array_equal(got.entries, ref.entries)
+
+    def test_first_quadrature_stores_nothing(self, rng):
+        alpha, beta = random_blaschke(rng, 6, radius=0.95), random_blaschke(rng, 3)
+        sym = random_symbol(rng, alpha, beta)
+        atto_matrix(alpha, beta, sym)
+        for b in (alpha, beta):
+            levels = b.model_space._levels
+            assert levels and all(vals is None for vals in levels.values())
+            assert min(levels) == (256, False)
+            assert all(odd for n, odd in levels if n > 256)
+        atto_matrix(alpha, beta, sym)
+        for b in (alpha, beta):
+            for (n, odd), vals in b.model_space._levels.items():
+                nodes = circle_nodes(n)[1::2] if odd else circle_nodes(n)
+                assert np.array_equal(vals, modelspace.tm_values(b, nodes))
+
+    def test_stored_levels_are_read_only(self, rng):
+        alpha, beta = random_blaschke(rng, 4), random_blaschke(rng, 5)
+        for _ in range(2):
+            atto_matrix(alpha, beta, random_symbol(rng, alpha, beta))
+        for b in (alpha, beta):
+            for vals in b.model_space._levels.values():
+                assert not vals.flags.writeable
+                with pytest.raises(ValueError):
+                    vals[0, 0] = 7.0
+
+    def test_equal_spaces_evaluate_each_level_once(self, rng, monkeypatch):
+        alpha = random_blaschke(rng, 7, radius=0.9)
+        sym = random_symbol(rng, alpha, alpha)
+        seen = counted_tm_values(monkeypatch)
+        for calls in (1, 1, 0):                 # mark, store, read
+            seen.clear()
+            atto_matrix(alpha, alpha, sym)
+            levels = alpha.model_space._levels
+            assert len(levels) >= 2 and len(seen.get(alpha, [])) == calls * len(levels)
+
+    def test_project_reads_the_same_store(self, rng, monkeypatch):
+        alpha = random_blaschke(rng, 5)
+        cold = BlaschkeProduct(alpha.zeros, alpha.front)
+        sym = SymbolSpec(raw=IDENTITY_SYMBOL)
+        for _ in range(2):
+            atto_matrix(alpha, alpha, sym)
+        seen = counted_tm_values(monkeypatch)
+        got = project(alpha, IDENTITY_SYMBOL).coeffs
+        assert seen == {}
+        assert np.array_equal(got, project(cold, IDENTITY_SYMBOL).coeffs)
+        assert len(seen[cold]) == 2           # 256 nodes, then the odd half of 512
+        project(cold, IDENTITY_SYMBOL)
+        seen.clear()
+        assert np.array_equal(atto_matrix(cold, cold, sym).entries,
+                              atto_matrix(alpha, alpha, sym).entries)
+        assert seen == {}
 
 
 class TestClosedPath:
