@@ -284,11 +284,12 @@ def _split_residual(d: np.ndarray, left: np.ndarray, right: np.ndarray):
     return psi, chi
 
 
-def _residual_test(matrix: OperatorMatrix, m_tm: np.ndarray, method: str,
-                   a: complex, b: complex, tol: Tolerances) -> MembershipVerdict:
+def _residual_test(matrix: OperatorMatrix, method: str, a: complex, b: complex,
+                   tol: Tolerances) -> MembershipVerdict:
     """The rank-two test (METHOD_RESIDUAL) or its conjugate mirror
-    (METHOD_CONJUGATE) with the modified shifts S_{alpha,a}, S_{beta,b};
-    ``m_tm`` is ``matrix.tm_entries()``."""
+    (METHOD_CONJUGATE) with the modified shifts S_{alpha,a}, S_{beta,b}, on
+    the matrix's TM matrix."""
+    m_tm = matrix.tm_entries()
     space_a, space_b = matrix.alpha.model_space, matrix.beta.model_space
     sa, sb = space_a.modified(a), space_b.modified(b)
     if method == METHOD_RESIDUAL:
@@ -311,14 +312,14 @@ def test_rank_two_residual(matrix: OperatorMatrix, a: complex = 0j, b: complex =
     The verdict holds for every choice of (a, b); the witness is returned in
     TM coordinates with <psi, kernel at 0 of K_beta> = 0.
     """
-    return _residual_test(matrix, matrix.tm_entries(), METHOD_RESIDUAL, a, b, tol)
+    return _residual_test(matrix, METHOD_RESIDUAL, a, b, tol)
 
 
 def test_conjugate_residual(matrix: OperatorMatrix, a: complex = 0j, b: complex = 0j,
                             tol: Tolerances = DEFAULT) -> MembershipVerdict:
     """Mirror of the rank-two test: A - S_{beta,b}* A S_{alpha,a} collapses
     onto the spans of the conjugate kernels at 0."""
-    return _residual_test(matrix, matrix.tm_entries(), METHOD_CONJUGATE, a, b, tol)
+    return _residual_test(matrix, METHOD_CONJUGATE, a, b, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -331,22 +332,18 @@ def shift_domain_basis(space: BlaschkeProduct) -> list[ModelVector]:
     return [tm_vector(space, col) for col in space.model_space.shift_domain.T]
 
 
-def _shift_invariance(matrix: OperatorMatrix, m_tm: np.ndarray,
-                      tol: Tolerances) -> MembershipVerdict:
-    space_a, space_b = matrix.alpha.model_space, matrix.beta.model_space
-    f, g = space_a.shift_domain, space_b.shift_domain
-    zf, zg = space_a.shift_image, space_b.shift_image
-    resid = np.max(np.abs(zg.conj().T @ m_tm @ zf - g.conj().T @ m_tm @ f), initial=0.0)
-    return _decide(METHOD_SHIFT, float(resid), matrix.max_abs, tol)
-
-
 def test_shift_invariance(matrix: OperatorMatrix, tol: Tolerances = DEFAULT) -> MembershipVerdict:
     """Membership via <A(zf), zg> = <Af, g> over the admissible pairs.
 
     With the domain bases F, G as columns and Z_F, Z_G their images under
     multiplication by z, the residual is max |Z_G^H A Z_F - G^H A F|.
     """
-    return _shift_invariance(matrix, matrix.tm_entries(), tol)
+    m_tm = matrix.tm_entries()
+    space_a, space_b = matrix.alpha.model_space, matrix.beta.model_space
+    f, g = space_a.shift_domain, space_b.shift_domain
+    zf, zg = space_a.shift_image, space_b.shift_image
+    resid = np.max(np.abs(zg.conj().T @ m_tm @ zf - g.conj().T @ m_tm @ f), initial=0.0)
+    return _decide(METHOD_SHIFT, float(resid), matrix.max_abs, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -394,9 +391,10 @@ def run_all(matrix: OperatorMatrix, pairing: ClarkPairing | None = None,
     Returns {"member": bool, "methods": {name: verdict}}; raises
     IndeterminateError if any single test lands in its dead band and
     MethodDisagreement if the verdicts differ.  The Clark bases come from the
-    pairing's own point sets, and the TM-coordinate tests share one TM
-    matrix and each space's ``model_space``, so the verdicts equal those of
-    the public test functions called one by one.
+    pairing's own point sets.  The TM-coordinate verdicts are those of
+    :func:`test_rank_two_residual`, :func:`test_conjugate_residual` and
+    :func:`test_shift_invariance`, which share the matrix's one TM matrix
+    (``OperatorMatrix.tm_entries``) and each space's ``model_space``.
     """
     verdicts = {}
     if pairing is None and matrix.in_basis.kind == "clark" and matrix.out_basis.kind == "clark":
@@ -407,12 +405,11 @@ def run_all(matrix: OperatorMatrix, pairing: ClarkPairing | None = None,
         a1 = clark_coefficient(matrix.alpha, pairing.clark_a.lam)
         b1 = clark_coefficient(matrix.beta, pairing.clark_b.lam)
         residual_pairs = tuple(residual_pairs) + ((a1, b1),)
-    m_tm = matrix.tm_entries()
     for idx, (a, b) in enumerate(residual_pairs):
         name = METHOD_RESIDUAL if idx == 0 else f"{METHOD_RESIDUAL}[{idx}]"
-        verdicts[name] = _residual_test(matrix, m_tm, METHOD_RESIDUAL, a, b, tol)
-    verdicts[METHOD_CONJUGATE] = _residual_test(matrix, m_tm, METHOD_CONJUGATE, 0j, 0j, tol)
-    verdicts[METHOD_SHIFT] = _shift_invariance(matrix, m_tm, tol)
+        verdicts[name] = test_rank_two_residual(matrix, a, b, tol)
+    verdicts[METHOD_CONJUGATE] = test_conjugate_residual(matrix, tol=tol)
+    verdicts[METHOD_SHIFT] = test_shift_invariance(matrix, tol)
 
     answers = {v.is_member for v in verdicts.values()}
     if len(answers) != 1:

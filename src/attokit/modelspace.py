@@ -379,15 +379,6 @@ class ModelBasis:
     def lam(self):
         return None if self.clark is None else self.clark.lam
 
-    def same(self, other: "ModelBasis") -> bool:
-        if self.space != other.space or self.kind != other.kind:
-            return False
-        if (self.clark is None) != (other.clark is None):
-            return False
-        if self.clark is not None and self.clark.lam != other.clark.lam:
-            return False
-        return True
-
     def descriptor(self) -> dict:
         out = {"basis": self.kind}
         if self.clark is not None:
@@ -509,9 +500,9 @@ class ModelVector:
         return float(np.linalg.norm(self.tm()))
 
     def __add__(self, other: "ModelVector") -> "ModelVector":
-        if other.basis.same(self.basis):
-            return ModelVector(self.basis, self.coeffs + other.coeffs)
-        return ModelVector(self.basis, self.coeffs + other.to(self.basis).coeffs)
+        if other.basis is not self.basis:
+            other = other.to(self.basis)
+        return ModelVector(self.basis, self.coeffs + other.coeffs)
 
     def __sub__(self, other: "ModelVector") -> "ModelVector":
         return self + (-1.0) * other

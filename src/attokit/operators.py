@@ -13,8 +13,8 @@ Two computation paths are provided.  The canonical one evaluates the pairing
 <phi f_p, g_s> by adaptive trapezoid quadrature on the unit circle (the
 projection is absorbed because g_s already lies in K_beta), on nested levels
 that evaluate each node once.  At a node the TM values of each space are
-computed once, also for a structured symbol whose parts live in the two
-spaces.  They are read through the space's ``model_space``, which keeps a
+computed once, also for a structured symbol: a part over K_alpha or K_beta
+reads that space's values.  They are read through the space's ``model_space``, which keeps a
 level's values from its second evaluation on (``ModelSpace.level_values``):
 a reused space evaluates its TM basis at a level at most twice, and a space
 used once keeps nothing.  A level adds up to one product
@@ -45,6 +45,7 @@ and the other two add a rank-one term built from exact kernels.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,7 +54,7 @@ import numpy.polynomial.polynomial as npoly
 from . import serialize
 from .blaschke import BlaschkeProduct
 from .config import DEFAULT, Tolerances
-from .modelspace import (ModelBasis, ModelSpace, ModelVector, build_basis,
+from .modelspace import (ModelBasis, ModelSpace, ModelVector, _read_only, build_basis,
                          conj_kernel, doubling_circle_mean, kernel,
                          tm_values, tm_vector)
 
@@ -103,9 +104,12 @@ class SymbolSpec:
     def structured(self) -> bool:
         return self.co_analytic is not None or self.analytic is not None
 
-    def _structured_values(self, z, chi_vals=None, psi_vals=None):
-        """conj(chi(z)) + psi(z), from the TM values of chi's and psi's spaces
-        at z when the caller already holds them (evaluated here otherwise)."""
+    def values(self, z, chi_vals=None, psi_vals=None):
+        """Boundary values on |z| = 1; conj(chi(z)) + psi(z) reads the TM values
+        of chi's and psi's spaces at z from ``chi_vals`` and ``psi_vals`` when
+        given, and evaluates them otherwise."""
+        if not self.structured:
+            return self.raw(np.asarray(z, dtype=complex))
         out = np.zeros(np.shape(z), dtype=complex)
         if self.co_analytic is not None:
             if chi_vals is None:
@@ -117,12 +121,6 @@ class SymbolSpec:
             out = out + np.tensordot(self.analytic.tm(), psi_vals, axes=(0, 0))
         return out
 
-    def values(self, z):
-        """Boundary values on |z| = 1."""
-        if self.structured:
-            return self._structured_values(z)
-        return self.raw(np.asarray(z, dtype=complex))
-
     def conjugated_pair(self) -> "SymbolSpec":
         """The symbol conj(phi) for the operator between swapped spaces."""
         if not self.structured:
@@ -130,13 +128,15 @@ class SymbolSpec:
         return SymbolSpec(co_analytic=self.analytic, analytic=self.co_analytic)
 
     def to_json(self) -> dict:
+        if self.raw is not None:
+            if not isinstance(self.raw, RationalSymbol):
+                raise ValueError("a raw symbol has a JSON form only as a RationalSymbol")
+            return {"raw": self.raw.to_json()}
         out = {}
         if self.co_analytic is not None:
             out["co_analytic"] = self.co_analytic.to_json()
         if self.analytic is not None:
             out["analytic"] = self.analytic.to_json()
-        if isinstance(self.raw, RationalSymbol):
-            out["raw"] = self.raw.to_json()
         return out
 
     @classmethod
@@ -149,18 +149,20 @@ class SymbolSpec:
 
 @dataclass(eq=False, frozen=True)
 class OperatorMatrix:
-    """Complex matrix tagged with its input and output bases."""
+    """Complex matrix tagged with its input and output bases.  ``entries`` is
+    a read-only copy of the given array; the read-only TM matrix is solved for
+    once, or kept from :meth:`from_tm`, and shared by every use."""
 
     entries: np.ndarray
     in_basis: ModelBasis
     out_basis: ModelBasis
 
     def __post_init__(self):
-        entries = np.asarray(self.entries, dtype=complex)
+        entries = _read_only(np.array(self.entries, dtype=complex))
         if entries.shape != (self.out_basis.dim, self.in_basis.dim):
             raise ValueError(f"entry shape {entries.shape} does not match bases "
                              f"({self.out_basis.dim}, {self.in_basis.dim})")
-        if not np.all(np.isfinite(entries.view(float))):
+        if not np.all(np.isfinite(entries)):
             raise ValueError("matrix entries must be finite")
         object.__setattr__(self, "entries", entries)
 
@@ -172,22 +174,28 @@ class OperatorMatrix:
     def beta(self) -> BlaschkeProduct:
         return self.out_basis.space
 
-    @property
+    @functools.cached_property
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.entries)))
 
+    @functools.cached_property
+    def _tm(self) -> np.ndarray:
+        t_in, t_out = self.in_basis.matrix, self.out_basis.matrix
+        return _read_only(np.linalg.solve(t_in.T, (t_out @ self.entries).T).T)
+
     def tm_entries(self) -> np.ndarray:
-        """The same operator as a matrix between TM coordinates."""
-        t_in = self.in_basis.matrix
-        t_out = self.out_basis.matrix
-        return np.linalg.solve(t_in.T, (t_out @ self.entries).T).T
+        """The same operator as a matrix between TM coordinates (read-only)."""
+        return self._tm
 
     @classmethod
     def from_tm(cls, tm: np.ndarray, in_basis: ModelBasis,
                 out_basis: ModelBasis) -> "OperatorMatrix":
         """The operator with matrix ``tm`` between TM coordinates, over the
-        given bases."""
-        return cls(np.linalg.solve(out_basis.matrix, tm @ in_basis.matrix), in_basis, out_basis)
+        given bases; it keeps a read-only copy of ``tm`` as its TM matrix."""
+        tm = _read_only(np.array(tm, dtype=complex))
+        mat = cls(np.linalg.solve(out_basis.matrix, tm @ in_basis.matrix), in_basis, out_basis)
+        object.__setattr__(mat, "_tm", tm)
+        return mat
 
     def in_bases(self, in_basis: ModelBasis, out_basis: ModelBasis) -> "OperatorMatrix":
         """The same operator over the given bases; ``self`` when they are
@@ -262,15 +270,16 @@ def atto_matrix(alpha: BlaschkeProduct, beta: BlaschkeProduct, symbol: SymbolSpe
     if method != "quadrature":
         raise ValueError("method must be 'quadrature' or 'closed'")
 
-    chi, psi = symbol.co_analytic, symbol.analytic
-    # phi from the nodes' TM values when its parts live in K_alpha and K_beta
-    shared = (symbol.structured and (chi is None or chi.space == alpha)
-              and (psi is None or psi.space == beta))
-
     def node_sum(z):
         va = alpha.model_space.level_values(z)    # (m, N) TM values of K_alpha
         vb = va if beta == alpha else beta.model_space.level_values(z)
-        phi = symbol._structured_values(z, va, vb) if shared else symbol.values(z)
+
+        def held(part):       # a part over K_alpha or K_beta reads the values above
+            if part is None:
+                return None
+            return va if part.space == alpha else vb if part.space == beta else None
+
+        phi = symbol.values(z, held(symbol.co_analytic), held(symbol.analytic))
         return np.conj(vb) @ (phi * va).T         # (n, m), TM coordinates
 
     return OperatorMatrix.from_tm(doubling_circle_mean(node_sum, tol.quadrature),

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -140,6 +141,16 @@ class TestMembership:
                                  "--method", method)
             assert code == 0
             assert len(calls) == 2
+
+    def test_disagreement_exit_four(self, capsys, instance, monkeypatch):
+        import attokit.membership
+        shift = attokit.membership.test_shift_invariance
+        monkeypatch.setattr(attokit.membership, "test_shift_invariance", lambda matrix, tol: (
+            dataclasses.replace(shift(matrix, tol), is_member=False)))
+        mpath, _ = instance
+        code, _, err = run_cli(capsys, "membership", "--matrix", str(mpath))
+        assert code == 4
+        assert "indeterminate: membership methods disagree" in err
 
     def test_missing_file_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "membership", "--matrix", "/nonexistent.json")

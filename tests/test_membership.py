@@ -1,8 +1,10 @@
+import dataclasses
+
 import numpy as np
 import numpy.polynomial.polynomial as npoly
 import pytest
 
-from attokit import clark_points
+from attokit import clark_points, membership
 from attokit.blaschke import BlaschkeProduct, ClarkPointSet, evaluate, monomial
 from attokit.config import DEFAULT
 from attokit.instances import (blaschke_through_points, constrained_entries,
@@ -13,6 +15,7 @@ from attokit.instances import (blaschke_through_points, constrained_entries,
 from attokit.membership import (METHOD_CLARK, METHOD_CONJUGATE,
                                 METHOD_RESIDUAL, METHOD_SHIFT,
                                 IndeterminateError, MembershipVerdict,
+                                MethodDisagreement,
                                 clark_pairing, match_clark_points,
                                 recover_chi_psi_clark, recurrence_rhs, run_all,
                                 shift_domain_basis)
@@ -610,6 +613,37 @@ class TestRunAllSharedWork:
                 if ref.witness is not None:
                     assert np.array_equal(verdict.witness.chi.coeffs, ref.witness.chi.coeffs)
                     assert np.array_equal(verdict.witness.psi.coeffs, ref.witness.psi.coeffs)
+
+    def test_tm_tests_share_one_conversion(self, rng, monkeypatch):
+        # one solve back to TM coordinates serves all three TM-coordinate
+        # tests; a matrix built from its TM matrix keeps it and solves nothing
+        *_, pairing, mat = clark_member(rng, 4, 3, 1)
+        run_all(mat, pairing)                      # every space object built
+        solves = []
+        solve = np.linalg.solve
+
+        def counting(*args, **kwargs):
+            solves.append(args[0].shape)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "solve", counting)
+        loaded = OperatorMatrix(mat.entries, mat.in_basis, mat.out_basis)
+        for probe, expect in ((loaded, 1), (mat, 0)):
+            solves.clear()
+            for test in (check_residual, check_conjugate, check_shift):
+                assert test(probe).is_member
+            assert len(solves) == expect
+
+    def test_disagreement_carries_every_verdict(self, rng, monkeypatch):
+        *_, pairing, mat = clark_member(rng, 4, 3, 1)
+        shift = membership.test_shift_invariance
+        monkeypatch.setattr(membership, "test_shift_invariance", lambda matrix, tol: (
+            dataclasses.replace(shift(matrix, tol), is_member=False)))
+        with pytest.raises(MethodDisagreement) as err:
+            run_all(mat, pairing)
+        got = {name: v.is_member for name, v in err.value.verdicts.items()}
+        assert got == {METHOD_CLARK: True, METHOD_RESIDUAL: True, f"{METHOD_RESIDUAL}[1]": True,
+                       METHOD_CONJUGATE: True, METHOD_SHIFT: False}
 
 
 class TestHighDegree:

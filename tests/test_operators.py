@@ -109,11 +109,21 @@ class TestAttoMatrix:
         monkeypatch.setattr(operators, "tm_values", modelspace.tm_values)   # counted too
         alpha = random_blaschke(rng, 5, radius=0.95)
         beta = random_blaschke(rng, 4, radius=0.95)
-        for a, b in ((alpha, beta), (alpha, alpha)):
-            sym = random_symbol(rng, a, b)
+
+        def cases():
+            for a, b in ((alpha, beta), (alpha, alpha)):
+                yield a, b, random_symbol(rng, a, b)
+            # chi in a fresh K_alpha, psi over a third product
+            fresh = random_blaschke(rng, 5, radius=0.95)
+            gamma = random_blaschke(rng, 3, radius=0.95)
+            yield fresh, beta, SymbolSpec(
+                co_analytic=random_vector(rng, build_basis(fresh, "tm")),
+                analytic=random_vector(rng, build_basis(gamma, "tm")))
+
+        for a, b, sym in cases():
             seen.clear()
             atto_matrix(a, b, sym)
-            assert set(seen) == {a, b}
+            assert set(seen) == {a, b, sym.co_analytic.space, sym.analytic.space}
             for space in seen:
                 nodes = np.concatenate(seen[space])
                 n = len(nodes)
@@ -657,9 +667,72 @@ class TestBasesAndSerialization:
             total = (mat + again).entries              # re-expressed through TM coordinates
             assert np.max(np.abs(total - 2 * mat.entries)) <= 1e-12 * (1 + mat.max_abs)
 
+    def test_symbol_json_round_trip(self, rng):
+        alpha = random_blaschke(rng, 3)
+        beta = random_blaschke(rng, 2)
+        gamma = random_blaschke(rng, 4)
+        nodes = circle_nodes(64)
+        for sym in (random_symbol(rng, alpha, beta),
+                    SymbolSpec(co_analytic=random_vector(rng, build_basis(alpha, "tm")),
+                               analytic=random_vector(rng, build_basis(gamma, "clark", 1j))),
+                    SymbolSpec(raw=RationalSymbol((0.2, 1.0 + 0.5j), (1.0, -0.3j)))):
+            again = SymbolSpec.from_json(json.loads(json.dumps(sym.to_json())))
+            assert np.max(np.abs(again.values(nodes) - sym.values(nodes))) <= 1e-14
+
+    def test_opaque_raw_symbol_has_no_json(self):
+        with pytest.raises(ValueError, match="RationalSymbol"):
+            SymbolSpec(raw=lambda z: z * z).to_json()
+
     def test_rejects_mismatched_bases(self, rng):
         alpha = random_blaschke(rng, 2)
         beta = random_blaschke(rng, 2)
         with pytest.raises(ValueError):
             atto_matrix(alpha, beta, z_symbol(),
                         build_basis(beta, "tm"), build_basis(beta, "tm"))
+
+
+class TestStoredArrays:
+    def test_finite_check_takes_strided_complex_entries(self):
+        tm2, tm3 = build_basis(monomial(2), "tm"), build_basis(monomial(3), "tm")
+        strided = (np.arange(6) + 1j).reshape(2, 3).T
+        assert np.array_equal(OperatorMatrix(strided, tm2, tm3).entries, strided)
+        for bad in (complex(np.nan, 1.0), complex(np.inf, 1.0),
+                    complex(1.0, np.nan), complex(1.0, -np.inf)):
+            broken = (np.arange(6) + 1j).reshape(2, 3)
+            broken[0, 1] = bad
+            with pytest.raises(ValueError, match="finite"):
+                OperatorMatrix(broken.T, tm2, tm3)
+
+    def test_entries_and_tm_matrix_are_read_only(self, rng):
+        alpha = random_blaschke(rng, 3)
+        beta = random_blaschke(rng, 2)
+        ca, cb = build_basis(alpha, "clark", 1j), build_basis(beta, "clark", 1.0)
+        built = atto_matrix(alpha, beta, random_symbol(rng, alpha, beta), ca, cb)
+        for mat in (built, OperatorMatrix(built.entries, ca, cb)):
+            for arr in (mat.entries, mat.tm_entries()):
+                with pytest.raises(ValueError):
+                    arr[0, 0] = 1.0
+            assert mat.tm_entries() is mat.tm_entries()
+
+    def test_caller_arrays_stay_writable_and_unaliased(self, rng):
+        alpha = random_blaschke(rng, 3)
+        beta = random_blaschke(rng, 2)
+        ca, cb = build_basis(alpha, "clark", 1j), build_basis(beta, "clark", 1.0)
+        for build, stored in ((OperatorMatrix, lambda mat: mat.entries),
+                              (OperatorMatrix.from_tm, lambda mat: mat.tm_entries())):
+            given = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
+            kept = given.copy()
+            held = stored(build(given, ca, cb))
+            assert given.flags.writeable
+            given[0, 0] += 1.0
+            assert np.array_equal(held, kept) and not np.shares_memory(held, given)
+
+    def test_basis_chain_keeps_the_tm_matrix(self, rng):
+        alpha = random_blaschke(rng, 4)
+        beta = random_blaschke(rng, 3)
+        start = atto_matrix(alpha, beta, random_symbol(rng, alpha, beta))
+        mat = start
+        for kind, lam in (("clark", 1j), ("modified-clark", -1.0), ("tm", None)):
+            mat = mat.in_bases(build_basis(alpha, kind, lam), build_basis(beta, kind, lam))
+        assert mat.in_basis.kind == "tm" and mat is not start
+        assert np.array_equal(mat.tm_entries(), start.tm_entries())
