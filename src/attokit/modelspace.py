@@ -41,6 +41,8 @@ eps = front * (-1)^m (so B = eps * prod b_j):
 from __future__ import annotations
 
 import functools
+import itertools
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -136,10 +138,10 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 
 @dataclass(eq=False, frozen=True)
 class ModelSpace:
-    """The exact objects of one model space in TM coordinates: the compressed
-    shift S, the kernel k_0 and the conjugate kernel k~_0 at the origin, so
-    that I - S S* = k_0 k_0^H and I - S* S = k~_0 k~_0^H, an orthonormal
-    basis of the shift domain, the conjugation matrix and B(0).
+    """The exact objects of one model space in TM coordinates: the TM basis,
+    the compressed shift S, the kernel k_0 and the conjugate kernel k~_0 at
+    the origin, so that I - S S* = k_0 k_0^H and I - S* S = k~_0 k~_0^H, an
+    orthonormal basis of the shift domain, the conjugation matrix and B(0).
 
     Reached as ``b.model_space``, one per product.  Each array is computed on
     first use, kept, and read-only, so every modified shift, multiplication
@@ -185,14 +187,28 @@ class ModelSpace:
         return _read_only(np.diag(a) + s[:, None] * s[None, :] * prods)
 
     @functools.cached_property
+    def tm_basis(self) -> "ModelBasis":
+        """The TM basis: the identity over TM coordinates, read-only.  Every
+        TM vector and TM-coordinate matrix of the space is over this one
+        object, so adding two of them or moving between them solves nothing."""
+        return ModelBasis(self.space, "tm", _read_only(np.eye(self.space.degree, dtype=complex)))
+
+    @functools.cached_property
     def b0(self) -> complex:
         """B(0), read by every Moebius target and Clark coefficient."""
         return complex(evaluate(self.space, 0.0))
 
     @functools.cached_property
     def k0(self) -> np.ndarray:
-        """TM coordinates conj(phi_i(0)) of the kernel at the origin."""
-        return _read_only(np.conj(tm_values(self.space, 0.0)))
+        """TM coordinates conj(phi_i(0)) = s_i * prod_{j<i} (-conj(a_j)) of the
+        kernel at the origin, from prefix products of -a.  s_i and the products
+        are rounded as :func:`tm_values` rounds them at 0 (scalar complex
+        products; ``np.cumprod`` rounds some differently), so the two routes
+        give equal values."""
+        zeros = self.space.zeros
+        s = np.sqrt([1.0 - abs(a) ** 2 for a in zeros])
+        prefix = np.array([1.0, *itertools.accumulate((-a for a in zeros[:-1]), operator.mul)])
+        return _read_only(np.conj(s * prefix))    # prefix[i] = prod_{j<i} (-a_j)
 
     @functools.cached_property
     def kt0(self) -> np.ndarray:
@@ -225,8 +241,8 @@ class ModelSpace:
 
         Column k holds the TM coordinates of C phi_k = eps * psi_k, where psi_k
         is the TM element of the reversed zero order.  An odd-even transposition
-        network reverses the order in m rounds, every comparator swapping; each
-        round swaps disjoint adjacent pairs (a, c) at once by the exact unitary
+        network reverses the order in m rounds; each round swaps disjoint
+        adjacent pairs (a, c) at once by the exact unitary
 
             (phi_p, phi_{p+1}) -> (x phi_p + y phi_{p+1}, u phi_p + x phi_{p+1}),
             d = 1 - a conj(c),  x = s_a s_c / d,  u = (a - c) / d,  y = (conj(c) - conj(a)) / d,
@@ -234,24 +250,37 @@ class ModelSpace:
         which is the identity for equal zeros and needs no care at the origin.
         d is computed as s_a^2 + a conj(a - c), so that for equal zeros
         d = s_a s_c and x = 1 exactly, even next to the circle.
+        Every comparator swaps, so m alone fixes which zero sits in which slot
+        at every round: the (x, u, y) of all rounds come from one evaluation,
+        and each round updates two strided row views.
         The result is symmetric, and an involution to rounding at any degree.
         """
         b = self.space
         a = np.array(b.zeros)
         s = np.sqrt(1.0 - np.abs(a) ** 2)
         m = b.degree
-        rows = np.eye(m, dtype=complex)   # row p: TM coordinates of the element at slot p
+        slot = np.arange(m)           # slot[p]: index of the zero at slot p
+        tops, bottoms = [], []
         for rnd in range(m):
-            p = np.arange(rnd % 2, m - 1, 2)
-            q = p + 1
-            d = s[p] ** 2 + a[p] * np.conj(a[p] - a[q])
-            x = (s[p] * s[q] / d)[:, None]
-            u = ((a[p] - a[q]) / d)[:, None]
-            y = ((np.conj(a[q]) - np.conj(a[p])) / d)[:, None]
-            top, bottom = rows[p], rows[q]
-            rows[p], rows[q] = x * top + y * bottom, u * top + x * bottom
-            a[p], a[q] = a[q], a[p]
-            s[p], s[q] = s[q], s[p]
+            lo = rnd % 2
+            top, bottom = slot[lo:m - 1:2].copy(), slot[lo + 1:m:2].copy()
+            slot[lo:m - 1:2], slot[lo + 1:m:2] = bottom, top
+            tops.append(top)
+            bottoms.append(bottom)
+        p, q = np.concatenate(tops), np.concatenate(bottoms)
+        d = s[p] ** 2 + a[p] * np.conj(a[p] - a[q])
+        x = (s[p] * s[q] / d)[:, None]
+        u = ((a[p] - a[q]) / d)[:, None]
+        y = ((np.conj(a[q]) - np.conj(a[p])) / d)[:, None]
+        rows = np.eye(m, dtype=complex)   # row p: TM coordinates of the element at slot p
+        start = 0
+        for rnd in range(m):
+            lo = rnd % 2
+            top, bottom = rows[lo:m - 1:2], rows[lo + 1:m:2]
+            k = slice(start, start + len(top))
+            start = k.stop
+            rows[lo:m - 1:2], rows[lo + 1:m:2] = (x[k] * top + y[k] * bottom,
+                                                  u[k] * top + x[k] * bottom)
         return _read_only(b.front * (-1.0) ** m * rows[::-1].T)   # slot m-1-k holds psi_k
 
     def modified(self, c: complex) -> np.ndarray:
@@ -390,8 +419,9 @@ def build_basis(b: BlaschkeProduct, kind: str, lam: complex | None = None,
                 tol: Tolerances = DEFAULT) -> ModelBasis:
     """Construct one of the four supported bases.
 
-    kernel-zeros requires distinct zeros; the Clark kinds require the spectral
-    parameter ``lam``.  Clark points are ordered by principal argument.  For
+    "tm" is the one stored basis ``b.model_space.tm_basis``.  kernel-zeros
+    requires distinct zeros; the Clark kinds require the spectral parameter
+    ``lam``.  Clark points are ordered by principal argument.  For
     the modified Clark basis the phases
 
         omega_j = exp(-i/2 (arg eta_j - arg target))
@@ -402,7 +432,7 @@ def build_basis(b: BlaschkeProduct, kind: str, lam: complex | None = None,
     """
     m = b.degree
     if kind == "tm":
-        return ModelBasis(b, kind, np.eye(m, dtype=complex))
+        return b.model_space.tm_basis
     if kind == "kernel-zeros":
         zeros = np.array(b.zeros)
         sep = np.abs(zeros[:, None] - zeros[None, :]) + np.diag(np.full(m, np.inf))
@@ -488,8 +518,12 @@ class ModelVector:
         return self.basis.matrix @ self.coeffs
 
     def to(self, basis: ModelBasis) -> "ModelVector":
+        """The same element over ``basis``; over the TM basis its coefficients
+        are the TM coordinates, and nothing is solved."""
         if basis.space != self.space:
             raise ValueError("cannot convert between different model spaces")
+        if basis is basis.space.model_space.tm_basis:
+            return ModelVector(basis, self.tm())
         return ModelVector(basis, np.linalg.solve(basis.matrix, self.tm()))
 
     def __call__(self, z):
@@ -538,12 +572,13 @@ def kernel(b: BlaschkeProduct, w: complex, basis: ModelBasis | None = None) -> M
     """Reproducing kernel k_w = (1 - conj(B(w)) B(z)) / (1 - conj(w) z).
 
     Valid on the closed disk; boundary points are genuine members because a
-    finite Blaschke product has an angular derivative everywhere.
+    finite Blaschke product has an angular derivative everywhere.  At w = 0
+    it is a copy of ``b.model_space.k0``.
     """
     w = complex(w)
     if abs(w) > 1.0 + 1e-12:
         raise ValueError("kernel point must lie in the closed unit disk")
-    coords = np.conj(tm_values(b, w))
+    coords = b.model_space.k0.copy() if w == 0 else np.conj(tm_values(b, w))
     vec = tm_vector(b, coords)
     return vec if basis is None else vec.to(basis)
 

@@ -35,8 +35,15 @@ operators, 2007)
     A - S_beta A S_alpha^* = psi (x) k_0^alpha + k_0^beta (x) chi
 
 for A: with both compressed shifts lower triangular in TM coordinates it is
-a Stein equation solved column by column, for any zeros.  A part over
-another product is first projected by the operator of the symbol 1.
+a Stein equation solved column by column, for any zeros.  Column j needs the
+inverse of I - conj(a_j) S_beta, which is the compression of
+1 / (1 - conj(a_j) z) and has a closed lower-triangular form; the inverses
+of all m columns are built at once, so a column costs three matrix-vector
+products and no solve.  A part over another product is first projected by
+the operator of the symbol 1.
+
+Over the TM bases, whose matrix is the identity, moving a matrix to or from
+TM coordinates solves nothing.
 
 The compressed shift, the modified shifts and the Clark unitaries use no
 quadrature: the shift has a closed lower-triangular form in TM coordinates,
@@ -147,11 +154,19 @@ class SymbolSpec:
         return cls(chi, psi, raw)
 
 
+def _tm_pair(in_basis: ModelBasis, out_basis: ModelBasis) -> bool:
+    """Whether both bases are their spaces' TM bases, whose matrix is the
+    identity."""
+    return (in_basis is in_basis.space.model_space.tm_basis
+            and out_basis is out_basis.space.model_space.tm_basis)
+
+
 @dataclass(eq=False, frozen=True)
 class OperatorMatrix:
     """Complex matrix tagged with its input and output bases.  ``entries`` is
     a read-only copy of the given array; the read-only TM matrix is solved for
-    once, or kept from :meth:`from_tm`, and shared by every use."""
+    once, or kept from :meth:`from_tm`, and shared by every use.  Over the TM
+    bases it is ``entries`` itself."""
 
     entries: np.ndarray
     in_basis: ModelBasis
@@ -180,6 +195,8 @@ class OperatorMatrix:
 
     @functools.cached_property
     def _tm(self) -> np.ndarray:
+        if _tm_pair(self.in_basis, self.out_basis):
+            return self.entries
         t_in, t_out = self.in_basis.matrix, self.out_basis.matrix
         return _read_only(np.linalg.solve(t_in.T, (t_out @ self.entries).T).T)
 
@@ -191,7 +208,11 @@ class OperatorMatrix:
     def from_tm(cls, tm: np.ndarray, in_basis: ModelBasis,
                 out_basis: ModelBasis) -> "OperatorMatrix":
         """The operator with matrix ``tm`` between TM coordinates, over the
-        given bases; it keeps a read-only copy of ``tm`` as its TM matrix."""
+        given bases; it keeps a read-only copy of ``tm`` as its TM matrix.
+        Over the TM bases that copy is also the entries, and nothing is
+        solved."""
+        if _tm_pair(in_basis, out_basis):
+            return cls(tm, in_basis, out_basis)
         tm = _read_only(np.array(tm, dtype=complex))
         mat = cls(np.linalg.solve(out_basis.matrix, tm @ in_basis.matrix), in_basis, out_basis)
         object.__setattr__(mat, "_tm", tm)
@@ -286,18 +307,49 @@ def atto_matrix(alpha: BlaschkeProduct, beta: BlaschkeProduct, symbol: SymbolSpe
                                   in_basis, out_basis)
 
 
-def _solve_stein(sb: np.ndarray, sa: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """X with X - sb X sa^H = d for lower-triangular sb (n x n), sa (m x m):
-    column j solves (I - conj(sa[j, j]) sb) x_j = d_j + sb sum_{k<j} conj(sa[j, k]) x_k.
-    d is n x m, or n x m x K for K right-hand sides that share every pivot
-    matrix.  For compressed shifts the pivots 1 - conj(a_j) b_i never vanish."""
+def _stein_pivots(target: ModelSpace, c: np.ndarray) -> np.ndarray:
+    """The inverses P_j = (I - c_j S)^-1 for the compressed shift S of
+    ``target`` (zeros b_i, s_i = sqrt(1 - |b_i|^2)) and every entry c_j of c,
+    stacked as one (len(c), n, n) array.  P_j is lower triangular, with
+
+        P_j[i, i] = 1 / (1 - c b_i),
+        P_j[i, k] = c s_i s_k / ((1 - c b_i)(1 - c b_k)) prod_{k<l<i} (c - conj(b_l)) / (1 - c b_l)
+
+    below the diagonal (c = c_j).  The products are built row by row, as in
+    :attr:`ModelSpace.shift`: row i is row i - 1 times the factor of b_{i-1},
+    extended by s_{i-1} / (1 - c b_{i-1}), never a quotient of products, so
+    zeros at the origin and repeated zeros need no care."""
+    b = np.array(target.space.zeros)
+    n = len(b)
+    inv = 1.0 / (1.0 - c[:, None] * b)                  # (m, n): 1 / (1 - c_j b_i)
+    step = (c[:, None] - np.conj(b)) * inv               # the factor of b_l
+    run = np.sqrt(1.0 - np.abs(b) ** 2) * inv            # s_k / (1 - c b_k)
+    row = c[:, None] * run                               # c s_i / (1 - c b_i)
+    piv = np.zeros((len(c), n, n), dtype=complex)
+    piv[:, np.arange(n), np.arange(n)] = inv
+    for i in range(1, n):
+        run[:, : i - 1] *= step[:, i - 1, None]          # run[:, k] = P[i, k] / row[:, i], k < i
+        np.multiply(run[:, :i], row[:, i, None], out=piv[:, i, :i])
+    return piv
+
+
+def _solve_stein(target: ModelSpace, source: ModelSpace, d: np.ndarray) -> np.ndarray:
+    """X with X - S_b X S_a^H = d for the compressed shifts S_b of ``target``
+    (n x n) and S_a of ``source`` (m x m), both lower triangular.  Column j is
+
+        x_j = P_j (d_j + S_b sum_{k<j} conj(S_a[j, k]) x_k),
+
+    with P_j = (I - conj(a_j) S_b)^-1 in closed form, built for all columns at
+    once (:func:`_stein_pivots`); the pivots 1 - conj(a_j) b_i never vanish.
+    d is n x m, or n x m x K for K right-hand sides that share every pivot."""
+    sb, sa = target.shift, np.conj(source.shift)
     n, m = d.shape[:2]
     batch = d.shape[2:]
-    eye = np.eye(n)
+    piv = _stein_pivots(target, np.diag(sa))
     x = np.empty((d.size // m, m), dtype=complex)     # column j of X, flattened
     for j in range(m):
-        rhs = d[:, j] + sb @ (x[:, :j] @ np.conj(sa[j, :j])).reshape((n,) + batch)
-        x[:, j] = np.linalg.solve(eye - np.conj(sa[j, j]) * sb, rhs).ravel()
+        rhs = d[:, j] + sb @ (x[:, :j] @ sa[j, :j]).reshape((n,) + batch)
+        x[:, j] = (piv[j] @ rhs).ravel()
     return np.moveaxis(x.reshape((n,) + batch + (m,)), -1, 1)
 
 
@@ -307,7 +359,7 @@ def _part_in(f: ModelVector, target: ModelSpace) -> np.ndarray:
     if f.space == target.space:
         return f.tm()
     src = f.space.model_space
-    one = _solve_stein(target.shift, src.shift, np.outer(target.k0, np.conj(src.k0)))
+    one = _solve_stein(target, src, np.outer(target.k0, np.conj(src.k0)))
     return one @ f.tm()
 
 
@@ -323,7 +375,7 @@ def _closed_tm_matrix(alpha: BlaschkeProduct, beta: BlaschkeProduct,
         d += np.outer(_part_in(symbol.analytic, sb), np.conj(sa.k0))
     if symbol.co_analytic is not None:
         d += np.outer(sb.k0, np.conj(_part_in(symbol.co_analytic, sa)))
-    return _solve_stein(sb.shift, sa.shift, d)
+    return _solve_stein(sb, sa, d)
 
 
 def compressed_shift(alpha: BlaschkeProduct, basis: ModelBasis | None = None) -> OperatorMatrix:
@@ -426,7 +478,7 @@ def symbol_span_dimension(alpha: BlaschkeProduct, beta: BlaschkeProduct,
     d = np.zeros((n, m, m + n), dtype=complex)
     d[:, np.arange(m), np.arange(m)] = sb.k0[:, None]
     d[np.arange(n), :, m + np.arange(n)] = np.conj(sa.k0)
-    stack = _solve_stein(sb.shift, sa.shift, d).reshape(n * m, m + n).T
+    stack = _solve_stein(sb, sa, d).reshape(n * m, m + n).T
     svals = np.linalg.svd(stack, compute_uv=False)
     rank = int(np.sum(svals > tol.rank * svals[0]))
     return rank, svals

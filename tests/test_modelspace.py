@@ -259,7 +259,40 @@ class TestConjKernel:
             assert np.max(np.abs(lhs - rhs)) <= 1e-9 * np.linalg.norm(lhs)
 
 
+def per_round_conj_tm(b):
+    """The conjugation network as it was first written: each round gathers its
+    pairs, evaluates their (x, u, y) and swaps the zeros and the s values
+    along with the rows."""
+    a = np.array(b.zeros)
+    s = np.sqrt(1.0 - np.abs(a) ** 2)
+    m = b.degree
+    rows = np.eye(m, dtype=complex)
+    for rnd in range(m):
+        p = np.arange(rnd % 2, m - 1, 2)
+        q = p + 1
+        d = s[p] ** 2 + a[p] * np.conj(a[p] - a[q])
+        x = (s[p] * s[q] / d)[:, None]
+        u = ((a[p] - a[q]) / d)[:, None]
+        y = ((np.conj(a[q]) - np.conj(a[p])) / d)[:, None]
+        top, bottom = rows[p], rows[q]
+        rows[p], rows[q] = x * top + y * bottom, u * top + x * bottom
+        a[p], a[q] = a[q], a[p]
+        s[p], s[q] = s[q], s[p]
+    return b.front * (-1.0) ** m * rows[::-1].T
+
+
 class TestExactConjugation:
+    def test_bit_identical_to_the_per_round_network(self, rng):
+        for degree in range(1, 65):
+            for radius in (0.5, 0.95, 0.9999):
+                zeros = list(random_blaschke(rng, degree, radius=radius).zeros)
+                if degree >= 3:
+                    zeros[1] = zeros[0]
+                    zeros[degree // 2] = 0.0
+                    zeros[-1] = 0.9999 * random_unimodular(rng)
+                b = BlaschkeProduct(tuple(zeros), random_unimodular(rng))
+                assert b.model_space.conj.tobytes() == per_round_conj_tm(b).tobytes(), degree
+
     def test_matches_power_basis_reference(self, rng):
         for b in small_products(rng):
             assert np.max(np.abs(b.model_space.conj - power_basis_conj_tm(b))) <= 1e-13
@@ -483,6 +516,37 @@ class TestMultiplyByZ:
 
 
 class TestModelSpace:
+    def test_one_read_only_tm_basis(self, rng):
+        b = random_blaschke(rng, 4)
+        basis = build_basis(b, "tm")
+        assert basis is b.model_space.tm_basis and build_basis(b, "tm") is basis
+        assert np.array_equal(basis.matrix, np.eye(4)) and not basis.matrix.flags.writeable
+        for vec in (tm_vector(b, np.ones(4)), kernel(b, 0.0), kernel(b, 0.3j),
+                    conj_kernel(b, 0.0), conj_kernel(b, 0.3j), random_vector(rng, basis)):
+            assert vec.basis is basis
+
+    def test_tm_vectors_add_and_move_with_no_solve(self, monkeypatch):
+        a = 0.5
+        alpha = BlaschkeProduct((0.0, a, -a), front=-1.0)
+        calls = []
+        real = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda *args: calls.append(args) or real(*args))
+        f = kernel(alpha, 0.0) + kernel(alpha, a)
+        assert calls == []
+        assert np.array_equal(f.coeffs, alpha.model_space.k0 + np.conj(tm_values(alpha, a)))
+        g = conjugation(conjugation(f))
+        h = kernel(alpha, 0.3, build_basis(alpha, "clark", 1.0)).to(f.basis)
+        assert len(calls) == 1          # only the move into the Clark basis solves
+        assert np.max(np.abs(g.coeffs - f.coeffs)) <= 1e-15
+        assert np.max(np.abs(h.coeffs - np.conj(tm_values(alpha, 0.3)))) <= 1e-15
+
+    def test_k0_from_prefix_products_matches_the_tm_values(self, rng):
+        for b in small_products(rng) + degree_64_products(rng):
+            k0 = b.model_space.k0
+            assert np.array_equal(k0, np.conj(tm_values(b, 0.0)))
+            coeffs = kernel(b, 0.0).coeffs
+            assert np.array_equal(coeffs, k0) and not np.shares_memory(coeffs, k0)
+
     def test_one_per_product(self, rng):
         b = random_blaschke(rng, 4)
         space = b.model_space

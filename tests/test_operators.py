@@ -410,6 +410,76 @@ class TestClosedPath:
             atto_matrix(monomial(2), monomial(2), z_symbol(), method="closed")
 
 
+def reference_solve_stein(sb, sa, d):
+    """The per-column Stein loop that the closed-form pivots replaced: column
+    j solves (I - conj(sa[j, j]) sb) x_j = d_j + sb sum_{k<j} conj(sa[j, k]) x_k
+    with one np.linalg.solve; d is n x m, or n x m x K."""
+    n, m = d.shape[:2]
+    batch = d.shape[2:]
+    eye = np.eye(n)
+    x = np.empty((d.size // m, m), dtype=complex)
+    for j in range(m):
+        rhs = d[:, j] + sb @ (x[:, :j] @ np.conj(sa[j, :j])).reshape((n,) + batch)
+        x[:, j] = np.linalg.solve(eye - np.conj(sa[j, j]) * sb, rhs).ravel()
+    return np.moveaxis(x.reshape((n,) + batch + (m,)), -1, 1)
+
+
+def stein_pair(rng, m, n, radius):
+    """Degrees (m, n) with zeros up to ``radius``; from degree 3 on, a repeated
+    zero, a zero at 0 and a double zero at |a| = 0.9999 that both spaces
+    share, so some pivots 1 - conj(a_j) b_i come within 2e-4 of 0 and some
+    factors c - conj(b_l) vanish."""
+    near = 0.9999 * random_unimodular(rng)
+
+    def make(degree):
+        zeros = list(random_blaschke(rng, degree, radius=radius).zeros)
+        if degree >= 3:
+            zeros[1] = zeros[0]
+            zeros[degree // 2] = 0.0
+            zeros[-2:] = (near, near)
+        return BlaschkeProduct(tuple(zeros), random_unimodular(rng))
+
+    return make(m), make(n)
+
+
+class TestSteinPivots:
+    SIZES = ((1, 1), (3, 5), (24, 20), (64, 40), (40, 64), (64, 64))
+
+    def test_pivots_invert_the_pivot_matrices(self, rng):
+        # relative to max|P_j|, which reaches 1 / (1 - 0.9999^2) = 5e3 here
+        for m, n in self.SIZES:
+            for radius in (0.5, 0.95, 0.9999):
+                alpha, beta = stein_pair(rng, m, n, radius)
+                shift = beta.model_space.shift
+                c = np.conj(np.array(alpha.zeros))
+                piv = operators._stein_pivots(beta.model_space, c)
+                assert piv.shape == (m, n, n)
+                for cj, pj in zip(c, piv):
+                    defect = np.max(np.abs((np.eye(n) - cj * shift) @ pj - np.eye(n)))
+                    assert defect <= 1e-14 * np.max(np.abs(pj)), (m, n, radius)
+                    assert np.array_equal(pj, np.tril(pj))
+
+    def test_solve_matches_the_per_column_loop(self, rng):
+        for m, n in self.SIZES:
+            for radius in (0.5, 0.95, 0.9999):
+                alpha, beta = stein_pair(rng, m, n, radius)
+                sa, sb = alpha.model_space, beta.model_space
+                for shape in ((n, m), (n, m, m + n)):
+                    d = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                    x = operators._solve_stein(sb, sa, d)
+                    ref = reference_solve_stein(sb.shift, sa.shift, d)
+                    assert x.shape == d.shape
+                    cols = x.reshape(n, m, -1)
+                    resid = (cols - np.einsum("ik,kjl,pj->ipl", sb.shift, cols,
+                                              np.conj(sa.shift), optimize=True)
+                             - d.reshape(n, m, -1))
+                    assert np.linalg.norm(resid) <= 1e-14 * np.linalg.norm(x), (m, n, radius)
+                    # the shared double zero at 0.9999 makes the Stein map ill
+                    # conditioned: both routes leave residuals near 1e-16, and
+                    # differ by up to 8e-14
+                    assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref), (m, n, radius)
+
+
 class TestShifts:
     def test_jordan_block_for_cube(self):
         s = compressed_shift(monomial(3)).entries
@@ -689,6 +759,27 @@ class TestBasesAndSerialization:
         with pytest.raises(ValueError):
             atto_matrix(alpha, beta, z_symbol(),
                         build_basis(beta, "tm"), build_basis(beta, "tm"))
+
+
+class TestTMMoves:
+    def test_tm_bases_solve_nothing_and_match_the_solve(self, rng, monkeypatch):
+        alpha, beta = random_blaschke(rng, 5), random_blaschke(rng, 3)
+        ta, tb = build_basis(alpha, "tm"), build_basis(beta, "tm")
+        tm = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
+        moved = np.linalg.solve(tb.matrix, tm @ ta.matrix)
+        back = np.linalg.solve(ta.matrix.T, (tb.matrix @ tm).T).T
+        calls = []
+        real = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda *a: calls.append(a) or real(*a))
+        built = OperatorMatrix.from_tm(tm, ta, tb)
+        given = OperatorMatrix(tm, ta, tb)
+        assert np.array_equal(built.entries, moved) and np.array_equal(given.tm_entries(), back)
+        assert built.tm_entries() is built.entries and given.tm_entries() is given.entries
+        assert np.array_equal(given.adjoint().tm_entries(), tm.conj().T)
+        sym = random_symbol(rng, alpha, beta)
+        atto_matrix(alpha, beta, sym, method="closed").tm_entries()
+        compressed_shift(alpha).tm_entries()
+        assert calls == []
 
 
 class TestStoredArrays:
