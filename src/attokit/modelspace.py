@@ -408,6 +408,12 @@ class ModelBasis:
     def lam(self):
         return None if self.clark is None else self.clark.lam
 
+    @property
+    def is_tm(self) -> bool:
+        """Whether this is the space's stored TM basis, whose matrix is the
+        identity, so that moving to or from it solves nothing."""
+        return self is self.space.model_space.tm_basis
+
     def descriptor(self) -> dict:
         out = {"basis": self.kind}
         if self.clark is not None:
@@ -522,7 +528,7 @@ class ModelVector:
         are the TM coordinates, and nothing is solved."""
         if basis.space != self.space:
             raise ValueError("cannot convert between different model spaces")
-        if basis is basis.space.model_space.tm_basis:
+        if basis.is_tm:
             return ModelVector(basis, self.tm())
         return ModelVector(basis, np.linalg.solve(basis.matrix, self.tm()))
 

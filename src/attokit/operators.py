@@ -154,13 +154,6 @@ class SymbolSpec:
         return cls(chi, psi, raw)
 
 
-def _tm_pair(in_basis: ModelBasis, out_basis: ModelBasis) -> bool:
-    """Whether both bases are their spaces' TM bases, whose matrix is the
-    identity."""
-    return (in_basis is in_basis.space.model_space.tm_basis
-            and out_basis is out_basis.space.model_space.tm_basis)
-
-
 @dataclass(eq=False, frozen=True)
 class OperatorMatrix:
     """Complex matrix tagged with its input and output bases.  ``entries`` is
@@ -195,7 +188,7 @@ class OperatorMatrix:
 
     @functools.cached_property
     def _tm(self) -> np.ndarray:
-        if _tm_pair(self.in_basis, self.out_basis):
+        if self.in_basis.is_tm and self.out_basis.is_tm:
             return self.entries
         t_in, t_out = self.in_basis.matrix, self.out_basis.matrix
         return _read_only(np.linalg.solve(t_in.T, (t_out @ self.entries).T).T)
@@ -211,7 +204,7 @@ class OperatorMatrix:
         given bases; it keeps a read-only copy of ``tm`` as its TM matrix.
         Over the TM bases that copy is also the entries, and nothing is
         solved."""
-        if _tm_pair(in_basis, out_basis):
+        if in_basis.is_tm and out_basis.is_tm:
             return cls(tm, in_basis, out_basis)
         tm = _read_only(np.array(tm, dtype=complex))
         mat = cls(np.linalg.solve(out_basis.matrix, tm @ in_basis.matrix), in_basis, out_basis)
