@@ -23,6 +23,7 @@ from . import serialize
 
 
 _FRONT_ULPS = 4                 # |front| within this many ulps of 1 is kept as given
+_POLE_GUARD = 1e-9              # least distance of an evaluation point from a pole
 
 
 class PoleProximityError(ValueError):
@@ -122,17 +123,17 @@ class ClarkPointSet:
                 "weights": list(map(float, self.weights))}
 
 
-def _pole_guard(b: BlaschkeProduct, z: np.ndarray, eps: float = 1e-9):
+def _pole_guard(b: BlaschkeProduct, z: np.ndarray):
     """Raise PoleProximityError, naming the first such pole in zero order,
-    when any point of z lies within eps of a pole 1/conj(a_j); a zero at the
-    origin has no pole."""
+    when any point of z lies within ``_POLE_GUARD`` of a pole 1/conj(a_j); a
+    zero at the origin has no pole."""
     a = np.array(b.zeros)
     poles = 1.0 / np.conj(a[a != 0])
-    near = np.abs(z[..., None] - poles) < eps      # (..., poles)
+    near = np.abs(z[..., None] - poles) < _POLE_GUARD  # (..., poles)
     hit = np.any(near, axis=tuple(range(z.ndim)))  # per pole
     if np.any(hit):
         pole = poles[np.argmax(hit)]
-        raise PoleProximityError(f"evaluation point within {eps} of pole {pole}")
+        raise PoleProximityError(f"evaluation point within {_POLE_GUARD} of pole {pole}")
 
 
 def evaluate(b: BlaschkeProduct, z):

@@ -60,17 +60,22 @@ def load_config(path: str | None) -> dict:
     if path is None:
         return {}
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        cfg = json.load(fh)
+    if not isinstance(cfg, dict):
+        raise ValueError("config must be a JSON object")
+    return cfg
 
 
 def config_tolerances(cfg: dict) -> Tolerances:
     fields = {f.name for f in dataclasses.fields(Tolerances)}
     given = cfg.get("tolerances", {})
+    if not isinstance(given, dict):
+        raise ValueError("tolerances must be a JSON object")
     bad = set(given) - fields
     if bad:
         raise ValueError(f"unknown tolerance keys: {sorted(bad)}")
     for key, val in given.items():
-        if not isinstance(val, (int, float, str)) or not 0 < float(val) < np.inf:
+        if type(val) not in (int, float, str) or not 0 < float(val) < np.inf:  # not bool
             raise ValueError(f"tolerance {key} must be positive and finite")
     tol = dataclasses.replace(DEFAULT, **{k: float(v) for k, v in given.items()})
     if tol.decision >= tol.reject_band:
@@ -79,18 +84,20 @@ def config_tolerances(cfg: dict) -> Tolerances:
 
 
 def _resolve(cfg: dict, key: str, flag_value, parser, required=True):
-    if flag_value is not None:
-        return parser(flag_value) if isinstance(flag_value, str) else flag_value
-    if key in cfg:
-        raw = cfg[key]
-        if isinstance(raw, str):
-            return parser(raw)
-        if isinstance(raw, list):
-            return serialize.uncpx(raw)
-        return BlaschkeProduct.from_json(raw) if key in ("alpha", "beta") else raw
-    if required:
-        raise ValueError(f"missing required parameter {key!r} (flag or config)")
-    return None
+    raw = cfg.get(key) if flag_value is None else flag_value
+    if raw is None:
+        if required:
+            raise ValueError(f"missing required parameter {key!r} (flag or config)")
+        return None
+    if isinstance(raw, str):
+        return parser(raw)
+    if key in ("alpha", "beta"):
+        if isinstance(raw, dict):
+            return BlaschkeProduct.from_json(raw)
+        raise ValueError(f"{key} must be a string or a JSON object")
+    if isinstance(raw, (int, float)):     # a real number; uncpx rejects bools
+        raw = [raw, 0.0]
+    return serialize.uncpx(raw)
 
 
 def _emit(obj) -> None:

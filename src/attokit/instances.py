@@ -25,6 +25,8 @@ from .membership import ClarkPairing, clark_pairing
 from .modelspace import ModelBasis, ModelVector, build_basis, clark_points, tm_vector
 from .operators import OperatorMatrix, SymbolSpec, atto_matrix
 
+MIN_CROSS = 0.05                # least Clark-point distance across generic_clark_instance's pair
+
 
 def random_unimodular(rng) -> complex:
     return complex(np.exp(2j * np.pi * rng.random()))
@@ -43,11 +45,10 @@ def random_points_in_disk(rng, count: int, radius: float = 0.8,
     raise RuntimeError("could not place separated points; lower min_sep")
 
 
-def random_blaschke(rng, degree: int, radius: float = 0.8, min_sep: float = 0.05,
-                    random_front: bool = True) -> BlaschkeProduct:
+def random_blaschke(rng, degree: int, radius: float = 0.8,
+                    min_sep: float = 0.05) -> BlaschkeProduct:
     zeros = random_points_in_disk(rng, degree, radius, min_sep)
-    front = random_unimodular(rng) if random_front else 1.0
-    return BlaschkeProduct(tuple(zeros), front)
+    return BlaschkeProduct(tuple(zeros), random_unimodular(rng))
 
 
 def random_vector(rng, basis: ModelBasis) -> ModelVector:
@@ -111,15 +112,14 @@ def shared_clark_instance(rng, m: int, n: int, shared: int):
     return alpha, beta, lambda_for_target(alpha, u_a), lambda_for_target(beta, u_b)
 
 
-def generic_clark_instance(rng, m: int, n: int, min_cross: float = 0.05,
-                           tol: Tolerances = DEFAULT):
+def generic_clark_instance(rng, m: int, n: int, tol: Tolerances = DEFAULT):
     """Random products with random spectral parameters, resampled until the
     two Clark point sets are disjoint AND uniformly separated.
 
     Near-collisions of Clark points across the two spaces make one matrix
     entry nearly free, so a perturbation there is almost a member and every
     operator-level test legitimately lands in its indeterminate band; keeping
-    the sets ``min_cross`` apart keeps test instances well conditioned.
+    the sets ``MIN_CROSS`` apart keeps test instances well conditioned.
     """
     for _ in range(200):
         alpha = random_blaschke(rng, m)
@@ -128,7 +128,7 @@ def generic_clark_instance(rng, m: int, n: int, min_cross: float = 0.05,
         lam2 = random_unimodular(rng)
         pa = clark_points(alpha, lam1, tol).points
         pb = clark_points(beta, lam2, tol).points
-        if np.min(np.abs(pa[:, None] - pb[None, :])) >= min_cross:
+        if np.min(np.abs(pa[:, None] - pb[None, :])) >= MIN_CROSS:
             return alpha, beta, lam1, lam2
     raise RuntimeError("could not sample a separated generic instance")
 

@@ -201,10 +201,13 @@ def clark_pairing(alpha: BlaschkeProduct, beta: BlaschkeProduct,
 # recurrence test
 # ---------------------------------------------------------------------------
 
-def _paired_entries(matrix: OperatorMatrix, pairing: ClarkPairing) -> np.ndarray:
-    """The entries of ``matrix`` in the paired order, after checking that its
-    bases are the Clark bases of the pairing's point sets (at once when a
-    basis holds the very point set, as stored bases and pairings share)."""
+def _clark_split(matrix: OperatorMatrix, pairing: ClarkPairing, x0: complex = 0j):
+    """(r, w, q, x, y) in the paired order: the entries r of ``matrix``, w =
+    ``pairing.weight``, q = w r, and x, y with x[s] + y[p] = q[s, p] read off
+    the first row and column of q with x[0] = x0 (q vanishes on the shared
+    diagonal, so x[s] = -y[s] for s < l).  The bases of ``matrix`` must be
+    the Clark bases of the pairing's point sets (checked at once when a basis
+    holds the very point set, as stored bases and pairings share)."""
     for basis, point_set in ((matrix.in_basis, pairing.clark_a),
                              (matrix.out_basis, pairing.clark_b)):
         if basis.kind != "clark" or basis.clark is None:
@@ -218,51 +221,31 @@ def _paired_entries(matrix: OperatorMatrix, pairing: ClarkPairing) -> np.ndarray
     r = matrix.entries[np.ix_(pairing.perm_b, pairing.perm_a)]
     if pairing.shared > min(r.shape):
         raise ValueError("shared Clark points exceed min(m, n)")
-    return r
-
-
-def _row_column_split(q: np.ndarray, shared: int, x0: complex = 0j):
-    """x, y with x[s] + y[p] = q[s, p], read off the first row and column of
-    q with x[0] = x0; on the shared diagonal q vanishes, so x[s] = -y[s] for
-    s < shared."""
+    w = pairing.weight
+    q = w * r
     y = q[0] - x0
     x = q[:, 0] - y[0]
-    x[:shared] = -y[:shared]
+    x[:pairing.shared] = -y[:pairing.shared]
     x[0] = x0
-    return x, y
-
-
-def recurrence_rhs(r: np.ndarray, pairing: ClarkPairing,
-                   tol: Tolerances = DEFAULT):
-    """Predicted entries and the applicability mask, in the paired order.
-
-    A member satisfies w r = x[s] + y[p] (w = ``pairing.weight``), so the
-    predicted entry is (x[s] + y[p]) / w[s, p] with x, y read off the first
-    row and column of w r.  The leading diagonal s = p < l, where w
-    vanishes, is free data.
-    """
-    n, m = r.shape
-    l = pairing.shared
-    applicable = np.ones((n, m), dtype=bool)
-    free = np.arange(min(l, m))
-    applicable[free, free] = False
-    den = pairing.eta[None, :] - pairing.zeta[:, None]
-    if np.any(np.abs(den[applicable]) < tol.match):
-        raise ToleranceBreakdown("Clark points of the two spaces nearly collide "
-                                 "outside the matched pairs; tighten tolerances")
-    w = pairing.weight
-    x, y = _row_column_split(w * r, l)
-    rhs = (x[:, None] + y[None, :]) / np.where(applicable, w, 1.0)
-    rhs[~applicable] = 0.0
-    return rhs, applicable
+    return r, w, q, x, y
 
 
 def test_clark_recurrence(matrix: OperatorMatrix, pairing: ClarkPairing,
                           tol: Tolerances = DEFAULT) -> MembershipVerdict:
-    """Membership via the Clark-basis recurrences."""
-    r = _paired_entries(matrix, pairing)
-    rhs, applicable = recurrence_rhs(r, pairing, tol)
-    resid = np.abs(r - rhs)
+    """Membership via the Clark-basis recurrences: a member has w r = x[s] +
+    y[p] (:func:`_clark_split`), and the test decides on |r - (x[s] + y[p]) / w|
+    off the free diagonal s = p < l, relative to 1 + max|r|.  It divides by w
+    on purpose: where unshared Clark points nearly meet, w is small, and a bump
+    on that nearly free entry moves w r by little but r by its full size."""
+    r, w, _, x, y = _clark_split(matrix, pairing)
+    l = pairing.shared
+    applicable = np.ones(r.shape, dtype=bool)
+    applicable[np.arange(l), np.arange(l)] = False
+    den = pairing.eta[None, :] - pairing.zeta[:, None]
+    if np.any(np.abs(den[applicable]) < tol.match):
+        raise ToleranceBreakdown("Clark points of the two spaces nearly collide "
+                                 "outside the matched pairs; tighten tolerances")
+    resid = np.abs(r - (x[:, None] + y[None, :]) / np.where(applicable, w, 1.0))
     resid[~applicable] = 0.0
     return _decide(METHOD_CLARK, float(np.max(resid)), matrix.max_abs, tol)
 
@@ -364,11 +347,9 @@ def recover_chi_psi_clark(matrix: OperatorMatrix, pairing: ClarkPairing,
     chi = sum_p chi_p / sqrt(w_p) v_p and likewise for psi.  The full system
     is verified; a non-member input fails it with a diagnostic.
     """
-    r = _paired_entries(matrix, pairing)
     k0a = 1.0 - np.conj(matrix.alpha.model_space.b0) * pairing.clark_a.target   # = k_0^alpha(eta_p)
     k0b = 1.0 - np.conj(matrix.beta.model_space.b0) * pairing.clark_b.target
-    q = pairing.weight * r
-    x, y = _row_column_split(q, pairing.shared, complex(psi1) * np.conj(k0a))
+    _, _, q, x, y = _clark_split(matrix, pairing, complex(psi1) * np.conj(k0a))
     worst = float(np.max(np.abs(x[:, None] + y[None, :] - q)))
     if worst / (1.0 + float(np.max(np.abs(q)))) > tol.reject_band:
         raise ValueError(f"witness recovery failed: consistency residual {worst:.3e}; "

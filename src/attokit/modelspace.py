@@ -54,6 +54,8 @@ from .config import DEFAULT, Tolerances
 
 BASIS_KINDS = ("tm", "kernel-zeros", "clark", "modified-clark")
 CLARK_ENTRIES = 8               # (lam, tol) entries a space keeps; the oldest goes first
+QUADRATURE_START = 256          # node count of the first quadrature level
+QUADRATURE_MAX = 1 << 15        # node count past which the quadrature gives up
 
 
 class QuadratureError(RuntimeError):
@@ -68,16 +70,15 @@ def circle_nodes(n: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.arange(n) / n)
 
 
-def doubling_circle_mean(node_sum, tol: float = DEFAULT.quadrature,
-                         n_start: int = 256, n_max: int = 1 << 15):
+def doubling_circle_mean(node_sum, tol: float = DEFAULT.quadrature):
     """Trapezoid rule on the unit circle with nested node doubling.
 
     ``node_sum(z)`` must return the integrand summed over the nodes ``z`` (a
     1-D array of points on the circle); it may be any array, computed
     however suits the integrand (a sum over a node axis, or one matrix
-    product).  The first level sums over ``circle_nodes(n_start)``; each
-    doubling adds only the n new odd nodes of ``circle_nodes(2n)``, whose
-    even nodes are bit-equal to ``circle_nodes(n)``, so every node is
+    product).  The first level sums over ``circle_nodes(QUADRATURE_START)``;
+    each doubling adds only the n new odd nodes of ``circle_nodes(2n)``,
+    whose even nodes are bit-equal to ``circle_nodes(n)``, so every node is
     evaluated once.  The n-node trapezoid mean, the approximation of
     (1/2pi) * integral over the circle, is the running sum divided by n.
 
@@ -89,11 +90,11 @@ def doubling_circle_mean(node_sum, tol: float = DEFAULT.quadrature,
     test extrapolates the contraction d_N / d_{N/2} observed one level
     earlier, which overestimates the next one and includes the polynomial
     factor of repeated or clustered poles.  Raises QuadratureError past
-    ``n_max`` nodes.
+    ``QUADRATURE_MAX`` nodes.
     """
     prev = gap_prev = None
-    n = n_start
-    while n <= n_max:
+    n = QUADRATURE_START
+    while n <= QUADRATURE_MAX:
         if prev is None:
             total = node_sum(circle_nodes(n))
         else:
@@ -107,7 +108,8 @@ def doubling_circle_mean(node_sum, tol: float = DEFAULT.quadrature,
             gap_prev = gap
         prev = val
         n *= 2
-    raise QuadratureError(f"circle quadrature did not converge below {tol} at {n_max} nodes")
+    raise QuadratureError(f"circle quadrature did not converge below {tol} "
+                          f"at {QUADRATURE_MAX} nodes")
 
 
 # ---------------------------------------------------------------------------
@@ -159,8 +161,8 @@ class ModelSpace:
     level is stored, read-only, on its second evaluation; the first keeps
     nothing, so a product evaluated once (and freed only by the cyclic
     collector, since it refers to its space and back) holds no node arrays.
-    The library's quadratures all start at 256 nodes, so a space stores at
-    most one ladder of levels: m x ``n_max`` (32768) complex values.
+    Every quadrature starts at ``QUADRATURE_START`` nodes, so a space stores
+    at most one ladder of levels: m x ``QUADRATURE_MAX`` complex values.
     """
 
     space: BlaschkeProduct

@@ -11,6 +11,10 @@ def cpx(z):
 
 
 def uncpx(pair):
+    """[re, im] of two real numbers (not bools) -> complex, else ValueError."""
+    if (not isinstance(pair, (list, tuple)) or len(pair) != 2
+            or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in pair)):
+        raise ValueError(f"expected an [re, im] pair of real numbers, got {pair!r}")
     return complex(pair[0], pair[1])
 
 
@@ -19,6 +23,8 @@ def cpx_seq(values):
 
 
 def uncpx_seq(pairs):
+    if not isinstance(pairs, (list, tuple)):
+        raise ValueError(f"expected a JSON array of [re, im] pairs, got {pairs!r}")
     return [uncpx(p) for p in pairs]
 
 
@@ -27,7 +33,9 @@ def cpx_matrix(mat):
 
 
 def uncpx_matrix(rows):
-    return np.array([[uncpx(p) for p in row] for row in rows], dtype=complex)
+    if not isinstance(rows, (list, tuple)):
+        raise ValueError(f"expected a JSON array of rows, got {rows!r}")
+    return np.array([uncpx_seq(row) for row in rows], dtype=complex)
 
 
 def dumps(obj):

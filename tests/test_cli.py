@@ -252,13 +252,14 @@ class TestDeterminism:
 
 class TestConfig:
     def test_config_file_with_overrides(self, capsys, tmp_path):
-        cfg = {"alpha": "z2", "lambda1": [1.0, 0.0],
-               "tolerances": {"residual": 1e-9}, "seed": 3}
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(cfg))
-        code, out, _ = run_cli(capsys, "clark", "--config", str(path))
-        assert code == 0
-        assert json.loads(out)["alpha"]["points"] == [[1.0, 0.0], [-1.0, 0.0]]
+        for lam in ([1.0, 0.0], 1):
+            cfg = {"alpha": "z2", "lambda1": lam,
+                   "tolerances": {"residual": 1e-9}, "seed": 3}
+            path.write_text(json.dumps(cfg))
+            code, out, _ = run_cli(capsys, "clark", "--config", str(path))
+            assert code == 0
+            assert json.loads(out)["alpha"]["points"] == [[1.0, 0.0], [-1.0, 0.0]]
 
     def test_bad_tolerance_rejected(self, capsys, tmp_path):
         # json writes nan and inf as NaN and Infinity, which json.load accepts
@@ -268,9 +269,31 @@ class TestConfig:
                 ({"decision": float("nan")}, ("example-4-1",)),
                 ({"decision": "nan"}, ("example-4-1",)),
                 ({"decision": [1e-7]}, ("example-4-1",)),
+                ({"rank": True}, ("example-4-1",)),
                 ({"reject_band": float("inf")}, ("selftest",)),
                 ({"decision": 1e-3}, ("example-4-1",)),
                 ({"decision": 1e-5, "reject_band": 1e-5}, ("selftest",))):
             path.write_text(json.dumps({"tolerances": tolerances}))
             code, _, err = run_cli(capsys, *argv, "--config", str(path))
             assert code == 2 and "tolerance" in err, tolerances
+
+    def test_malformed_values_rejected(self, capsys, tmp_path):
+        path = tmp_path / "cfg.json"
+        for cfg, argv in (
+                ({"alpha": [0.5, 0.0]}, ("clark", "--lambda", "1")),
+                ({"alpha": {"zeros": 3, "front": [1, 0]}}, ("clark", "--lambda", "1")),
+                ({"alpha": {"zeros": [[0.5, 0.0]], "front": [True, 0]}},
+                 ("clark", "--lambda", "1")),
+                ({"lambda1": [1]}, ("clark", "--alpha", "z2")),
+                ({"lambda1": True}, ("clark", "--alpha", "z2")),
+                ({"lambda1": {"re": 1}}, ("clark", "--alpha", "z2")),
+                ({"tolerances": [1e-8]}, ("example-4-1",)),
+                ([1], ("example-4-1",))):
+            path.write_text(json.dumps(cfg))
+            code, out, err = run_cli(capsys, *argv, "--config", str(path))
+            assert code == 2 and out == "" and err.startswith("error:"), cfg
+        for argv in (("clark", "--alpha", "z2", "--lambda", "[1]"),
+                     ("clark", "--alpha", "z2", "--lambda", "[1, true]"),
+                     ("clark", "--alpha", '{"zeros": 3, "front": [1, 0]}', "--lambda", "1")):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 2 and out == "" and err.startswith("error:"), argv

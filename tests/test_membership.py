@@ -17,7 +17,7 @@ from attokit.membership import (METHOD_CLARK, METHOD_CONJUGATE,
                                 IndeterminateError, MembershipVerdict,
                                 MethodDisagreement,
                                 clark_pairing, match_clark_points,
-                                recover_chi_psi_clark, recurrence_rhs, run_all,
+                                recover_chi_psi_clark, run_all,
                                 shift_domain_basis)
 from attokit.membership import test_clark_recurrence as check_recurrence
 from attokit.membership import test_conjugate_residual as check_conjugate
@@ -38,7 +38,9 @@ def clark_member(rng, m, n, shared, seed_symbols=1):
 
 
 def loop_recurrence_rhs(r, pairing):
-    """Entry-by-entry reference for recurrence_rhs (collision check left out)."""
+    """Entry-by-entry reference for the entries that test_clark_recurrence
+    predicts from the first row and column of r (in the paired order), and
+    the mask of the entries it decides on (collision check left out)."""
     eta, zeta = pairing.eta, pairing.zeta
     sqa = np.sqrt(pairing.weights_a)
     sqb = np.sqrt(pairing.weights_b)
@@ -167,6 +169,29 @@ class TestClarkRecurrence:
         assert not verdict.is_member
         assert verdict.max_residual >= 1e-4
 
+    def test_bump_on_nearly_free_entry_is_rejected(self, rng):
+        # one unshared cross pair 3e-5 apart (above tol.match, so no
+        # breakdown): its weight is about 3e-5, so the bump moves w r by
+        # about 3e-8, but the residual in Clark-entry units by the full 1e-3
+        pts_a = np.exp(1j * np.array([0.3, 1.2, 2.2]))
+        pts_b = np.exp(1j * np.array([0.7, 1.2 + 3e-5, 2.7]))
+        alpha = blaschke_through_points(pts_a, 1.0)
+        beta = blaschke_through_points(pts_b, 1.0)
+        lam1, lam2 = lambda_for_target(alpha, 1.0), lambda_for_target(beta, 1.0)
+        pairing = clark_pairing(alpha, beta, lam1, lam2)
+        assert pairing.shared == 0
+        gap = np.abs(pairing.eta[None, :] - pairing.zeta[:, None])
+        s, p = np.unravel_index(np.argmin(gap), gap.shape)
+        assert DEFAULT.match < gap[s, p] < 1e-4
+        assert (s, p) in constrained_entries(3, 3, 0)
+        mat = member_matrix(rng, alpha, beta, lam1, lam2)
+        bumped = mat.entries.copy()
+        bumped[pairing.perm_b[s], pairing.perm_a[p]] += 1e-3 * (1.0 + mat.max_abs)
+        verdict = check_recurrence(OperatorMatrix(bumped, mat.in_basis, mat.out_basis),
+                                   pairing)
+        assert not verdict.is_member
+        assert verdict.max_residual >= DEFAULT.reject_band
+
     def test_symmetric_toeplitz_sanity(self):
         # alpha = beta = z^2, same parameter: compressed shift passes with l = 2
         b = monomial(2)
@@ -215,10 +240,21 @@ class TestClarkRecurrence:
                 pairing = clark_pairing(alpha, beta, lam1, lam2)
                 assert pairing.shared == l
                 r = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
-                rhs, applicable = recurrence_rhs(r, pairing)
-                ref_rhs, ref_applicable = loop_recurrence_rhs(r, pairing)
-                assert np.array_equal(applicable, ref_applicable)
-                assert np.max(np.abs(rhs - ref_rhs)) <= 1e-14 * (1 + np.max(np.abs(ref_rhs)))
+                ref_rhs, applicable = loop_recurrence_rhs(r, pairing)
+                # r itself, and r with every predicted entry set to the
+                # reference prediction, so that both verdicts are exercised
+                for entries in (r, np.where(applicable, ref_rhs, r)):
+                    ref = (np.max(np.abs(entries - ref_rhs)[applicable], initial=0.0)
+                           / (1.0 + np.max(np.abs(entries))))
+                    placed = np.empty_like(entries)
+                    placed[np.ix_(pairing.perm_b, pairing.perm_a)] = entries
+                    mat = OperatorMatrix(placed, clark_basis(alpha, pairing.clark_a),
+                                         clark_basis(beta, pairing.clark_b))
+                    try:
+                        rel = check_recurrence(mat, pairing).max_residual
+                    except IndeterminateError as exc:
+                        rel = exc.relative_residual
+                    assert abs(rel - ref) <= 1e-14 * (1.0 + ref)
 
 
 class TestBlaschkeThroughPoints:
