@@ -82,6 +82,7 @@ class BlaschkeProduct:
 
     @classmethod
     def from_json(cls, obj: dict) -> "BlaschkeProduct":
+        obj = serialize.unobject(obj, "a Blaschke product")
         return cls(tuple(serialize.uncpx_seq(obj["zeros"])),
                    serialize.uncpx(obj["front"]))
 

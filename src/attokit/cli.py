@@ -60,17 +60,12 @@ def load_config(path: str | None) -> dict:
     if path is None:
         return {}
     with open(path, "r", encoding="utf-8") as fh:
-        cfg = json.load(fh)
-    if not isinstance(cfg, dict):
-        raise ValueError("config must be a JSON object")
-    return cfg
+        return serialize.unobject(json.load(fh), "config")
 
 
 def config_tolerances(cfg: dict) -> Tolerances:
     fields = {f.name for f in dataclasses.fields(Tolerances)}
-    given = cfg.get("tolerances", {})
-    if not isinstance(given, dict):
-        raise ValueError("tolerances must be a JSON object")
+    given = serialize.unobject(cfg.get("tolerances", {}), "tolerances")
     bad = set(given) - fields
     if bad:
         raise ValueError(f"unknown tolerance keys: {sorted(bad)}")
@@ -291,7 +286,9 @@ def _selftest_report(seed: int, trials: int, tol: Tolerances) -> dict:
 
 
 def cmd_selftest(args, cfg: dict, tol: Tolerances) -> int:
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 42))
+    seed = args.seed if args.seed is not None else cfg.get("seed", 42)
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
     report = _selftest_report(seed, args.trials, tol)
     _emit(report)
     ok = (report["membership_agreement"]

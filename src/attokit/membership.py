@@ -29,13 +29,14 @@ band instead of guessing.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .blaschke import BlaschkeProduct, ClarkPointSet
 from .config import DEFAULT, Tolerances
-from .modelspace import ModelVector, clark_basis, clark_points, tm_vector
+from .modelspace import ModelVector, _read_only, clark_basis, clark_points, tm_vector
 from .operators import OperatorMatrix, clark_coefficient
 
 METHOD_CLARK = "clark-recurrence"
@@ -118,7 +119,13 @@ def _decide(method: str, residual: float, scale: float, tol: Tolerances,
 class ClarkPairing:
     """Two Clark point sets with their shared points matched and moved to the
     leading positions: after applying the permutations, eta[j] = zeta[j] for
-    j < shared."""
+    j < shared.
+
+    The constants the recurrence test and the witness recovery read, which
+    depend only on the two point sets and the matching, are computed on
+    first use, kept and read-only.  So a pairing reused across matrices pays
+    for them once; ``dataclasses.replace(pairing)`` is a fresh pairing with
+    nothing computed yet."""
 
     clark_a: ClarkPointSet
     clark_b: ClarkPointSet
@@ -142,13 +149,55 @@ class ClarkPairing:
     def weights_b(self) -> np.ndarray:
         return self.clark_b.weights[self.perm_b]
 
-    @property
+    @functools.cached_property
     def weight(self) -> np.ndarray:
         """w[s, p] = (1 - conj(eta_p) zeta_s) sqrt(w_p w_s), in the paired
         order: w r is A - U_beta A U_alpha* in the paired Clark bases, times
         sqrt(w_p w_s).  It vanishes on the shared diagonal."""
-        return ((1.0 - np.conj(self.eta)[None, :] * self.zeta[:, None])
-                * (np.sqrt(self.weights_a)[None, :] * np.sqrt(self.weights_b)[:, None]))
+        return _read_only((1.0 - np.conj(self.eta)[None, :] * self.zeta[:, None])
+                          * (self.sqrt_weights_a[None, :] * self.sqrt_weights_b[:, None]))
+
+    @functools.cached_property
+    def sqrt_weights_a(self) -> np.ndarray:
+        return _read_only(np.sqrt(self.weights_a))
+
+    @functools.cached_property
+    def sqrt_weights_b(self) -> np.ndarray:
+        return _read_only(np.sqrt(self.weights_b))
+
+    @functools.cached_property
+    def paired_index(self) -> tuple:
+        """``np.ix_(perm_b, perm_a)``: ``entries[paired_index]`` is a Clark
+        matrix in the paired order."""
+        return tuple(_read_only(ix) for ix in np.ix_(self.perm_b, self.perm_a))
+
+    @functools.cached_property
+    def inverse_perm_a(self) -> np.ndarray:
+        return _read_only(np.argsort(self.perm_a))
+
+    @functools.cached_property
+    def inverse_perm_b(self) -> np.ndarray:
+        return _read_only(np.argsort(self.perm_b))
+
+    @functools.cached_property
+    def free(self) -> np.ndarray:
+        """Mask of the free diagonal s = p < l, where the recurrence says
+        nothing."""
+        free = np.zeros((len(self.perm_b), len(self.perm_a)), dtype=bool)
+        free[np.arange(self.shared), np.arange(self.shared)] = True
+        return _read_only(free)
+
+    @functools.cached_property
+    def divisor(self) -> np.ndarray:
+        """w with its zeros on the free diagonal replaced by 1."""
+        return _read_only(np.where(self.free, 1.0, self.weight))
+
+    @functools.cached_property
+    def min_separation(self) -> float:
+        """The smallest cross distance |eta_p - zeta_s| off the free
+        diagonal (inf when every entry is free)."""
+        den = self.eta[None, :] - self.zeta[:, None]
+        return float(np.min(np.abs(den[~self.free]), initial=np.inf))
 
     def clark_matrix(self, matrix: OperatorMatrix) -> OperatorMatrix:
         """``matrix`` over the Clark bases of the pairing's own point sets:
@@ -186,8 +235,8 @@ def match_clark_points(clark_a: ClarkPointSet, clark_b: ClarkPointSet,
     rest_a = [j for j in range(len(pa)) if j not in lead_a]
     rest_b = [i for i in range(len(pb)) if i not in lead_b]
     return ClarkPairing(clark_a, clark_b, len(pairs),
-                        np.array(lead_a + rest_a, dtype=int),
-                        np.array(lead_b + rest_b, dtype=int))
+                        _read_only(np.array(lead_a + rest_a, dtype=int)),
+                        _read_only(np.array(lead_b + rest_b, dtype=int)))
 
 
 def clark_pairing(alpha: BlaschkeProduct, beta: BlaschkeProduct,
@@ -202,8 +251,8 @@ def clark_pairing(alpha: BlaschkeProduct, beta: BlaschkeProduct,
 # ---------------------------------------------------------------------------
 
 def _clark_split(matrix: OperatorMatrix, pairing: ClarkPairing, x0: complex = 0j):
-    """(r, w, q, x, y) in the paired order: the entries r of ``matrix``, w =
-    ``pairing.weight``, q = w r, and x, y with x[s] + y[p] = q[s, p] read off
+    """(r, q, x, y) in the paired order: the entries r of ``matrix``, q = w r
+    with w = ``pairing.weight``, and x, y with x[s] + y[p] = q[s, p] read off
     the first row and column of q with x[0] = x0 (q vanishes on the shared
     diagonal, so x[s] = -y[s] for s < l).  The bases of ``matrix`` must be
     the Clark bases of the pairing's point sets (checked at once when a basis
@@ -218,16 +267,15 @@ def _clark_split(matrix: OperatorMatrix, pairing: ClarkPairing, x0: complex = 0j
             raise ValueError("matrix basis and pairing disagree on the spectral parameter")
         if not np.allclose(basis.clark.points, point_set.points, atol=1e-12):
             raise ValueError("matrix basis and pairing disagree on the Clark points")
-    r = matrix.entries[np.ix_(pairing.perm_b, pairing.perm_a)]
+    r = matrix.entries[pairing.paired_index]
     if pairing.shared > min(r.shape):
         raise ValueError("shared Clark points exceed min(m, n)")
-    w = pairing.weight
-    q = w * r
+    q = pairing.weight * r
     y = q[0] - x0
     x = q[:, 0] - y[0]
     x[:pairing.shared] = -y[:pairing.shared]
     x[0] = x0
-    return r, w, q, x, y
+    return r, q, x, y
 
 
 def test_clark_recurrence(matrix: OperatorMatrix, pairing: ClarkPairing,
@@ -237,16 +285,12 @@ def test_clark_recurrence(matrix: OperatorMatrix, pairing: ClarkPairing,
     off the free diagonal s = p < l, relative to 1 + max|r|.  It divides by w
     on purpose: where unshared Clark points nearly meet, w is small, and a bump
     on that nearly free entry moves w r by little but r by its full size."""
-    r, w, _, x, y = _clark_split(matrix, pairing)
-    l = pairing.shared
-    applicable = np.ones(r.shape, dtype=bool)
-    applicable[np.arange(l), np.arange(l)] = False
-    den = pairing.eta[None, :] - pairing.zeta[:, None]
-    if np.any(np.abs(den[applicable]) < tol.match):
+    r, _, x, y = _clark_split(matrix, pairing)
+    if pairing.min_separation < tol.match:
         raise ToleranceBreakdown("Clark points of the two spaces nearly collide "
                                  "outside the matched pairs; tighten tolerances")
-    resid = np.abs(r - (x[:, None] + y[None, :]) / np.where(applicable, w, 1.0))
-    resid[~applicable] = 0.0
+    resid = np.abs(r - (x[:, None] + y[None, :]) / pairing.divisor)
+    resid[pairing.free] = 0.0
     return _decide(METHOD_CLARK, float(np.max(resid)), matrix.max_abs, tol)
 
 
@@ -254,16 +298,18 @@ def test_clark_recurrence(matrix: OperatorMatrix, pairing: ClarkPairing,
 # rank-two residual tests
 # ---------------------------------------------------------------------------
 
-def _split_residual(d: np.ndarray, left: np.ndarray, right: np.ndarray):
-    """Decompose d = psi left^H + right chi^H with <psi, right> = 0.
+def _split_residual(d: np.ndarray, left: np.ndarray, right: np.ndarray,
+                    left_norm2: float, right_norm2: float):
+    """Decompose d = psi left^H + right chi^H with <psi, right> = 0, given
+    the squared norms of ``left`` and ``right``.
 
     The part of d this cannot represent is exactly the compression of d to
     the two orthocomplements, so the returned pair is the canonical witness
     whenever the membership residual vanishes.
     """
-    psi = d @ left / (np.linalg.norm(left) ** 2)
-    psi = psi - right * (np.vdot(right, psi) / (np.linalg.norm(right) ** 2))
-    chi = d.conj().T @ right / (np.linalg.norm(right) ** 2)
+    psi = d @ left / left_norm2
+    psi = psi - right * (np.vdot(right, psi) / right_norm2)
+    chi = d.conj().T @ right / right_norm2
     return psi, chi
 
 
@@ -274,14 +320,14 @@ def _residual_test(matrix: OperatorMatrix, method: str, a: complex, b: complex,
     the matrix's TM matrix."""
     m_tm = matrix.tm_entries()
     space_a, space_b = matrix.alpha.model_space, matrix.beta.model_space
-    sa, sb = space_a.modified(a), space_b.modified(b)
     if method == METHOD_RESIDUAL:
-        d = m_tm - sb @ m_tm @ sa.conj().T
+        d = m_tm - space_b.modified(b) @ m_tm @ space_a.modified_adjoint(a)
         left, right = space_a.k0, space_b.k0
+        psi, chi = _split_residual(d, left, right, space_a.k0_norm2, space_b.k0_norm2)
     else:
-        d = m_tm - sb.conj().T @ m_tm @ sa
+        d = m_tm - space_b.modified_adjoint(b) @ m_tm @ space_a.modified(a)
         left, right = space_a.kt0, space_b.kt0
-    psi, chi = _split_residual(d, left, right)
+        psi, chi = _split_residual(d, left, right, space_a.kt0_norm2, space_b.kt0_norm2)
     resid = np.max(np.abs(d - np.outer(psi, np.conj(left)) - np.outer(right, np.conj(chi))))
     witness = Witness(tm_vector(matrix.alpha, chi), tm_vector(matrix.beta, psi),
                       complex(a), complex(b))
@@ -349,16 +395,16 @@ def recover_chi_psi_clark(matrix: OperatorMatrix, pairing: ClarkPairing,
     """
     k0a = 1.0 - np.conj(matrix.alpha.model_space.b0) * pairing.clark_a.target   # = k_0^alpha(eta_p)
     k0b = 1.0 - np.conj(matrix.beta.model_space.b0) * pairing.clark_b.target
-    _, _, q, x, y = _clark_split(matrix, pairing, complex(psi1) * np.conj(k0a))
+    _, q, x, y = _clark_split(matrix, pairing, complex(psi1) * np.conj(k0a))
     worst = float(np.max(np.abs(x[:, None] + y[None, :] - q)))
     if worst / (1.0 + float(np.max(np.abs(q)))) > tol.reject_band:
         raise ValueError(f"witness recovery failed: consistency residual {worst:.3e}; "
                          "the matrix is not a member")
 
-    chi = np.conj(y / k0b) / np.sqrt(pairing.weights_a)
-    psi = x / np.conj(k0a) / np.sqrt(pairing.weights_b)
-    return (ModelVector(matrix.in_basis, chi[np.argsort(pairing.perm_a)]),
-            ModelVector(matrix.out_basis, psi[np.argsort(pairing.perm_b)]))
+    chi = np.conj(y / k0b) / pairing.sqrt_weights_a
+    psi = x / np.conj(k0a) / pairing.sqrt_weights_b
+    return (ModelVector(matrix.in_basis, chi[pairing.inverse_perm_a]),
+            ModelVector(matrix.out_basis, psi[pairing.inverse_perm_b]))
 
 
 # ---------------------------------------------------------------------------

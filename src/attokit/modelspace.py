@@ -53,7 +53,8 @@ from .blaschke import (BlaschkeProduct, ClarkPointSet, RootCollisionError, deriv
 from .config import DEFAULT, Tolerances
 
 BASIS_KINDS = ("tm", "kernel-zeros", "clark", "modified-clark")
-CLARK_ENTRIES = 8               # (lam, tol) entries a space keeps; the oldest goes first
+CLARK_ENTRIES = 8               # (lam, tol) entries, and modified shifts, a space keeps;
+                                # the oldest goes first
 QUADRATURE_START = 256          # node count of the first quadrature level
 QUADRATURE_MAX = 1 << 15        # node count past which the quadrature gives up
 
@@ -147,7 +148,16 @@ class ModelSpace:
 
     Reached as ``b.model_space``, one per product.  Each array is computed on
     first use, kept, and read-only, so every modified shift, multiplication
-    by z, conjugate kernel and Stein solve of the space shares it.
+    by z, conjugate kernel and Stein solve of the space shares it.  So are
+    the squared norms of k_0 and k~_0, which the rank-two membership tests
+    divide by.
+
+    It stores the modified shift S_c and its adjoint per c != 0 (see
+    :meth:`modified`), read-only, on the second use of c, so the membership
+    tests of a reused space pay for them once or twice, and a product that
+    uses c once (a Clark solve, or one Clark unitary) stores no m x m array
+    for it.  The store keeps the last ``CLARK_ENTRIES`` values of c.  S_0 is
+    ``shift`` itself, and nothing more is stored for it.
 
     It also stores Clark work per (lam, tol) (see :meth:`clark`): the point
     set, solved once, and its Clark and modified-Clark bases, each built on
@@ -167,6 +177,7 @@ class ModelSpace:
 
     space: BlaschkeProduct
     _clark: dict = field(default_factory=dict, init=False, repr=False)
+    _modified: dict = field(default_factory=dict, init=False, repr=False)
     _levels: dict = field(default_factory=dict, init=False, repr=False)
 
     @functools.cached_property
@@ -220,6 +231,16 @@ class ModelSpace:
         suffix = np.ones(b.degree, dtype=complex)     # suffix[i] = prod_{j>i} (-a_j)
         suffix[:-1] = np.cumprod(-a[:0:-1])[::-1]
         return _read_only(b.front * (-1.0) ** b.degree * np.sqrt(1.0 - np.abs(a) ** 2) * suffix)
+
+    @functools.cached_property
+    def k0_norm2(self) -> float:
+        """||k_0||^2."""
+        return np.linalg.norm(self.k0) ** 2
+
+    @functools.cached_property
+    def kt0_norm2(self) -> float:
+        """||k~_0||^2."""
+        return np.linalg.norm(self.kt0) ** 2
 
     @functools.cached_property
     def shift_domain(self) -> np.ndarray:
@@ -286,8 +307,29 @@ class ModelSpace:
         return _read_only(b.front * (-1.0) ** m * rows[::-1].T)   # slot m-1-k holds psi_k
 
     def modified(self, c: complex) -> np.ndarray:
-        """The modified compressed shift S_c = S + c k_0 k~_0^H."""
-        return self.shift + complex(c) * np.outer(self.k0, np.conj(self.kt0))
+        """The modified compressed shift S_c = S + c k_0 k~_0^H, read-only:
+        ``shift`` itself for c = 0, otherwise stored with its adjoint on the
+        second use of c."""
+        return self.shift if c == 0 else self._modified_pair(c)[0]
+
+    def modified_adjoint(self, c: complex) -> np.ndarray:
+        """S_c^H: read-only and stored with S_c for c != 0, and for c = 0
+        formed from ``shift`` on every call."""
+        return self.shift.conj().T if c == 0 else self._modified_pair(c)[1]
+
+    def _modified_pair(self, c: complex) -> tuple:
+        c = complex(c)
+        pair = self._modified.get(c)
+        if pair is None:
+            s_c = _read_only(self.shift + c * np.outer(self.k0, np.conj(self.kt0)))
+            pair = (s_c, _read_only(s_c.conj()).T)
+            if c in self._modified:     # the first use marks c, the second stores
+                self._modified[c] = pair
+            else:
+                if len(self._modified) >= CLARK_ENTRIES:
+                    del self._modified[next(iter(self._modified))]
+                self._modified[c] = None
+        return pair
 
     def multiply_by_z(self, coords: np.ndarray) -> np.ndarray:
         """TM coordinates of z f for every f given by TM coordinates
@@ -562,6 +604,7 @@ class ModelVector:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ModelVector":
+        obj = serialize.unobject(obj, "a model-space vector")
         b = BlaschkeProduct.from_json(obj["alpha"])
         lam = serialize.uncpx(obj["lambda"]) if "lambda" in obj else None
         basis = build_basis(b, obj["basis"], lam)

@@ -83,6 +83,7 @@ class RationalSymbol:
 
     @classmethod
     def from_json(cls, obj: dict) -> "RationalSymbol":
+        obj = serialize.unobject(obj, "a raw symbol")
         return cls(tuple(serialize.uncpx_seq(obj["num"])),
                    tuple(serialize.uncpx_seq(obj["den"])))
 
@@ -148,6 +149,7 @@ class SymbolSpec:
 
     @classmethod
     def from_json(cls, obj: dict) -> "SymbolSpec":
+        obj = serialize.unobject(obj, "a symbol")
         chi = ModelVector.from_json(obj["co_analytic"]) if "co_analytic" in obj else None
         psi = ModelVector.from_json(obj["analytic"]) if "analytic" in obj else None
         raw = RationalSymbol.from_json(obj["raw"]) if "raw" in obj else None
@@ -247,10 +249,12 @@ class OperatorMatrix:
 
     @classmethod
     def from_json(cls, obj: dict) -> "OperatorMatrix":
+        obj = serialize.unobject(obj, "an operator matrix")
         alpha = BlaschkeProduct.from_json(obj["alpha"])
         beta = BlaschkeProduct.from_json(obj["beta"])
 
         def mk(space, desc):
+            desc = serialize.unobject(desc, "a basis descriptor")
             lam = serialize.uncpx(desc["lambda"]) if "lambda" in desc else None
             return build_basis(space, desc["basis"], lam)
 

@@ -18,6 +18,13 @@ def uncpx(pair):
     return complex(pair[0], pair[1])
 
 
+def unobject(value, what: str) -> dict:
+    """A JSON object passed through, else ValueError naming ``what``."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be a JSON object, got {value!r}")
+    return value
+
+
 def cpx_seq(values):
     return [cpx(z) for z in values]
 

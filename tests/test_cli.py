@@ -6,11 +6,12 @@ import sys
 import numpy as np
 import pytest
 
+from attokit.blaschke import monomial
 from attokit.cli import main
 from attokit.instances import (member_matrix, perturbed_nonmember,
                                shared_clark_instance)
 from attokit.membership import clark_pairing
-from attokit.operators import SymbolSpec
+from attokit.operators import SymbolSpec, compressed_shift
 from attokit.instances import random_symbol
 
 
@@ -288,10 +289,25 @@ class TestConfig:
                 ({"lambda1": True}, ("clark", "--alpha", "z2")),
                 ({"lambda1": {"re": 1}}, ("clark", "--alpha", "z2")),
                 ({"tolerances": [1e-8]}, ("example-4-1",)),
-                ([1], ("example-4-1",))):
+                ([1], ("example-4-1",)),
+                ({"seed": [1]}, ("selftest", "--trials", "1")),
+                ({"seed": True}, ("selftest", "--trials", "1")),
+                ({"seed": 1.0}, ("selftest", "--trials", "1"))):
             path.write_text(json.dumps(cfg))
             code, out, err = run_cli(capsys, *argv, "--config", str(path))
             assert code == 2 and out == "" and err.startswith("error:"), cfg
+        good = compressed_shift(monomial(2)).to_json()
+        for doc in ([1], "z2", {**good, "alpha": "z2"}, {**good, "beta": [1]},
+                    {**good, "in_basis": "tm"}):
+            path.write_text(json.dumps(doc))
+            for command in ("membership", "rankone"):
+                code, out, err = run_cli(capsys, command, "--matrix", str(path))
+                assert code == 2 and out == "" and err.startswith("error:"), (command, doc)
+        for doc in ([1], {"co_analytic": "z2"}, {"raw": [1]}):
+            path.write_text(json.dumps(doc))
+            code, out, err = run_cli(capsys, "atto", "--alpha", "z2", "--beta", "z2",
+                                     "--symbol", str(path))
+            assert code == 2 and out == "" and err.startswith("error:"), doc
         for argv in (("clark", "--alpha", "z2", "--lambda", "[1]"),
                      ("clark", "--alpha", "z2", "--lambda", "[1, true]"),
                      ("clark", "--alpha", '{"zeros": 3, "front": [1, 0]}', "--lambda", "1")):

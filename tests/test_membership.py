@@ -742,3 +742,85 @@ class TestWitnessRecovery:
         bad = perturbed_nonmember(rng, mat, pairing)
         with pytest.raises(ValueError):
             recover_chi_psi_clark(bad, pairing)
+
+
+def outcome(fn, *args):
+    """What a test or the witness recovery gives, as comparable values: the
+    verdict with its residual and witness coordinates, or the refusal."""
+    try:
+        res = fn(*args)
+    except (IndeterminateError, ValueError) as exc:
+        return type(exc).__name__, getattr(exc, "relative_residual", None), str(exc)
+    if isinstance(res, tuple):                       # recover_chi_psi_clark
+        return tuple(v.coeffs.tobytes() for v in res)
+    if isinstance(res, dict):                        # run_all
+        return res["member"], {k: outcome(lambda v=v: v) for k, v in res["methods"].items()}
+    wit = res.witness
+    return (res.is_member, res.max_residual, res.method,
+            None if wit is None else (wit.chi.tm().tobytes(), wit.psi.tm().tobytes(),
+                                      wit.a, wit.b))
+
+
+class TestPairingConstants:
+    """A pairing keeps what depends only on its point sets; reusing it over
+    many matrices gives what a fresh copy of it gives."""
+
+    def test_reused_pairing_matches_a_fresh_copy(self, rng):
+        for m, n, shared in ((3, 2, 0), (1, 1, 0), (1, 1, 1), (4, 4, 2), (3, 3, 3),
+                             (2, 4, 2), (5, 3, 3), (4, 5, 0)):
+            alpha, beta, lam1, lam2, pairing, mat = clark_member(rng, m, n, shared)
+            mats = [mat] + [member_matrix(rng, alpha, beta, lam1, lam2) for _ in range(3)]
+            if min(m, n) >= 2:
+                mats += [perturbed_nonmember(rng, x, pairing) for x in mats[:2]]
+            for x in mats:
+                fresh = dataclasses.replace(pairing)
+                for args in ((check_recurrence, x), (run_all, x),
+                             (recover_chi_psi_clark, x), (recover_chi_psi_clark, x, 0.3 - 0.2j)):
+                    fn, *rest = args
+                    reused = outcome(fn, rest[0], pairing, *rest[1:])
+                    assert reused == outcome(fn, rest[0], fresh, *rest[1:]), (m, n, shared)
+
+    def test_constants_are_read_only_and_kept(self, rng):
+        *_, pairing, mat = clark_member(rng, 4, 3, 2)
+        check_recurrence(mat, pairing)
+        recover_chi_psi_clark(mat, pairing)
+        names = ("weight", "sqrt_weights_a", "sqrt_weights_b", "inverse_perm_a",
+                 "inverse_perm_b", "free", "divisor")
+        arrays = [pairing.perm_a, pairing.perm_b, *pairing.paired_index]
+        arrays += [getattr(pairing, name) for name in names]
+        for arr in arrays:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0
+        for name in names + ("paired_index", "min_separation"):
+            assert getattr(pairing, name) is getattr(pairing, name)
+
+    def test_constants_match_their_definitions(self, rng):
+        for m, n, shared in ((3, 2, 0), (4, 4, 2), (3, 3, 3), (2, 4, 2)):
+            *_, pairing, mat = clark_member(rng, m, n, shared)
+            _, applicable = loop_recurrence_rhs(mat.entries, pairing)
+            den = np.abs(pairing.eta[None, :] - pairing.zeta[:, None])
+            assert np.array_equal(pairing.free, ~applicable)
+            assert pairing.min_separation == np.min(den[applicable])
+            assert np.array_equal(pairing.divisor, np.where(applicable, pairing.weight, 1.0))
+            r = mat.entries[np.ix_(pairing.perm_b, pairing.perm_a)]
+            assert np.array_equal(mat.entries[pairing.paired_index], r)
+            assert np.array_equal(pairing.perm_a[pairing.inverse_perm_a], np.arange(m))
+            assert np.array_equal(pairing.perm_b[pairing.inverse_perm_b], np.arange(n))
+
+    def test_collision_check_runs_on_every_call_at_that_calls_tolerance(self, rng):
+        from attokit.instances import separated_boundary_points
+        from attokit.membership import ToleranceBreakdown
+        pts = separated_boundary_points(rng, 5, min_angle=0.4)
+        alpha = blaschke_through_points(pts[:3], 1.0)
+        beta = blaschke_through_points(np.array([pts[0] * np.exp(1e-9j), pts[3], pts[4]]), 1.0)
+        lam1 = lambda_for_target(alpha, 1.0)
+        lam2 = lambda_for_target(beta, 1.0)
+        tight = dataclasses.replace(DEFAULT, match=1e-12)
+        pairing = clark_pairing(alpha, beta, lam1, lam2, tight)
+        assert 1e-12 < pairing.min_separation < DEFAULT.match
+        for _ in range(3):
+            mat = member_matrix(rng, alpha, beta, lam1, lam2)
+            with pytest.raises(ToleranceBreakdown):
+                check_recurrence(mat, pairing, DEFAULT)
+            assert check_recurrence(mat, pairing, tight).is_member

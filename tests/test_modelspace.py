@@ -704,3 +704,42 @@ def test_reproducing_property_hypothesis(degree, seed):
     f = random_vector(rng, build_basis(b, "tm"))
     w = 0.9 * np.sqrt(rng.random()) * random_unimodular(rng)
     assert abs(inner_product(f, kernel(b, w)) - f(w)) <= 1e-9 * (1 + f.norm())
+
+
+class TestModifiedShiftStore:
+    def test_zero_is_the_shift_and_stores_nothing(self, rng):
+        for b in small_products(rng) + degree_64_products(rng):
+            space = b.model_space
+            assert space.modified(0) is space.shift and space.modified(0j) is space.shift
+            # bit-equal to the rank-one formula at c = 0
+            old = space.shift + 0j * np.outer(space.k0, np.conj(space.kt0))
+            assert space.modified(0).tobytes() == old.tobytes()
+            assert space.modified_adjoint(0).tobytes() == space.shift.conj().T.tobytes()
+            assert space._modified == {}
+
+    def test_stored_per_c_read_only_and_bounded(self, rng):
+        for b in small_products(rng) + degree_64_products(rng):
+            space = b.model_space
+            cs = [complex(c) for c in rng.standard_normal(CLARK_ENTRIES + 3)
+                  + 1j * rng.standard_normal(CLARK_ENTRIES + 3)]
+            for c in cs:
+                expect = space.shift + c * np.outer(space.k0, np.conj(space.kt0))
+                first = space.modified(c)
+                assert first.tobytes() == expect.tobytes() and not first.flags.writeable
+                assert space._modified[c] is None       # a single use stores nothing
+                adj = space.modified_adjoint(c)         # the second use stores
+                s_c = space.modified(c)
+                assert space._modified[c] == (s_c, adj)
+                assert s_c.tobytes() == expect.tobytes()
+                assert np.array_equal(adj, s_c.conj().T) and adj.strides == s_c.conj().T.strides
+                assert space.modified(c) is s_c and space.modified_adjoint(c) is adj
+                for arr in (s_c, adj):
+                    assert not arr.flags.writeable
+                assert len(space._modified) <= CLARK_ENTRIES
+            assert list(space._modified) == cs[-CLARK_ENTRIES:]
+
+    def test_kernel_norms(self, rng):
+        for b in small_products(rng) + degree_64_products(rng):
+            space = b.model_space
+            assert space.k0_norm2 == np.linalg.norm(space.k0) ** 2
+            assert space.kt0_norm2 == np.linalg.norm(space.kt0) ** 2
