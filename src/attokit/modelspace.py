@@ -43,6 +43,7 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -78,8 +79,9 @@ def doubling_circle_mean(node_sum, tol: float = DEFAULT.quadrature):
     1-D array of points on the circle); it may be any array, computed
     however suits the integrand (a sum over a node axis, or one matrix
     product).  The first level sums over ``circle_nodes(QUADRATURE_START)``;
-    each doubling adds only the n new odd nodes of ``circle_nodes(2n)``,
-    whose even nodes are bit-equal to ``circle_nodes(n)``, so every node is
+    each doubling to 2n adds only the n new odd nodes exp(2 pi i k / 2n),
+    k odd, computed on their own and bit-equal to ``circle_nodes(2n)[1::2]``;
+    the even nodes are bit-equal to ``circle_nodes(n)``, so every node is
     evaluated once.  The n-node trapezoid mean, the approximation of
     (1/2pi) * integral over the circle, is the running sum divided by n.
 
@@ -99,7 +101,7 @@ def doubling_circle_mean(node_sum, tol: float = DEFAULT.quadrature):
         if prev is None:
             total = node_sum(circle_nodes(n))
         else:
-            total = total + node_sum(circle_nodes(n)[1::2])
+            total = total + node_sum(np.exp(2j * np.pi * np.arange(1, n, 2) / n))
         val = total / n
         if prev is not None:
             bound = tol * (1.0 + float(np.max(np.abs(val))))
@@ -139,7 +141,13 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-@dataclass(eq=False, frozen=True)
+def _live(product: weakref.ref) -> BlaschkeProduct:
+    b = product()
+    if b is None:
+        raise ReferenceError("the product of this model space was freed")
+    return b
+
+
 class ModelSpace:
     """The exact objects of one model space in TM coordinates: the TM basis,
     the compressed shift S, the kernel k_0 and the conjugate kernel k~_0 at
@@ -152,6 +160,16 @@ class ModelSpace:
     the squared norms of k_0 and k~_0, which the rank-two membership tests
     divide by.
 
+    The space keeps the zeros, front and degree of its product, which is all
+    that :func:`evaluate` and :func:`tm_values` read, so it computes from
+    its own data.  It refers to the product itself weakly, and holds each
+    basis object (:attr:`tm_basis`, the Clark bases) weakly too, while it
+    keeps their arrays: a dropped basis is built anew over the same
+    read-only array.  So nothing the space holds refers back to the product,
+    and a product and its space, with every array, are freed as soon as the
+    last outside reference goes.  A basis or vector refers to its product,
+    so holding one keeps the product and its space alive.
+
     It stores the modified shift S_c and its adjoint per c != 0 (see
     :meth:`modified`), read-only, on the second use of c, so the membership
     tests of a reused space pay for them once or twice, and a product that
@@ -160,25 +178,31 @@ class ModelSpace:
     ``shift`` itself, and nothing more is stored for it.
 
     It also stores Clark work per (lam, tol) (see :meth:`clark`): the point
-    set, solved once, and its Clark and modified-Clark bases, each built on
-    first use, all with read-only arrays.  ``tol`` is part of the key because
-    its residual and separation checks gate the solve.  A solve that raises
-    stores nothing, and the store keeps the last ``CLARK_ENTRIES`` keys.
+    set, solved once, and the arrays of its Clark and modified-Clark bases,
+    each built on first use, all read-only.  ``tol`` is part of the key
+    because its residual and separation checks gate the solve.  A solve that
+    raises stores nothing, and the store keeps the last ``CLARK_ENTRIES``
+    keys.
 
     And it stores the TM values at the levels of the nested circle quadrature
     (see :meth:`level_values`), keyed by the level: its node count n and
     whether it is the full first level or the odd half of a doubling.  A
     level is stored, read-only, on its second evaluation; the first keeps
-    nothing, so a product evaluated once (and freed only by the cyclic
-    collector, since it refers to its space and back) holds no node arrays.
+    nothing, so a product evaluated once holds no node arrays.
     Every quadrature starts at ``QUADRATURE_START`` nodes, so a space stores
     at most one ladder of levels: m x ``QUADRATURE_MAX`` complex values.
     """
 
-    space: BlaschkeProduct
-    _clark: dict = field(default_factory=dict, init=False, repr=False)
-    _modified: dict = field(default_factory=dict, init=False, repr=False)
-    _levels: dict = field(default_factory=dict, init=False, repr=False)
+    def __init__(self, b: BlaschkeProduct):
+        self.zeros, self.front, self.degree = b.zeros, b.front, b.degree
+        self._product = weakref.ref(b)
+        self._bases = {}            # kind -> weak reference to the basis object
+        self._clark, self._modified, self._levels = {}, {}, {}
+
+    @property
+    def space(self) -> BlaschkeProduct:
+        """The product, while it lives."""
+        return _live(self._product)
 
     @functools.cached_property
     def shift(self) -> np.ndarray:
@@ -190,8 +214,8 @@ class ModelSpace:
         product table is row i - 1 times -conj(a_{i-1}), extended by a 1, never a
         quotient of cumulative products: a zero at the origin makes a factor 0.
         """
-        a = np.array(self.space.zeros)
-        m = self.space.degree
+        a = np.array(self.zeros)
+        m = self.degree
         s = np.sqrt(1.0 - np.abs(a) ** 2)
         prods = np.zeros((m, m), dtype=complex)   # prods[i, j] = prod_{j<k<i} (-conj(a_k))
         for i in range(1, m):
@@ -200,16 +224,22 @@ class ModelSpace:
         return _read_only(np.diag(a) + s[:, None] * s[None, :] * prods)
 
     @functools.cached_property
+    def identity(self) -> np.ndarray:
+        """The matrix of the TM basis, read-only."""
+        return _read_only(np.eye(self.degree, dtype=complex))
+
+    @property
     def tm_basis(self) -> "ModelBasis":
-        """The TM basis: the identity over TM coordinates, read-only.  Every
-        TM vector and TM-coordinate matrix of the space is over this one
-        object, so adding two of them or moving between them solves nothing."""
-        return ModelBasis(self.space, "tm", _read_only(np.eye(self.space.degree, dtype=complex)))
+        """The TM basis, over :attr:`identity`.  While it lives every call
+        returns it, so every TM vector and TM-coordinate matrix of the space
+        is over this one object, and adding two of them or moving between
+        them solves nothing."""
+        return _held_basis(self._bases, self._product, "tm", self.identity)
 
     @functools.cached_property
     def b0(self) -> complex:
         """B(0), read by every Moebius target and Clark coefficient."""
-        return complex(evaluate(self.space, 0.0))
+        return complex(evaluate(self, 0.0))
 
     @functools.cached_property
     def k0(self) -> np.ndarray:
@@ -218,7 +248,7 @@ class ModelSpace:
         are rounded as :func:`tm_values` rounds them at 0 (scalar complex
         products; ``np.cumprod`` rounds some differently), so the two routes
         give equal values."""
-        zeros = self.space.zeros
+        zeros = self.zeros
         s = np.sqrt([1.0 - abs(a) ** 2 for a in zeros])
         prefix = np.array([1.0, *itertools.accumulate((-a for a in zeros[:-1]), operator.mul)])
         return _read_only(np.conj(s * prefix))    # prefix[i] = prod_{j<i} (-a_j)
@@ -226,11 +256,11 @@ class ModelSpace:
     @functools.cached_property
     def kt0(self) -> np.ndarray:
         """TM coordinates eps * s_i * prod_{j>i} (-a_j) of (B(z) - B(0)) / z."""
-        b = self.space
-        a = np.array(b.zeros)
-        suffix = np.ones(b.degree, dtype=complex)     # suffix[i] = prod_{j>i} (-a_j)
+        a = np.array(self.zeros)
+        suffix = np.ones(self.degree, dtype=complex)  # suffix[i] = prod_{j>i} (-a_j)
         suffix[:-1] = np.cumprod(-a[:0:-1])[::-1]
-        return _read_only(b.front * (-1.0) ** b.degree * np.sqrt(1.0 - np.abs(a) ** 2) * suffix)
+        return _read_only(self.front * (-1.0) ** self.degree * np.sqrt(1.0 - np.abs(a) ** 2)
+                          * suffix)
 
     @functools.cached_property
     def k0_norm2(self) -> float:
@@ -278,10 +308,9 @@ class ModelSpace:
         and each round updates two strided row views.
         The result is symmetric, and an involution to rounding at any degree.
         """
-        b = self.space
-        a = np.array(b.zeros)
+        a = np.array(self.zeros)
         s = np.sqrt(1.0 - np.abs(a) ** 2)
-        m = b.degree
+        m = self.degree
         slot = np.arange(m)           # slot[p]: index of the zero at slot p
         tops, bottoms = [], []
         for rnd in range(m):
@@ -304,7 +333,7 @@ class ModelSpace:
             start = k.stop
             rows[lo:m - 1:2], rows[lo + 1:m:2] = (x[k] * top + y[k] * bottom,
                                                   u[k] * top + x[k] * bottom)
-        return _read_only(b.front * (-1.0) ** m * rows[::-1].T)   # slot m-1-k holds psi_k
+        return _read_only(self.front * (-1.0) ** m * rows[::-1].T)   # slot m-1-k holds psi_k
 
     def modified(self, c: complex) -> np.ndarray:
         """The modified compressed shift S_c = S + c k_0 k~_0^H, read-only:
@@ -355,7 +384,7 @@ class ModelSpace:
         key = (len(z), False) if z[0] == 1.0 else (2 * len(z), True)
         vals = self._levels.get(key)
         if vals is None:          # the first evaluation marks the level, the second stores it
-            vals = tm_values(self.space, z)
+            vals = tm_values(self, z)
             self._levels[key] = _read_only(vals) if key in self._levels else None
         return vals
 
@@ -365,7 +394,7 @@ class ModelSpace:
         key = (complex(lam), tol)
         entry = self._clark.get(key)
         if entry is None:
-            entry = ClarkEntry(self.space, _solve_clark_points(self.space, key[0], tol))
+            entry = ClarkEntry(self._product, _solve_clark_points(self.space, key[0], tol))
             if len(self._clark) >= CLARK_ENTRIES:
                 del self._clark[next(iter(self._clark))]
             self._clark[key] = entry
@@ -454,9 +483,10 @@ class ModelBasis:
 
     @property
     def is_tm(self) -> bool:
-        """Whether this is the space's stored TM basis, whose matrix is the
-        identity, so that moving to or from it solves nothing."""
-        return self is self.space.model_space.tm_basis
+        """Whether this is a TM basis over the space's stored identity
+        (``ModelSpace.identity``), as ``build_basis(b, "tm")`` is, so that
+        moving to or from it solves nothing."""
+        return self.kind == "tm" and self.matrix is self.space.model_space.identity
 
     def descriptor(self) -> dict:
         out = {"basis": self.kind}
@@ -509,35 +539,60 @@ def clark_basis(b: BlaschkeProduct, point_set: ClarkPointSet) -> ModelBasis:
     for entry in b.model_space._clark.values():
         if entry.point_set is point_set:
             return entry.clark_basis
-    return _kernel_basis(b, point_set)
+    return ModelBasis(b, "clark", _kernel_matrix(b, point_set), clark=point_set)
 
 
-def _kernel_basis(b: BlaschkeProduct, point_set: ClarkPointSet) -> ModelBasis:
+def _held_basis(bases: dict, product: weakref.ref, kind: str, matrix: np.ndarray,
+                **extra) -> ModelBasis:
+    """The basis of ``kind`` that ``bases`` refers to weakly, or, once it was
+    dropped, a new one over the stored ``matrix``."""
+    ref = bases.get(kind)
+    basis = None if ref is None else ref()
+    if basis is None:
+        basis = ModelBasis(_live(product), kind, matrix, **extra)
+        bases[kind] = weakref.ref(basis)
+    return basis
+
+
+def _kernel_matrix(b: BlaschkeProduct, point_set: ClarkPointSet) -> np.ndarray:
     cols = np.conj(tm_values(b, point_set.points)) / np.sqrt(point_set.weights)[None, :]
-    return ModelBasis(b, "clark", _read_only(cols), clark=point_set)
+    return _read_only(cols)
 
 
 @dataclass(eq=False)
 class ClarkEntry:
-    """One stored (lam, tol) entry of a space: the point set and its two
-    bases, each basis built on first use."""
+    """One stored (lam, tol) entry of a space: the point set and the arrays
+    of its two bases, each built on first use.  Like the space, it refers to
+    the product weakly and holds the basis objects weakly."""
 
-    space: BlaschkeProduct
+    product: weakref.ref
     point_set: ClarkPointSet
+    _bases: dict = field(default_factory=dict, init=False, repr=False)
 
     @functools.cached_property
-    def clark_basis(self) -> ModelBasis:
-        return _kernel_basis(self.space, self.point_set)
+    def clark_matrix(self) -> np.ndarray:
+        return _kernel_matrix(_live(self.product), self.point_set)
 
     @functools.cached_property
-    def modified_basis(self) -> ModelBasis:
+    def omega(self) -> np.ndarray:
         cp = self.point_set
         args = np.angle(cp.points) % (2.0 * np.pi)
         arg_t = np.angle(cp.target) % (2.0 * np.pi)
-        omega = _read_only(np.exp(-0.5j * (args - arg_t)))
-        return ModelBasis(self.space, "modified-clark",
-                          _read_only(self.clark_basis.matrix * omega[None, :]),
-                          clark=cp, omega=omega)
+        return _read_only(np.exp(-0.5j * (args - arg_t)))
+
+    @functools.cached_property
+    def modified_matrix(self) -> np.ndarray:
+        return _read_only(self.clark_matrix * self.omega[None, :])
+
+    @property
+    def clark_basis(self) -> ModelBasis:
+        return _held_basis(self._bases, self.product, "clark", self.clark_matrix,
+                           clark=self.point_set)
+
+    @property
+    def modified_basis(self) -> ModelBasis:
+        return _held_basis(self._bases, self.product, "modified-clark", self.modified_matrix,
+                           clark=self.point_set, omega=self.omega)
 
 
 def change_of_basis(src: ModelBasis, dst: ModelBasis) -> np.ndarray:

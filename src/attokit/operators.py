@@ -316,7 +316,7 @@ def _stein_pivots(target: ModelSpace, c: np.ndarray) -> np.ndarray:
     :attr:`ModelSpace.shift`: row i is row i - 1 times the factor of b_{i-1},
     extended by s_{i-1} / (1 - c b_{i-1}), never a quotient of products, so
     zeros at the origin and repeated zeros need no care."""
-    b = np.array(target.space.zeros)
+    b = np.array(target.zeros)
     n = len(b)
     inv = 1.0 / (1.0 - c[:, None] * b)                  # (m, n): 1 / (1 - c_j b_i)
     step = (c[:, None] - np.conj(b)) * inv               # the factor of b_l
@@ -350,12 +350,12 @@ def _solve_stein(target: ModelSpace, source: ModelSpace, d: np.ndarray) -> np.nd
     return np.moveaxis(x.reshape((n,) + batch + (m,)), -1, 1)
 
 
-def _part_in(f: ModelVector, target: ModelSpace) -> np.ndarray:
-    """TM coordinates of the projection of f onto ``target``, by the operator
-    X of the symbol 1: X - S X S'^H = k_0 k_0'^H."""
-    if f.space == target.space:
+def _part_in(f: ModelVector, b: BlaschkeProduct) -> np.ndarray:
+    """TM coordinates of the projection of f onto K_b, by the operator X of
+    the symbol 1: X - S X S'^H = k_0 k_0'^H."""
+    if f.space == b:
         return f.tm()
-    src = f.space.model_space
+    target, src = b.model_space, f.space.model_space
     one = _solve_stein(target, src, np.outer(target.k0, np.conj(src.k0)))
     return one @ f.tm()
 
@@ -369,9 +369,9 @@ def _closed_tm_matrix(alpha: BlaschkeProduct, beta: BlaschkeProduct,
     sa, sb = alpha.model_space, beta.model_space
     d = np.zeros((beta.degree, alpha.degree), dtype=complex)
     if symbol.analytic is not None:
-        d += np.outer(_part_in(symbol.analytic, sb), np.conj(sa.k0))
+        d += np.outer(_part_in(symbol.analytic, beta), np.conj(sa.k0))
     if symbol.co_analytic is not None:
-        d += np.outer(sb.k0, np.conj(_part_in(symbol.co_analytic, sa)))
+        d += np.outer(sb.k0, np.conj(_part_in(symbol.co_analytic, alpha)))
     return _solve_stein(sb, sa, d)
 
 

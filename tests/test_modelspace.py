@@ -1,4 +1,6 @@
+import gc
 import json
+import weakref
 
 import numpy as np
 import numpy.polynomial.polynomial as npoly
@@ -10,9 +12,12 @@ from attokit import clark_points
 from attokit.blaschke import (BlaschkeProduct, ClarkPointSet, RootCollisionError,
                               derivative, evaluate, monomial)
 from attokit.config import Tolerances
-from attokit.instances import random_blaschke, random_unimodular, random_vector
-from attokit.modelspace import (CLARK_ENTRIES, ModelVector, QuadratureError,
-                                build_basis, change_of_basis, circle_nodes,
+from attokit.instances import (member_matrix, random_blaschke, random_symbol,
+                               random_unimodular, random_vector)
+from attokit.membership import clark_pairing, recover_chi_psi_clark, run_all
+from attokit.operators import OperatorMatrix, atto_matrix
+from attokit.modelspace import (BASIS_KINDS, CLARK_ENTRIES, ModelBasis, ModelVector,
+                                QuadratureError, build_basis, change_of_basis, circle_nodes,
                                 clark_basis, conj_kernel, conjugation,
                                 doubling_circle_mean, inner_product, kernel,
                                 multiply_by_z, project, tm_values, tm_vector)
@@ -181,6 +186,20 @@ class TestCircleQuadrature:
         with pytest.raises(QuadratureError, match="did not converge below 1e-12 at 32768 nodes"):
             doubling_circle_mean(node_sum)
         assert sum(evaluated) == 1 << 15
+
+    def test_doubling_nodes_are_the_bytes_of_the_sliced_level(self):
+        levels = []
+
+        def node_sum(z):
+            levels.append(z)
+            return np.sum(1.0 / (z - (1.0 + 1e-7) * np.exp(0.1j)))
+
+        with pytest.raises(QuadratureError):
+            doubling_circle_mean(node_sum)
+        assert [len(z) for z in levels] == [256 << max(k - 1, 0) for k in range(8)]
+        assert levels[0].tobytes() == circle_nodes(256).tobytes()
+        for z in levels[1:]:                      # doublings to 512 ... 32768 nodes
+            assert z.tobytes() == circle_nodes(2 * len(z))[1::2].tobytes()
 
 
 class TestTakenakaMalmquist:
@@ -592,6 +611,86 @@ class TestModelSpace:
             except ValueError:
                 pass
             assert np.array_equal(make(), expect)
+
+
+@pytest.fixture
+def no_gc():
+    """The cyclic collector off, so that only reference counting frees."""
+    gc.collect()
+    gc.disable()
+    yield
+    gc.enable()
+
+
+def _quadrature(rng, alpha, beta):
+    sym = random_symbol(rng, alpha, beta)
+    for _ in range(2):              # the second run stores the levels
+        atto_matrix(alpha, beta, sym)
+
+
+def _closed(rng, alpha, beta):
+    atto_matrix(alpha, beta, random_symbol(rng, alpha, beta), method="closed")
+
+
+def _conjugation(rng, alpha, beta):
+    conjugation(random_vector(rng, build_basis(alpha, "tm")))
+
+
+def _every_basis(rng, alpha, beta):
+    for b in (alpha, beta):
+        for kind in BASIS_KINDS:
+            build_basis(b, kind, 1j)
+
+
+def _membership(rng, alpha, beta):
+    pairing = clark_pairing(alpha, beta, 1j, -1.0)
+    member = member_matrix(rng, alpha, beta, 1j, -1.0)
+    assert run_all(member, pairing)["member"]
+    recover_chi_psi_clark(member, pairing)
+
+
+def _json_round_trip(rng, alpha, beta):
+    """Returns the round trip's products and spaces, which must go too."""
+    mat = atto_matrix(alpha, beta, random_symbol(rng, alpha, beta),
+                      build_basis(alpha, "clark", 1j), build_basis(beta, "modified-clark", -1.0))
+    back = OperatorMatrix.from_json(json.loads(json.dumps(mat.to_json())))
+    assert np.array_equal(back.entries, mat.entries)
+    return [back.alpha, back.beta, back.alpha.model_space, back.beta.model_space]
+
+
+class TestOwnership:
+    @pytest.mark.parametrize("path", [_quadrature, _closed, _conjugation, _every_basis,
+                                      _membership, _json_round_trip])
+    def test_fresh_pair_freed_on_its_last_reference(self, rng, no_gc, path):
+        alpha, beta = random_blaschke(rng, 4), random_blaschke(rng, 3)
+        refs = [weakref.ref(x) for x in (alpha, beta, alpha.model_space, beta.model_space)]
+        refs += [weakref.ref(x) for x in path(rng, alpha, beta) or ()]
+        del alpha, beta
+        assert [ref() for ref in refs] == [None] * len(refs)
+
+    def test_a_basis_or_vector_keeps_its_product_alive(self, rng, no_gc):
+        for kind in ("tm", "clark", "modified-clark"):
+            basis = build_basis(random_blaschke(rng, 4), kind, 1j)
+            assert build_basis(basis.space, kind, 1j) is basis
+            assert basis.space.model_space.space is basis.space
+        vec = kernel(random_blaschke(rng, 3), 0.2)
+        assert vec.basis is build_basis(vec.space, "tm") and vec.basis.is_tm
+
+    def test_dropped_basis_is_rebuilt_over_the_stored_array(self, rng, no_gc):
+        b = random_blaschke(rng, 4)
+        for kind in ("tm", "clark", "modified-clark"):
+            first = build_basis(b, kind, 1j)
+            matrix, omega, ref = first.matrix, first.omega, weakref.ref(first)
+            del first
+            assert ref() is None
+            again = build_basis(b, kind, 1j)
+            assert again.matrix is matrix and not matrix.flags.writeable
+            assert again.omega is omega and again.is_tm == (kind == "tm")
+            if kind != "tm":
+                assert again.clark is clark_points(b, 1j)
+                assert clark_basis(b, again.clark) is build_basis(b, "clark", 1j)
+        # a hand-built identity is not the stored one
+        assert not ModelBasis(b, "tm", np.eye(4, dtype=complex)).is_tm
 
 
 @pytest.fixture

@@ -24,12 +24,14 @@ def z_symbol():
 
 
 def counted_tm_values(monkeypatch):
-    """Record the points of every ``modelspace.tm_values`` call, per space."""
+    """Record the points of every ``modelspace.tm_values`` call, per product;
+    a call on a ``ModelSpace`` counts for its product."""
     seen = {}
     real = modelspace.tm_values
 
     def counting(b, z):
-        seen.setdefault(b, []).append(np.array(z))
+        product = b.space if isinstance(b, modelspace.ModelSpace) else b
+        seen.setdefault(product, []).append(np.array(z))
         return real(b, z)
 
     monkeypatch.setattr(modelspace, "tm_values", counting)
