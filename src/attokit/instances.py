@@ -147,6 +147,15 @@ def constrained_entries(m: int, n: int, shared: int) -> list[tuple[int, int]]:
     return out
 
 
+def _constrained_entry(m: int, shared: int, idx: int) -> tuple[int, int]:
+    """``constrained_entries(m, n, shared)[idx]`` without the list: every row
+    s >= 1 holds m - 1 entries (so the list has (n - 1)(m - 1) for every
+    ``shared``), all p but s in a shared row s < ``shared`` and p >= 1 in
+    the others."""
+    s, k = 1 + idx // (m - 1), idx % (m - 1)
+    return s, (k + (k >= s) if s < shared else 1 + k)
+
+
 def member_matrix(rng, alpha: BlaschkeProduct, beta: BlaschkeProduct,
                   lam1: complex, lam2: complex,
                   tol: Tolerances = DEFAULT) -> OperatorMatrix:
@@ -167,10 +176,9 @@ def perturbed_nonmember(rng, member: OperatorMatrix, pairing: ClarkPairing,
     land in its indeterminate band and raise IndeterminateError instead of
     rejecting."""
     n, m = member.entries.shape
-    choices = constrained_entries(m, n, pairing.shared)
-    if not choices:
+    if (n - 1) * (m - 1) == 0:
         raise ValueError("no constrained entries at this size: every matrix is a member")
-    s_pos, p_pos = choices[rng.integers(len(choices))]
+    s_pos, p_pos = _constrained_entry(m, pairing.shared, int(rng.integers((n - 1) * (m - 1))))
     s, p = int(pairing.perm_b[s_pos]), int(pairing.perm_a[p_pos])
     bumped = member.entries.copy()
     bumped[s, p] += delta * (1.0 + member.max_abs) * random_unimodular(rng)

@@ -102,10 +102,13 @@ class MembershipVerdict:
 
 
 def _decide(method: str, residual: float, scale: float, tol: Tolerances,
-            witness: Witness | None = None) -> MembershipVerdict:
+            witness=None) -> MembershipVerdict:
+    """The verdict on ``residual`` relative to 1 + ``scale``.  ``witness``,
+    when given, is called for the witness of an accepted verdict only, so a
+    rejection or a refusal builds none."""
     rel = residual / (1.0 + scale)
     if rel <= tol.decision:
-        return MembershipVerdict(True, rel, method, witness)
+        return MembershipVerdict(True, rel, method, None if witness is None else witness())
     if rel >= tol.reject_band:
         return MembershipVerdict(False, rel, method, None)
     raise IndeterminateError(method, rel, tol)
@@ -291,7 +294,7 @@ def test_clark_recurrence(matrix: OperatorMatrix, pairing: ClarkPairing,
                                  "outside the matched pairs; tighten tolerances")
     resid = np.abs(r - (x[:, None] + y[None, :]) / pairing.divisor)
     resid[pairing.free] = 0.0
-    return _decide(METHOD_CLARK, float(np.max(resid)), matrix.max_abs, tol)
+    return _decide(METHOD_CLARK, float(resid.max()), matrix.max_abs, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -328,10 +331,10 @@ def _residual_test(matrix: OperatorMatrix, method: str, a: complex, b: complex,
         d = m_tm - space_b.modified_adjoint(b) @ m_tm @ space_a.modified(a)
         left, right = space_a.kt0, space_b.kt0
         psi, chi = _split_residual(d, left, right, space_a.kt0_norm2, space_b.kt0_norm2)
-    resid = np.max(np.abs(d - np.outer(psi, np.conj(left)) - np.outer(right, np.conj(chi))))
-    witness = Witness(tm_vector(matrix.alpha, chi), tm_vector(matrix.beta, psi),
-                      complex(a), complex(b))
-    return _decide(method, float(resid), matrix.max_abs, tol, witness)
+    resid = np.abs(d - psi[:, None] * np.conj(left) - right[:, None] * np.conj(chi)).max()
+    return _decide(method, float(resid), matrix.max_abs, tol,
+                   lambda: Witness(tm_vector(matrix.alpha, chi), tm_vector(matrix.beta, psi),
+                                   complex(a), complex(b)))
 
 
 def test_rank_two_residual(matrix: OperatorMatrix, a: complex = 0j, b: complex = 0j,
@@ -369,9 +372,9 @@ def test_shift_invariance(matrix: OperatorMatrix, tol: Tolerances = DEFAULT) -> 
     """
     m_tm = matrix.tm_entries()
     space_a, space_b = matrix.alpha.model_space, matrix.beta.model_space
-    f, g = space_a.shift_domain, space_b.shift_domain
-    zf, zg = space_a.shift_image, space_b.shift_image
-    resid = np.max(np.abs(zg.conj().T @ m_tm @ zf - g.conj().T @ m_tm @ f), initial=0.0)
+    f, g_h = space_a.shift_domain, space_b.shift_domain_adjoint
+    zf, zg_h = space_a.shift_image, space_b.shift_image_adjoint
+    resid = np.abs(zg_h @ m_tm @ zf - g_h @ m_tm @ f).max(initial=0.0)
     return _decide(METHOD_SHIFT, float(resid), matrix.max_abs, tol)
 
 
@@ -396,8 +399,8 @@ def recover_chi_psi_clark(matrix: OperatorMatrix, pairing: ClarkPairing,
     k0a = 1.0 - np.conj(matrix.alpha.model_space.b0) * pairing.clark_a.target   # = k_0^alpha(eta_p)
     k0b = 1.0 - np.conj(matrix.beta.model_space.b0) * pairing.clark_b.target
     _, q, x, y = _clark_split(matrix, pairing, complex(psi1) * np.conj(k0a))
-    worst = float(np.max(np.abs(x[:, None] + y[None, :] - q)))
-    if worst / (1.0 + float(np.max(np.abs(q)))) > tol.reject_band:
+    worst = float(np.abs(x[:, None] + y[None, :] - q).max())
+    if worst / (1.0 + float(np.abs(q).max())) > tol.reject_band:
         raise ValueError(f"witness recovery failed: consistency residual {worst:.3e}; "
                          "the matrix is not a member")
 

@@ -104,8 +104,8 @@ def doubling_circle_mean(node_sum, tol: float = DEFAULT.quadrature):
             total = total + node_sum(np.exp(2j * np.pi * np.arange(1, n, 2) / n))
         val = total / n
         if prev is not None:
-            bound = tol * (1.0 + float(np.max(np.abs(val))))
-            gap = float(np.max(np.abs(val - prev)))
+            bound = tol * (1.0 + float(np.abs(val).max()))
+            gap = float(np.abs(val - prev).max())
             if gap <= bound or (gap_prev is not None and gap * gap <= bound * gap_prev):
                 return val
             gap_prev = gap
@@ -136,6 +136,14 @@ def tm_values(b: BlaschkeProduct, z) -> np.ndarray:
     return vals
 
 
+def _combine(coords: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """sum_k coords[k] vals[k] for TM coordinates ``coords`` (m,) and TM
+    values ``vals`` (m,) + shape(z): the one ``np.dot`` of a (1, m) row and
+    an (m, -1) matrix that ``np.tensordot(coords, vals, axes=(0, 0))``
+    makes, without its argument handling, and with its bits."""
+    return np.dot(coords.reshape(1, -1), vals.reshape(len(coords), -1)).reshape(vals.shape[1:])
+
+
 def _read_only(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
@@ -152,7 +160,11 @@ class ModelSpace:
     """The exact objects of one model space in TM coordinates: the TM basis,
     the compressed shift S, the kernel k_0 and the conjugate kernel k~_0 at
     the origin, so that I - S S* = k_0 k_0^H and I - S* S = k~_0 k~_0^H, an
-    orthonormal basis of the shift domain, the conjugation matrix and B(0).
+    orthonormal basis of the shift domain and its image under z, the
+    conjugation matrix and B(0).  It also keeps the adjoints the membership
+    tests read on every call: S^H (:attr:`shift_adjoint`) and those of the
+    shift domain and its image (:attr:`shift_domain_adjoint`,
+    :attr:`shift_image_adjoint`).
 
     Reached as ``b.model_space``, one per product.  Each array is computed on
     first use, kept, and read-only, so every modified shift, multiplication
@@ -175,7 +187,7 @@ class ModelSpace:
     tests of a reused space pay for them once or twice, and a product that
     uses c once (a Clark solve, or one Clark unitary) stores no m x m array
     for it.  The store keeps the last ``CLARK_ENTRIES`` values of c.  S_0 is
-    ``shift`` itself, and nothing more is stored for it.
+    ``shift`` itself, and its adjoint is :attr:`shift_adjoint`.
 
     It also stores Clark work per (lam, tol) (see :meth:`clark`): the point
     set, solved once, and the arrays of its Clark and modified-Clark bases,
@@ -222,6 +234,11 @@ class ModelSpace:
             prods[i, : i - 1] = prods[i - 1, : i - 1] * -np.conj(a[i - 1])
             prods[i, i - 1] = 1.0
         return _read_only(np.diag(a) + s[:, None] * s[None, :] * prods)
+
+    @functools.cached_property
+    def shift_adjoint(self) -> np.ndarray:
+        """S^H, read-only: ``modified_adjoint(0)``."""
+        return _read_only(self.shift.conj()).T
 
     @functools.cached_property
     def identity(self) -> np.ndarray:
@@ -288,6 +305,16 @@ class ModelSpace:
         return _read_only(self.multiply_by_z(self.shift_domain))
 
     @functools.cached_property
+    def shift_domain_adjoint(self) -> np.ndarray:
+        """:attr:`shift_domain` conjugate-transposed, read-only."""
+        return _read_only(self.shift_domain.conj()).T
+
+    @functools.cached_property
+    def shift_image_adjoint(self) -> np.ndarray:
+        """:attr:`shift_image` conjugate-transposed, read-only."""
+        return _read_only(self.shift_image.conj()).T
+
+    @functools.cached_property
     def conj(self) -> np.ndarray:
         """The conjugation over the TM basis: C f has TM coordinates
         ``conj @ conj(coords of f)``.
@@ -342,9 +369,9 @@ class ModelSpace:
         return self.shift if c == 0 else self._modified_pair(c)[0]
 
     def modified_adjoint(self, c: complex) -> np.ndarray:
-        """S_c^H: read-only and stored with S_c for c != 0, and for c = 0
-        formed from ``shift`` on every call."""
-        return self.shift.conj().T if c == 0 else self._modified_pair(c)[1]
+        """S_c^H, read-only: stored with S_c for c != 0, and
+        :attr:`shift_adjoint` for c = 0."""
+        return self.shift_adjoint if c == 0 else self._modified_pair(c)[1]
 
     def _modified_pair(self, c: complex) -> tuple:
         c = complex(c)
@@ -633,7 +660,7 @@ class ModelVector:
 
     def __call__(self, z):
         vals = tm_values(self.space, z)
-        return np.tensordot(self.tm(), vals, axes=(0, 0))
+        return _combine(self.tm(), vals)
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.tm()))

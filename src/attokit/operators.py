@@ -61,8 +61,8 @@ import numpy.polynomial.polynomial as npoly
 from . import serialize
 from .blaschke import BlaschkeProduct
 from .config import DEFAULT, Tolerances
-from .modelspace import (ModelBasis, ModelSpace, ModelVector, _read_only, build_basis,
-                         conj_kernel, doubling_circle_mean, kernel,
+from .modelspace import (ModelBasis, ModelSpace, ModelVector, _read_only, _combine,
+                         build_basis, conj_kernel, doubling_circle_mean, kernel,
                          tm_values, tm_vector)
 
 
@@ -122,11 +122,11 @@ class SymbolSpec:
         if self.co_analytic is not None:
             if chi_vals is None:
                 chi_vals = tm_values(self.co_analytic.space, z)
-            out = out + np.conj(np.tensordot(self.co_analytic.tm(), chi_vals, axes=(0, 0)))
+            out = out + np.conj(_combine(self.co_analytic.tm(), chi_vals))
         if self.analytic is not None:
             if psi_vals is None:
                 psi_vals = tm_values(self.analytic.space, z)
-            out = out + np.tensordot(self.analytic.tm(), psi_vals, axes=(0, 0))
+            out = out + _combine(self.analytic.tm(), psi_vals)
         return out
 
     def conjugated_pair(self) -> "SymbolSpec":
@@ -186,7 +186,7 @@ class OperatorMatrix:
 
     @functools.cached_property
     def max_abs(self) -> float:
-        return float(np.max(np.abs(self.entries)))
+        return float(np.abs(self.entries).max())
 
     @functools.cached_property
     def _tm(self) -> np.ndarray:

@@ -1,7 +1,37 @@
-import numpy as np
-import pytest
+import os
 
-from attokit.instances import random_blaschke, random_unimodular, random_vector
+# One BLAS thread, set before numpy loads: the suite's matrices are small, and
+# a second thread spinning against a core another process holds slows the
+# per-column reference loops many times over.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import ctypes  # noqa: E402
+import glob  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from attokit.instances import random_blaschke, random_unimodular, random_vector  # noqa: E402
+
+
+def blas_threads():
+    """The thread count numpy's bundled OpenBLAS reports, or None when it
+    reports none (another BLAS, or numpy was loaded before this file)."""
+    libdir = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for lib in sorted(glob.glob(str(libdir / "*openblas*"))):
+        handle = ctypes.CDLL(lib)
+        for sym in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads"):
+            if hasattr(handle, sym):
+                getter = getattr(handle, sym)
+                getter.restype = ctypes.c_int
+                return getter()
+    return None
+
+
+def pytest_report_header(config):
+    return f"BLAS threads: {blas_threads()} (OPENBLAS_NUM_THREADS={os.environ['OPENBLAS_NUM_THREADS']})"
 
 
 @pytest.fixture

@@ -824,3 +824,72 @@ class TestPairingConstants:
             with pytest.raises(ToleranceBreakdown):
                 check_recurrence(mat, pairing, DEFAULT)
             assert check_recurrence(mat, pairing, tight).is_member
+
+
+class TestWitnessOnAcceptance:
+    """The rank-two tests build their witness vectors only for an accepted
+    verdict; the accepted witness is the one the split gives."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        calls = []
+        real = membership.tm_vector
+
+        def counted(b, coords):
+            calls.append(b)
+            return real(b, coords)
+
+        monkeypatch.setattr(membership, "tm_vector", counted)
+        return calls
+
+    @staticmethod
+    def eager(mat, method, a, b):
+        """The witness as built before the verdict: the split of
+        A - S_b A S_a^H (or its conjugate mirror) into TM vectors."""
+        m_tm = mat.tm_entries()
+        sa, sb = mat.alpha.model_space, mat.beta.model_space
+        if method == METHOD_RESIDUAL:
+            d = m_tm - sb.modified(b) @ m_tm @ sa.modified(a).conj().T
+            psi, chi = membership._split_residual(d, sa.k0, sb.k0, sa.k0_norm2, sb.k0_norm2)
+        else:
+            d = m_tm - sb.modified(b).conj().T @ m_tm @ sa.modified(a)
+            psi, chi = membership._split_residual(d, sa.kt0, sb.kt0, sa.kt0_norm2,
+                                                  sb.kt0_norm2)
+        return tm_vector(mat.alpha, chi), tm_vector(mat.beta, psi)
+
+    def test_rejection_builds_no_vector(self, rng, built):
+        alpha, beta = random_blaschke(rng, 4), random_blaschke(rng, 3)
+        entries = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
+        mat = OperatorMatrix(entries, build_basis(alpha, "tm"), build_basis(beta, "tm"))
+        for check in (check_residual, check_conjugate):
+            verdict = check(mat, 0.3j, -0.2)
+            assert not verdict.is_member and verdict.witness is None
+        assert not run_all(mat, clark_pairing(alpha, beta, 1.0, 1j))["member"]
+        assert built == []
+
+    def test_refusal_builds_no_vector(self, rng, built):
+        alpha, beta, *_, mat = clark_member(rng, 4, 3, 0)
+        m_tm = mat.tm_entries()
+        bump = np.zeros_like(m_tm)
+        bump[1, 2] = 1e-5 * (1.0 + mat.max_abs)
+        shady = OperatorMatrix.from_tm(m_tm + bump, mat.in_basis, mat.out_basis)
+        for check in (check_residual, check_conjugate):
+            with pytest.raises(IndeterminateError):
+                check(shady)
+        assert built == []
+
+    def test_acceptance_builds_the_eager_witness(self, rng, built):
+        for m, n, shared in ((3, 2, 0), (4, 4, 2), (5, 3, 1)):
+            alpha, beta, lam1, lam2, _, mat = clark_member(rng, m, n, shared)
+            pairs = ((0j, 0j), (clark_coefficient(alpha, lam1), clark_coefficient(beta, lam2)))
+            for method, check in ((METHOD_RESIDUAL, check_residual),
+                                  (METHOD_CONJUGATE, check_conjugate)):
+                for a, b in pairs:
+                    del built[:]
+                    verdict = check(mat, a, b)
+                    assert verdict.is_member and built == [alpha, beta]
+                    chi, psi = self.eager(mat, method, a, b)
+                    assert verdict.witness.chi.coeffs.tobytes() == chi.coeffs.tobytes()
+                    assert verdict.witness.psi.coeffs.tobytes() == psi.coeffs.tobytes()
+                    assert verdict.witness.chi.basis is chi.basis
+                    assert (verdict.witness.a, verdict.witness.b) == (a, b)
