@@ -30,6 +30,7 @@ band instead of guessing.
 from __future__ import annotations
 
 import functools
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,13 +103,14 @@ class MembershipVerdict:
 
 
 def _decide(method: str, residual: float, scale: float, tol: Tolerances,
-            witness=None) -> MembershipVerdict:
-    """The verdict on ``residual`` relative to 1 + ``scale``.  ``witness``,
-    when given, is called for the witness of an accepted verdict only, so a
-    rejection or a refusal builds none."""
+            make_witness: Callable[[], Witness] | None = None) -> MembershipVerdict:
+    """The verdict on ``residual`` relative to 1 + ``scale``.
+    ``make_witness``, when given, is called for the witness of an accepted
+    verdict only, so a rejection or a refusal builds none."""
     rel = residual / (1.0 + scale)
     if rel <= tol.decision:
-        return MembershipVerdict(True, rel, method, None if witness is None else witness())
+        return MembershipVerdict(True, rel, method,
+                                 None if make_witness is None else make_witness())
     if rel >= tol.reject_band:
         return MembershipVerdict(False, rel, method, None)
     raise IndeterminateError(method, rel, tol)
@@ -372,9 +374,9 @@ def test_shift_invariance(matrix: OperatorMatrix, tol: Tolerances = DEFAULT) -> 
     """
     m_tm = matrix.tm_entries()
     space_a, space_b = matrix.alpha.model_space, matrix.beta.model_space
-    f, g_h = space_a.shift_domain, space_b.shift_domain_adjoint
-    zf, zg_h = space_a.shift_image, space_b.shift_image_adjoint
-    resid = np.abs(zg_h @ m_tm @ zf - g_h @ m_tm @ f).max(initial=0.0)
+    f, g = space_a.shift_domain, space_b.shift_domain
+    zf, zg = space_a.shift_image, space_b.shift_image
+    resid = np.abs(zg.conj().T @ m_tm @ zf - g.conj().T @ m_tm @ f).max(initial=0.0)
     return _decide(METHOD_SHIFT, float(resid), matrix.max_abs, tol)
 
 

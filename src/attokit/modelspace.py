@@ -160,11 +160,7 @@ class ModelSpace:
     """The exact objects of one model space in TM coordinates: the TM basis,
     the compressed shift S, the kernel k_0 and the conjugate kernel k~_0 at
     the origin, so that I - S S* = k_0 k_0^H and I - S* S = k~_0 k~_0^H, an
-    orthonormal basis of the shift domain and its image under z, the
-    conjugation matrix and B(0).  It also keeps the adjoints the membership
-    tests read on every call: S^H (:attr:`shift_adjoint`) and those of the
-    shift domain and its image (:attr:`shift_domain_adjoint`,
-    :attr:`shift_image_adjoint`).
+    orthonormal basis of the shift domain, the conjugation matrix and B(0).
 
     Reached as ``b.model_space``, one per product.  Each array is computed on
     first use, kept, and read-only, so every modified shift, multiplication
@@ -187,7 +183,7 @@ class ModelSpace:
     tests of a reused space pay for them once or twice, and a product that
     uses c once (a Clark solve, or one Clark unitary) stores no m x m array
     for it.  The store keeps the last ``CLARK_ENTRIES`` values of c.  S_0 is
-    ``shift`` itself, and its adjoint is :attr:`shift_adjoint`.
+    ``shift`` itself, and nothing more is stored for it.
 
     It also stores Clark work per (lam, tol) (see :meth:`clark`): the point
     set, solved once, and the arrays of its Clark and modified-Clark bases,
@@ -234,11 +230,6 @@ class ModelSpace:
             prods[i, : i - 1] = prods[i - 1, : i - 1] * -np.conj(a[i - 1])
             prods[i, i - 1] = 1.0
         return _read_only(np.diag(a) + s[:, None] * s[None, :] * prods)
-
-    @functools.cached_property
-    def shift_adjoint(self) -> np.ndarray:
-        """S^H, read-only: ``modified_adjoint(0)``."""
-        return _read_only(self.shift.conj()).T
 
     @functools.cached_property
     def identity(self) -> np.ndarray:
@@ -305,16 +296,6 @@ class ModelSpace:
         return _read_only(self.multiply_by_z(self.shift_domain))
 
     @functools.cached_property
-    def shift_domain_adjoint(self) -> np.ndarray:
-        """:attr:`shift_domain` conjugate-transposed, read-only."""
-        return _read_only(self.shift_domain.conj()).T
-
-    @functools.cached_property
-    def shift_image_adjoint(self) -> np.ndarray:
-        """:attr:`shift_image` conjugate-transposed, read-only."""
-        return _read_only(self.shift_image.conj()).T
-
-    @functools.cached_property
     def conj(self) -> np.ndarray:
         """The conjugation over the TM basis: C f has TM coordinates
         ``conj @ conj(coords of f)``.
@@ -369,9 +350,9 @@ class ModelSpace:
         return self.shift if c == 0 else self._modified_pair(c)[0]
 
     def modified_adjoint(self, c: complex) -> np.ndarray:
-        """S_c^H, read-only: stored with S_c for c != 0, and
-        :attr:`shift_adjoint` for c = 0."""
-        return self.shift_adjoint if c == 0 else self._modified_pair(c)[1]
+        """S_c^H: read-only and stored with S_c for c != 0, and for c = 0
+        formed from ``shift`` on every call."""
+        return self.shift.conj().T if c == 0 else self._modified_pair(c)[1]
 
     def _modified_pair(self, c: complex) -> tuple:
         c = complex(c)

@@ -6,8 +6,7 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
-import ctypes  # noqa: E402
-import glob  # noqa: E402
+import importlib.util  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
@@ -17,17 +16,13 @@ from attokit.instances import random_blaschke, random_unimodular, random_vector 
 
 
 def blas_threads():
-    """The thread count numpy's bundled OpenBLAS reports, or None when it
-    reports none (another BLAS, or numpy was loaded before this file)."""
-    libdir = Path(np.__file__).resolve().parent.parent / "numpy.libs"
-    for lib in sorted(glob.glob(str(libdir / "*openblas*"))):
-        handle = ctypes.CDLL(lib)
-        for sym in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads"):
-            if hasattr(handle, sym):
-                getter = getattr(handle, sym)
-                getter.restype = ctypes.c_int
-                return getter()
-    return None
+    """The thread count numpy's BLAS reports, or None when it reports none:
+    read by the benchmark's own probe, ``environment`` in ``bench/run.py``."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_run", Path(__file__).resolve().parent.parent / "bench" / "run.py")
+    bench_run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_run)
+    return bench_run.environment(0)["blas_threads"]
 
 
 def pytest_report_header(config):

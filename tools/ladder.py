@@ -25,7 +25,7 @@ Times are in CPU microseconds of this machine.  The run also records the
 speed reference of the benchmark (``bench/reference.py``, read-only) and its
 scale, NOMINAL_S over the median sample, which converts them to nominal
 microseconds; and the environment (``bench/run.py``'s ``environment``).
-The accuracy numbers depend on the seed alone, so two runs give the same.
+The accuracy numbers depend on ``SEED`` alone, so two runs give the same.
 The library is imported from the checkout's ``src`` directory.
 """
 
@@ -53,6 +53,7 @@ from attokit import instances, operators  # noqa: E402
 from reference import NOMINAL_S, SpeedReference  # noqa: E402
 from run import environment  # noqa: E402
 
+SEED = 0                        # fixed, so that BENCH_N.json files compare
 DEGREES = (4, 8, 16, 32, 64)
 RADII = (0.8, 0.95)
 MATRICES = 3                    # members, and as many non-members, per row
@@ -137,9 +138,9 @@ class Row:
     ``radius``, its Clark pairing, and members in the paired Clark bases
     with one perturbed non-member each."""
 
-    def __init__(self, seed: int, m: int, n: int, radius: float):
+    def __init__(self, m: int, n: int, radius: float):
         self.m, self.n, self.radius = m, n, radius
-        rng = np.random.default_rng([seed, m, n, round(1000 * radius)])
+        rng = np.random.default_rng([SEED, m, n, round(1000 * radius)])
         alpha, beta = product(rng, m, radius), product(rng, n, radius)
         lam1, lam2 = instances.random_unimodular(rng), instances.random_unimodular(rng)
         self.pairing = pairing = ak.clark_pairing(alpha, beta, lam1, lam2)
@@ -185,14 +186,13 @@ def main(argv=None) -> int:
     parser.add_argument("--pr", type=int, help="write BENCH_<pr>.json at the repository root")
     parser.add_argument("--out", help="write here instead; '-' prints to stdout")
     parser.add_argument("--degrees", type=int, nargs="+", default=list(DEGREES))
-    parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
     if args.out is None and args.pr is None:
         parser.error("give --pr or --out")
 
     reference = SpeedReference()
     reference.work()                            # warm-up, not a sample
-    rows = [Row(args.seed, m, n, radius) for d in args.degrees
+    rows = [Row(m, n, radius) for d in args.degrees
             for m, n in ((d, d), (d, max(1, d // 2))) for radius in RADII]
     accuracy = [row.accuracy() for row in rows]
     # Each round times every row once, so that a phase of the machine, which
@@ -207,9 +207,9 @@ def main(argv=None) -> int:
                     spent[name] += cpu_us(call, REPEATS)
     reference.sample()
     median_s = statistics.median(reference.samples)
-    out = {"pr": args.pr, "seed": args.seed, "rounds": ROUNDS, "repeats": REPEATS,
+    out = {"pr": args.pr, "seed": SEED, "rounds": ROUNDS, "repeats": REPEATS,
            "matrices": MATRICES, "unit": "cpu_us",
-           "environment": environment(args.seed),
+           "environment": environment(SEED),
            "speed_reference": {"samples": len(reference.samples), "median_s": median_s,
                                "nominal_s": NOMINAL_S, "scale": NOMINAL_S / median_s},
            "rows": [{"m": row.m, "n": row.n, "radius": row.radius,
