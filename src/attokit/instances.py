@@ -17,6 +17,9 @@ v = 2 c eta / (1 + C) (Golub, Some modified matrix eigenvalue problems,
 
 from __future__ import annotations
 
+import cmath
+import math
+
 import numpy as np
 
 from .blaschke import BlaschkeProduct, evaluate
@@ -34,14 +37,18 @@ def random_unimodular(rng) -> complex:
 
 def random_points_in_disk(rng, count: int, radius: float = 0.8,
                           min_sep: float = 0.05) -> np.ndarray:
-    """Rejection-sample ``count`` pairwise-separated points, |z| <= radius."""
-    pts: list[complex] = []
+    """Rejection-sample ``count`` pairwise-separated points, |z| <= radius.
+    Each draw is made with scalar ``math`` and ``cmath`` calls and checked
+    against the points placed so far in one array operation."""
+    pts = np.empty(count, dtype=complex)
+    placed = 0
     for _ in range(10000):
-        z = radius * np.sqrt(rng.random()) * np.exp(2j * np.pi * rng.random())
-        if all(abs(z - p) >= min_sep for p in pts):
-            pts.append(complex(z))
-        if len(pts) == count:
-            return np.array(pts)
+        z = radius * math.sqrt(rng.random()) * cmath.exp(2j * math.pi * rng.random())
+        if placed == 0 or np.abs(z - pts[:placed]).min() >= min_sep:
+            pts[placed] = z
+            placed += 1
+        if placed == count:
+            return pts
     raise RuntimeError("could not place separated points; lower min_sep")
 
 

@@ -123,17 +123,29 @@ def tm_values(b: BlaschkeProduct, z) -> np.ndarray:
     """Values of the TM basis at z, stacked as shape (m,) + shape(z).
 
     Evaluated in product form, so every factor has modulus <= 1 on the closed
-    disk and boundary points are perfectly admissible.
+    disk and boundary points are perfectly admissible.  A complex division
+    costs about ten multiplications, so inv_k = 1 / (1 - conj(a_k) z) is
+    formed once per zero and point, for all zeros in one array, and gives
+    both s_k inv_k and the factor b_k(z) = (z - a_k) inv_k.  The prefix
+    products of the factors then run in place, one row and one numpy call
+    per zero, and one more call multiplies them into the values.  s_k is
+    rounded as :attr:`ModelSpace.k0` rounds it, so at z = 0 the two agree
+    bit for bit.  Besides the result, one (m - 1) x size(z) array of
+    factors is alive during the call.
     """
     zarr = np.asarray(z, dtype=complex)
-    m = b.degree
-    vals = np.empty((m,) + zarr.shape, dtype=complex)
-    running = np.ones_like(zarr)
-    for k, a in enumerate(b.zeros):
-        den = 1.0 - np.conj(a) * zarr
-        vals[k] = np.sqrt(1.0 - abs(a) ** 2) / den * running
-        running = running * (zarr - a) / den
-    return vals
+    flat = zarr.reshape(1, -1)
+    a = np.array(b.zeros)[:, None]
+    vals = np.conj(a) * flat
+    np.subtract(1.0, vals, out=vals)
+    np.divide(1.0, vals, out=vals)                  # inv_k, one division per entry
+    fac = flat - a[:-1]
+    fac *= vals[:-1]                                # fac[k] = b_k(z)
+    vals *= np.sqrt([1.0 - abs(w) ** 2 for w in b.zeros])[:, None]
+    for k in range(1, len(fac)):                    # fac[k] = prod_{j<=k} b_j(z)
+        np.multiply(fac[k - 1], fac[k], out=fac[k])
+    vals[1:] *= fac
+    return vals.reshape((len(vals),) + zarr.shape)
 
 
 def _combine(coords: np.ndarray, vals: np.ndarray) -> np.ndarray:
@@ -253,9 +265,10 @@ class ModelSpace:
     def k0(self) -> np.ndarray:
         """TM coordinates conj(phi_i(0)) = s_i * prod_{j<i} (-conj(a_j)) of the
         kernel at the origin, from prefix products of -a.  s_i and the products
-        are rounded as :func:`tm_values` rounds them at 0 (scalar complex
-        products; ``np.cumprod`` rounds some differently), so the two routes
-        give equal values."""
+        are rounded as :func:`tm_values` rounds them at 0 (one scalar complex
+        product per zero, as its in-place row products at one point make
+        them; ``np.cumprod`` rounds some differently), so the two routes give
+        equal values."""
         zeros = self.zeros
         s = np.sqrt([1.0 - abs(a) ** 2 for a in zeros])
         prefix = np.array([1.0, *itertools.accumulate((-a for a in zeros[:-1]), operator.mul)])
@@ -313,7 +326,10 @@ class ModelSpace:
         d = s_a s_c and x = 1 exactly, even next to the circle.
         Every comparator swaps, so m alone fixes which zero sits in which slot
         at every round: the (x, u, y) of all rounds come from one evaluation,
-        and each round updates two strided row views.
+        stacked once as [x, u] and [y, x] per pair.  A round's pairs are
+        adjacent rows, so they form one (h, 2, m) view, and the round is one
+        broadcast product-sum of the stacks with the pairs' top and bottom
+        rows.
         The result is symmetric, and an involution to rounding at any degree.
         """
         a = np.array(self.zeros)
@@ -329,18 +345,20 @@ class ModelSpace:
             bottoms.append(bottom)
         p, q = np.concatenate(tops), np.concatenate(bottoms)
         d = s[p] ** 2 + a[p] * np.conj(a[p] - a[q])
-        x = (s[p] * s[q] / d)[:, None]
-        u = ((a[p] - a[q]) / d)[:, None]
-        y = ((np.conj(a[q]) - np.conj(a[p])) / d)[:, None]
+        x = s[p] * s[q] / d
+        u = (a[p] - a[q]) / d
+        y = (np.conj(a[q]) - np.conj(a[p])) / d
+        left = np.stack([x, u], axis=1)[:, :, None]     # pair j: [x, u] times its top row
+        right = np.stack([y, x], axis=1)[:, :, None]    # and [y, x] times its bottom row
         rows = np.eye(m, dtype=complex)   # row p: TM coordinates of the element at slot p
         start = 0
         for rnd in range(m):
             lo = rnd % 2
-            top, bottom = rows[lo:m - 1:2], rows[lo + 1:m:2]
-            k = slice(start, start + len(top))
+            h = (m - lo) // 2
+            pairs = rows[lo:lo + 2 * h].reshape(h, 2, m)    # (top, bottom) of each pair
+            k = slice(start, start + h)
             start = k.stop
-            rows[lo:m - 1:2], rows[lo + 1:m:2] = (x[k] * top + y[k] * bottom,
-                                                  u[k] * top + x[k] * bottom)
+            pairs[...] = left[k] * pairs[:, :1] + right[k] * pairs[:, 1:]
         return _read_only(self.front * (-1.0) ** m * rows[::-1].T)   # slot m-1-k holds psi_k
 
     def modified(self, c: complex) -> np.ndarray:

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from attokit.instances import (_constrained_entry, constrained_entries, member_matrix,
-                               perturbed_nonmember, random_unimodular,
-                               shared_clark_instance)
+                               perturbed_nonmember, random_blaschke, random_points_in_disk,
+                               random_unimodular, shared_clark_instance)
 from attokit.membership import clark_pairing
 
 
@@ -17,6 +17,44 @@ def listed_nonmember(rng, member, pairing, delta=1e-3):
     bumped = member.entries.copy()
     bumped[s, p] += delta * (1.0 + member.max_abs) * random_unimodular(rng)
     return bumped
+
+
+def listed_points_in_disk(rng, count, radius=0.8, min_sep=0.05):
+    """random_points_in_disk with numpy scalar draws and a list of the
+    points placed so far."""
+    pts = []
+    for _ in range(10000):
+        z = radius * np.sqrt(rng.random()) * np.exp(2j * np.pi * rng.random())
+        if all(abs(z - p) >= min_sep for p in pts):
+            pts.append(complex(z))
+        if len(pts) == count:
+            return np.array(pts)
+    raise RuntimeError("could not place separated points; lower min_sep")
+
+
+class TestPointSampler:
+    def test_same_points_and_stream_as_the_list(self):
+        for seed in range(40):
+            for count, radius, min_sep in ((64, 0.95, 0.05), (40, 0.8, 0.05), (24, 0.95, 0.05),
+                                           (12, 0.8, 0.2), (3, 0.5, 0.05), (1, 0.8, 0.05)):
+                drawn, listed = np.random.default_rng(seed), np.random.default_rng(seed)
+                pts = random_points_in_disk(drawn, count, radius, min_sep)
+                ref = listed_points_in_disk(listed, count, radius, min_sep)
+                assert pts.dtype == ref.dtype and pts.tobytes() == ref.tobytes(), (seed, count)
+                assert drawn.bit_generator.state == listed.bit_generator.state
+
+    def test_same_products_as_the_list(self):
+        for seed in (0, 11, 921):
+            for degree in (64, 40, 6, 1):
+                drawn, listed = np.random.default_rng(seed), np.random.default_rng(seed)
+                b = random_blaschke(drawn, degree, radius=0.95)
+                assert b.zeros == tuple(listed_points_in_disk(listed, degree, 0.95))
+                assert b.front == random_unimodular(listed)
+                assert drawn.bit_generator.state == listed.bit_generator.state
+
+    def test_crowded_disk_raises(self):
+        with pytest.raises(RuntimeError, match="could not place separated points"):
+            random_points_in_disk(np.random.default_rng(0), 10, radius=0.1, min_sep=0.5)
 
 
 class TestConstrainedDraw:

@@ -202,15 +202,47 @@ class TestCircleQuadrature:
             assert z.tobytes() == circle_nodes(2 * len(z))[1::2].tobytes()
 
 
+def mp_tm_values(b, z, mp):
+    """TM values at the points ``z`` (1-D) in mpmath at the working precision."""
+    out = np.empty((b.degree, len(z)), dtype=complex)
+    for i, w in enumerate(z):
+        w, running = mp.mpc(w), mp.mpf(1)
+        for k, a in enumerate(b.zeros):
+            a = mp.mpc(a)
+            den = 1 - mp.conj(a) * w
+            out[k, i] = complex(mp.sqrt(1 - abs(a) ** 2) / den * running)
+            running *= (w - a) / den
+    return out
+
+
 class TestTakenakaMalmquist:
-    def test_single_denominator_is_bit_identical(self, rng):
+    def test_one_division_agrees_with_two_denominators(self, rng):
         products = small_products(rng) + degree_64_products(rng)
         products += [random_blaschke(rng, d, radius=0.95) for d in (16, 24, 32, 48)]
+        near = list(random_blaschke(rng, 64, radius=0.95).zeros)
+        near[::5] = [0.9999 * random_unimodular(rng) for _ in near[::5]]
+        near[3], near[10] = near[2], 0.0              # a repeated zero and one at the origin
+        products += [BlaschkeProduct(tuple(near)), BlaschkeProduct((0.0,)),
+                     BlaschkeProduct((0.6 - 0.7j,)), BlaschkeProduct((0.3j,) * 4)]
         points = [0.0, 0.3 - 0.4j, np.exp(0.7j), circle_nodes(64),
                   0.9 * rng.random((3, 5)) * np.exp(2j * np.pi * rng.random((3, 5)))]
         for b in products:
             for z in points + [b.zeros[0], np.array(b.zeros)]:
-                assert np.array_equal(tm_values(b, z), two_denominator_tm_values(b, z))
+                vals, ref = tm_values(b, z), two_denominator_tm_values(b, z)
+                assert vals.shape == ref.shape == (b.degree,) + np.shape(z)
+                scale = np.abs(ref).max(axis=0)       # per point
+                assert np.all(np.abs(vals - ref).max(axis=0) <= 1e-14 * scale), (b.degree, z)
+
+    def test_against_extended_precision(self, rng):
+        mpmath = pytest.importorskip("mpmath")
+        inside = 0.95 * rng.random(16) * np.exp(2j * np.pi * rng.random(16))
+        z = np.concatenate([circle_nodes(32), inside])
+        for degree in (6, 16, 64):
+            b = random_blaschke(rng, degree, radius=0.95)
+            with mpmath.workdps(40):
+                ref = mp_tm_values(b, z, mpmath.mp)
+            err = np.abs(tm_values(b, z) - ref).max(axis=0) / np.abs(ref).max(axis=0)
+            assert err.max() <= 4e-15, degree
 
     def test_monomial_case_is_power_basis(self):
         vals = tm_values(monomial(3), np.array([0.5 + 0.2j]))

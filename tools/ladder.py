@@ -18,8 +18,12 @@ passes through all rows:
 - the witness recovery ``recover_chi_psi_clark`` on members.  Accuracy: the
   largest relative defect of the Clark rank-two identity it must satisfy;
 - ``atto_matrix`` by quadrature on a warm pair, whose quadrature levels are
-  stored.  Accuracy: the largest distance to the closed path, relative to
-  1 + max|entry|, and the node count.
+  stored, and on a fresh pair (``[fresh]``), the same products rebuilt for
+  each call, so that every level is evaluated and nothing is stored.
+  Accuracy: the largest distance to the closed path, relative to
+  1 + max|entry|, and the node count;
+- the conjugation matrix of a fresh model space of the first product
+  (``ModelSpace.conj``).  Accuracy: the involution defect max|C conj(C) - I|.
 
 Times are in CPU microseconds of this machine.  The run also records the
 speed reference of the benchmark (``bench/reference.py``, read-only) and its
@@ -50,6 +54,7 @@ import numpy as np  # noqa: E402
 
 import attokit as ak  # noqa: E402
 from attokit import instances, operators  # noqa: E402
+from attokit.modelspace import ModelSpace  # noqa: E402
 from reference import NOMINAL_S, SpeedReference  # noqa: E402
 from run import environment  # noqa: E402
 
@@ -123,6 +128,19 @@ def rel_max(diff, ref) -> float:
     return float(np.abs(diff).max() / (1.0 + np.abs(ref).max()))
 
 
+def fresh_quadrature(alpha, beta, symbol, in_basis, out_basis):
+    """``atto_matrix`` by quadrature on new products equal to alpha and beta,
+    whose model spaces hold no quadrature level."""
+    return ak.atto_matrix(ak.BlaschkeProduct(alpha.zeros, alpha.front),
+                          ak.BlaschkeProduct(beta.zeros, beta.front),
+                          symbol, in_basis, out_basis)
+
+
+def fresh_conj(b: ak.BlaschkeProduct) -> np.ndarray:
+    """The conjugation matrix of a new model space of ``b``."""
+    return ModelSpace(b).conj
+
+
 def witness_defect(member, pairing, chi, psi) -> float:
     """Relative defect of A - U_beta A U_alpha^H = psi (x) k_0 + k_0 (x) chi."""
     u_a = ak.clark_unitary(member.alpha, pairing.clark_a.lam).entries
@@ -157,6 +175,9 @@ class Row:
             functools.partial(ak.recover_chi_psi_clark, x, pairing) for x in self.members]
         self.calls["operators.atto_matrix.quadrature"] = [
             functools.partial(ak.atto_matrix, alpha, beta, s, ca, cb) for s in symbols]
+        self.calls["operators.atto_matrix.quadrature[fresh]"] = [
+            functools.partial(fresh_quadrature, alpha, beta, s, ca, cb) for s in symbols]
+        self.calls["modelspace.conjugation"] = [functools.partial(fresh_conj, alpha)]
 
     def accuracy(self) -> dict:
         """Each layer's accuracy numbers.  Calls every quadrature twice, so
@@ -172,12 +193,15 @@ class Row:
         out["membership.recover_witness"] = {"identity_defect_max": max(
             witness_defect(x, self.pairing, *call()) for x, call
             in zip(self.members, self.calls["membership.recover_witness"]))}
-        nodes, gaps = [], []
-        for x, call in zip(self.members, self.calls["operators.atto_matrix.quadrature"]):
-            nodes.append(quadrature_nodes(call))
-            gaps.append(rel_max(call().tm_entries() - x.tm_entries(), x.tm_entries()))
-        out["operators.atto_matrix.quadrature"] = {"closed_distance_max": max(gaps),
-                                                   "nodes_max": max(nodes)}
+        for name in ("operators.atto_matrix.quadrature", "operators.atto_matrix.quadrature[fresh]"):
+            nodes, gaps = [], []
+            for x, call in zip(self.members, self.calls[name]):
+                nodes.append(quadrature_nodes(call))
+                gaps.append(rel_max(call().tm_entries() - x.tm_entries(), x.tm_entries()))
+            out[name] = {"closed_distance_max": max(gaps), "nodes_max": max(nodes)}
+        c = self.calls["modelspace.conjugation"][0]()
+        out["modelspace.conjugation"] = {"involution_defect_max": float(
+            np.abs(c @ np.conj(c) - np.eye(self.m)).max())}
         return out
 
 
