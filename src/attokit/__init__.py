@@ -9,12 +9,13 @@ from .blaschke import (BlaschkeProduct, ClarkPointSet, PoleProximityError,
                        RootCollisionError, derivative, evaluate, mobius_target,
                        monomial)
 from .config import DEFAULT, Tolerances
-from .membership import (ClarkPairing, IndeterminateError, MembershipVerdict,
-                         MethodDisagreement, ToleranceBreakdown, Witness,
-                         clark_pairing, match_clark_points,
-                         recover_chi_psi_clark, run_all, shift_domain_basis,
-                         test_clark_recurrence, test_conjugate_residual,
-                         test_rank_two_residual, test_shift_invariance)
+from .membership import (ClarkDissent, ClarkPairing, IndeterminateError,
+                         MembershipVerdict, MethodDisagreement,
+                         ToleranceBreakdown, Witness, clark_pairing,
+                         match_clark_points, recover_chi_psi_clark, run_all,
+                         shift_domain_basis, test_clark_recurrence,
+                         test_conjugate_residual, test_rank_two_residual,
+                         test_shift_invariance)
 from .modelspace import (ModelBasis, ModelVector, QuadratureError,
                          boundary_solve, build_basis, change_of_basis,
                          circle_nodes, clark_basis, clark_points, conj_kernel,

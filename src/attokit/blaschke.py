@@ -70,8 +70,8 @@ class BlaschkeProduct:
     def model_space(self):
         """The exact TM-coordinate objects of K_B, each computed on first use
         and kept for the life of the product (see modelspace.ModelSpace).
-        The space refers back to the product only weakly, so the two are
-        freed together when the last outside reference goes."""
+        The space names no product, so the two are freed together, by
+        reference counting, when the last outside reference goes."""
         from .modelspace import ModelSpace
         return ModelSpace(self)
 

@@ -24,7 +24,9 @@ from K_alpha to K_beta" are implemented and cross-validated:
 
 Residuals are compared on a relative scale: accept below ``tol.decision``,
 reject above ``tol.reject_band``, and raise IndeterminateError inside the
-band instead of guessing.
+band instead of guessing.  ``run_all`` raises its subclass ClarkDissent
+when the Clark recurrence alone rejects a matrix that lies within the
+tolerances of the class.
 """
 
 from __future__ import annotations
@@ -55,6 +57,25 @@ class IndeterminateError(RuntimeError):
         super().__init__(
             f"{method}: relative residual {relative_residual:.3e} lies inside the "
             f"indeterminate band ({tol.decision:.1e}, {tol.reject_band:.1e})")
+
+
+class ClarkDissent(IndeterminateError):
+    """Only the Clark recurrence rejects, and its division-free residual
+    max|q - x - y| / (1 + max|q|) (:func:`_clark_split`) lies below the
+    reject band: the matrix lies within the tolerances of the class, and the
+    recurrence's division by a small weight w alone rejects it.  Carries
+    every verdict, as MethodDisagreement does."""
+
+    def __init__(self, verdicts: dict, separation: float, weight: float,
+                 division_free: float, tol: Tolerances):
+        self.verdicts = verdicts
+        self.method, self.relative_residual = METHOD_CLARK, verdicts[METHOD_CLARK].max_residual
+        RuntimeError.__init__(self, (
+            f"{METHOD_CLARK} alone rejects, at relative residual {self.relative_residual:.3e}, "
+            f"where |w| = {weight:.1e} at the worst entry (unshared Clark points "
+            f"{separation:.1e} apart); its division-free residual {division_free:.3e} lies "
+            f"below the reject band {tol.reject_band:.1e}, so the matrix lies within the "
+            f"tolerances of the class"))
 
 
 class ToleranceBreakdown(RuntimeError):
@@ -206,7 +227,7 @@ class ClarkPairing:
 
     def clark_matrix(self, matrix: OperatorMatrix) -> OperatorMatrix:
         """``matrix`` over the Clark bases of the pairing's own point sets:
-        ``matrix`` itself when it is over the stored bases of stored sets."""
+        ``matrix`` itself when its bases are over the stored arrays of stored sets."""
         return matrix.in_bases(clark_basis(matrix.alpha, self.clark_a),
                                clark_basis(matrix.beta, self.clark_b))
 
@@ -326,11 +347,11 @@ def _residual_test(matrix: OperatorMatrix, method: str, a: complex, b: complex,
     m_tm = matrix.tm_entries()
     space_a, space_b = matrix.alpha.model_space, matrix.beta.model_space
     if method == METHOD_RESIDUAL:
-        d = m_tm - space_b.modified(b) @ m_tm @ space_a.modified_adjoint(a)
+        d = m_tm - space_b.modified(b) @ m_tm @ space_a.modified(a).conj().T
         left, right = space_a.k0, space_b.k0
         psi, chi = _split_residual(d, left, right, space_a.k0_norm2, space_b.k0_norm2)
     else:
-        d = m_tm - space_b.modified_adjoint(b) @ m_tm @ space_a.modified(a)
+        d = m_tm - space_b.modified(b).conj().T @ m_tm @ space_a.modified(a)
         left, right = space_a.kt0, space_b.kt0
         psi, chi = _split_residual(d, left, right, space_a.kt0_norm2, space_b.kt0_norm2)
     resid = np.abs(d - psi[:, None] * np.conj(left) - right[:, None] * np.conj(chi)).max()
@@ -421,12 +442,14 @@ def run_all(matrix: OperatorMatrix, pairing: ClarkPairing | None = None,
     """Run every applicable test and insist on a unanimous verdict.
 
     Returns {"member": bool, "methods": {name: verdict}}; raises
-    IndeterminateError if any single test lands in its dead band and
-    MethodDisagreement if the verdicts differ.  The Clark bases come from the
-    pairing's own point sets.  The TM-coordinate verdicts are those of
-    :func:`test_rank_two_residual`, :func:`test_conjugate_residual` and
-    :func:`test_shift_invariance`, which share the matrix's one TM matrix
-    (``OperatorMatrix.tm_entries``) and each space's ``model_space``.
+    IndeterminateError if any single test lands in its dead band,
+    ClarkDissent if the Clark recurrence alone rejects a matrix whose
+    division-free Clark residual lies below the reject band, and
+    MethodDisagreement if the verdicts differ otherwise.  The Clark bases
+    come from the pairing's own point sets.  The TM-coordinate verdicts are
+    those of :func:`test_rank_two_residual`, :func:`test_conjugate_residual`
+    and :func:`test_shift_invariance`, which share the matrix's one TM
+    matrix (``OperatorMatrix.tm_entries``) and each space's ``model_space``.
     """
     verdicts = {}
     if pairing is None and matrix.in_basis.kind == "clark" and matrix.out_basis.kind == "clark":
@@ -445,5 +468,13 @@ def run_all(matrix: OperatorMatrix, pairing: ClarkPairing | None = None,
 
     answers = {v.is_member for v in verdicts.values()}
     if len(answers) != 1:
+        if [k for k, v in verdicts.items() if not v.is_member] == [METHOD_CLARK]:
+            _, q, x, y = _clark_split(pairing.clark_matrix(matrix), pairing)
+            gap = np.abs(q - x[:, None] - y[None, :])
+            division_free = float(gap.max()) / (1.0 + float(np.abs(q).max()))
+            if division_free < tol.reject_band:
+                worst = np.unravel_index(np.argmax(gap / np.abs(pairing.divisor)), gap.shape)
+                raise ClarkDissent(verdicts, pairing.min_separation,
+                                   float(abs(pairing.weight[worst])), division_free, tol)
         raise MethodDisagreement(verdicts)
     return {"member": answers.pop(), "methods": verdicts}

@@ -43,8 +43,7 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -161,15 +160,8 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _live(product: weakref.ref) -> BlaschkeProduct:
-    b = product()
-    if b is None:
-        raise ReferenceError("the product of this model space was freed")
-    return b
-
-
 class ModelSpace:
-    """The exact objects of one model space in TM coordinates: the TM basis,
+    """The exact objects of one model space in TM coordinates: the TM identity,
     the compressed shift S, the kernel k_0 and the conjugate kernel k~_0 at
     the origin, so that I - S S* = k_0 k_0^H and I - S* S = k~_0 k~_0^H, an
     orthonormal basis of the shift domain, the conjugation matrix and B(0).
@@ -180,29 +172,26 @@ class ModelSpace:
     the squared norms of k_0 and k~_0, which the rank-two membership tests
     divide by.
 
-    The space keeps the zeros, front and degree of its product, which is all
-    that :func:`evaluate` and :func:`tm_values` read, so it computes from
-    its own data.  It refers to the product itself weakly, and holds each
-    basis object (:attr:`tm_basis`, the Clark bases) weakly too, while it
-    keeps their arrays: a dropped basis is built anew over the same
-    read-only array.  So nothing the space holds refers back to the product,
-    and a product and its space, with every array, are freed as soon as the
-    last outside reference goes.  A basis or vector refers to its product,
-    so holding one keeps the product and its space alive.
+    The space holds arrays, point sets and scalars only: the zeros, front
+    and degree of its product (all that :func:`evaluate` and
+    :func:`tm_values` read) and what it computes from them.  It names no
+    product, so a product and its space are freed by reference counting
+    when the last outside reference goes; a basis or vector names its
+    product, so holding one keeps both alive.
 
-    It stores the modified shift S_c and its adjoint per c != 0 (see
-    :meth:`modified`), read-only, on the second use of c, so the membership
-    tests of a reused space pay for them once or twice, and a product that
-    uses c once (a Clark solve, or one Clark unitary) stores no m x m array
-    for it.  The store keeps the last ``CLARK_ENTRIES`` values of c.  S_0 is
-    ``shift`` itself, and nothing more is stored for it.
+    It stores the modified shift S_c per c != 0 (see :meth:`modified`),
+    read-only, on the second use of c, so the membership tests of a reused
+    space pay for it once or twice, and a product that uses c once (a Clark
+    solve, or one Clark unitary) stores no m x m array for it.  The store
+    keeps the last ``CLARK_ENTRIES`` values of c.  S_0 is ``shift`` itself,
+    and nothing more is stored for it.
 
-    It also stores Clark work per (lam, tol) (see :meth:`clark`): the point
-    set, solved once, and the arrays of its Clark and modified-Clark bases,
-    each built on first use, all read-only.  ``tol`` is part of the key
-    because its residual and separation checks gate the solve.  A solve that
-    raises stores nothing, and the store keeps the last ``CLARK_ENTRIES``
-    keys.
+    It also stores Clark work per (lam, tol) (see :func:`_clark_entry`): the
+    point set, solved once, and the arrays of its Clark and modified-Clark
+    bases, built on the first basis, all read-only.  ``tol`` is part of the
+    key because its residual and separation checks gate the solve.  A solve
+    that raises stores nothing, and the store keeps the last
+    ``CLARK_ENTRIES`` keys.
 
     And it stores the TM values at the levels of the nested circle quadrature
     (see :meth:`level_values`), keyed by the level: its node count n and
@@ -215,14 +204,7 @@ class ModelSpace:
 
     def __init__(self, b: BlaschkeProduct):
         self.zeros, self.front, self.degree = b.zeros, b.front, b.degree
-        self._product = weakref.ref(b)
-        self._bases = {}            # kind -> weak reference to the basis object
         self._clark, self._modified, self._levels = {}, {}, {}
-
-    @property
-    def space(self) -> BlaschkeProduct:
-        """The product, while it lives."""
-        return _live(self._product)
 
     @functools.cached_property
     def shift(self) -> np.ndarray:
@@ -245,16 +227,8 @@ class ModelSpace:
 
     @functools.cached_property
     def identity(self) -> np.ndarray:
-        """The matrix of the TM basis, read-only."""
+        """The matrix of every TM basis of the space, read-only."""
         return _read_only(np.eye(self.degree, dtype=complex))
-
-    @property
-    def tm_basis(self) -> "ModelBasis":
-        """The TM basis, over :attr:`identity`.  While it lives every call
-        returns it, so every TM vector and TM-coordinate matrix of the space
-        is over this one object, and adding two of them or moving between
-        them solves nothing."""
-        return _held_basis(self._bases, self._product, "tm", self.identity)
 
     @functools.cached_property
     def b0(self) -> complex:
@@ -363,28 +337,20 @@ class ModelSpace:
 
     def modified(self, c: complex) -> np.ndarray:
         """The modified compressed shift S_c = S + c k_0 k~_0^H, read-only:
-        ``shift`` itself for c = 0, otherwise stored with its adjoint on the
-        second use of c."""
-        return self.shift if c == 0 else self._modified_pair(c)[0]
-
-    def modified_adjoint(self, c: complex) -> np.ndarray:
-        """S_c^H: read-only and stored with S_c for c != 0, and for c = 0
-        formed from ``shift`` on every call."""
-        return self.shift.conj().T if c == 0 else self._modified_pair(c)[1]
-
-    def _modified_pair(self, c: complex) -> tuple:
+        ``shift`` itself for c = 0, otherwise stored on the second use of c."""
+        if c == 0:
+            return self.shift
         c = complex(c)
-        pair = self._modified.get(c)
-        if pair is None:
+        s_c = self._modified.get(c)
+        if s_c is None:
             s_c = _read_only(self.shift + c * np.outer(self.k0, np.conj(self.kt0)))
-            pair = (s_c, _read_only(s_c.conj()).T)
             if c in self._modified:     # the first use marks c, the second stores
-                self._modified[c] = pair
+                self._modified[c] = s_c
             else:
                 if len(self._modified) >= CLARK_ENTRIES:
                     del self._modified[next(iter(self._modified))]
                 self._modified[c] = None
-        return pair
+        return s_c
 
     def multiply_by_z(self, coords: np.ndarray) -> np.ndarray:
         """TM coordinates of z f for every f given by TM coordinates
@@ -413,18 +379,6 @@ class ModelSpace:
             vals = tm_values(self, z)
             self._levels[key] = _read_only(vals) if key in self._levels else None
         return vals
-
-    def clark(self, lam: complex, tol: Tolerances = DEFAULT) -> "ClarkEntry":
-        """The stored Clark entry for (lam, tol), solved on first use; when
-        the store is full, the oldest entry is dropped."""
-        key = (complex(lam), tol)
-        entry = self._clark.get(key)
-        if entry is None:
-            entry = ClarkEntry(self._product, _solve_clark_points(self.space, key[0], tol))
-            if len(self._clark) >= CLARK_ENTRIES:
-                del self._clark[next(iter(self._clark))]
-            self._clark[key] = entry
-        return entry
 
 
 def boundary_solve(b: BlaschkeProduct, u: complex, tol: Tolerances = DEFAULT) -> np.ndarray:
@@ -464,7 +418,21 @@ def clark_points(b: BlaschkeProduct, lam: complex, tol: Tolerances = DEFAULT) ->
     """Clark point set for spectral parameter lam: the m unimodular solutions
     of B(eta) = target together with the weights |B'(eta_j)|.  Solved once
     per (lam, tol) and kept on ``b.model_space``; its arrays are read-only."""
-    return b.model_space.clark(lam, tol).point_set
+    return _clark_entry(b, lam, tol).point_set
+
+
+def _clark_entry(b: BlaschkeProduct, lam: complex, tol: Tolerances) -> "ClarkEntry":
+    """The entry for (lam, tol) in the Clark store of ``b.model_space``,
+    solved on first use; a full store drops its oldest entry."""
+    store = b.model_space._clark
+    key = (complex(lam), tol)
+    entry = store.get(key)
+    if entry is None:
+        entry = ClarkEntry(_solve_clark_points(b, key[0], tol))
+        if len(store) >= CLARK_ENTRIES:
+            del store[next(iter(store))]
+        store[key] = entry
+    return entry
 
 
 def _solve_clark_points(b: BlaschkeProduct, lam: complex, tol: Tolerances) -> ClarkPointSet:
@@ -525,10 +493,11 @@ def build_basis(b: BlaschkeProduct, kind: str, lam: complex | None = None,
                 tol: Tolerances = DEFAULT) -> ModelBasis:
     """Construct one of the four supported bases.
 
-    "tm" is the one stored basis ``b.model_space.tm_basis``.  kernel-zeros
-    requires distinct zeros; the Clark kinds require the spectral parameter
-    ``lam``.  Clark points are ordered by principal argument.  For
-    the modified Clark basis the phases
+    Each call returns a new basis; the "tm" and Clark kinds are over arrays
+    stored on ``b.model_space``, so moving between two of them solves
+    nothing.  kernel-zeros requires distinct zeros; the Clark kinds require
+    the spectral parameter ``lam``.  Clark points are ordered by principal
+    argument.  For the modified Clark basis the phases
 
         omega_j = exp(-i/2 (arg eta_j - arg target))
 
@@ -538,7 +507,7 @@ def build_basis(b: BlaschkeProduct, kind: str, lam: complex | None = None,
     """
     m = b.degree
     if kind == "tm":
-        return b.model_space.tm_basis
+        return ModelBasis(b, kind, b.model_space.identity)
     if kind == "kernel-zeros":
         zeros = np.array(b.zeros)
         sep = np.abs(zeros[:, None] - zeros[None, :]) + np.diag(np.full(m, np.inf))
@@ -549,8 +518,7 @@ def build_basis(b: BlaschkeProduct, kind: str, lam: complex | None = None,
     if kind in ("clark", "modified-clark"):
         if lam is None:
             raise ValueError(f"{kind} basis requires the spectral parameter lam")
-        entry = b.model_space.clark(lam, tol)
-        return entry.clark_basis if kind == "clark" else entry.modified_basis
+        return _clark_entry(b, lam, tol).basis(b, kind)
     raise ValueError(f"unknown basis kind {kind!r}; expected one of {BASIS_KINDS}")
 
 
@@ -560,24 +528,12 @@ def clark_basis(b: BlaschkeProduct, point_set: ClarkPointSet) -> ModelBasis:
     equation, so a caller holding the points pays only for the kernels.
 
     For a point set stored on ``b.model_space`` (one from :func:`clark_points`
-    or a Clark basis) this is the stored basis, the very object
-    ``build_basis`` returns; any other point set gets a new basis."""
+    or a Clark basis) the basis is over the stored array, the one
+    ``build_basis`` uses; any other point set gets a new array."""
     for entry in b.model_space._clark.values():
         if entry.point_set is point_set:
-            return entry.clark_basis
+            return entry.basis(b, "clark")
     return ModelBasis(b, "clark", _kernel_matrix(b, point_set), clark=point_set)
-
-
-def _held_basis(bases: dict, product: weakref.ref, kind: str, matrix: np.ndarray,
-                **extra) -> ModelBasis:
-    """The basis of ``kind`` that ``bases`` refers to weakly, or, once it was
-    dropped, a new one over the stored ``matrix``."""
-    ref = bases.get(kind)
-    basis = None if ref is None else ref()
-    if basis is None:
-        basis = ModelBasis(_live(product), kind, matrix, **extra)
-        bases[kind] = weakref.ref(basis)
-    return basis
 
 
 def _kernel_matrix(b: BlaschkeProduct, point_set: ClarkPointSet) -> np.ndarray:
@@ -587,17 +543,20 @@ def _kernel_matrix(b: BlaschkeProduct, point_set: ClarkPointSet) -> np.ndarray:
 
 @dataclass(eq=False)
 class ClarkEntry:
-    """One stored (lam, tol) entry of a space: the point set and the arrays
-    of its two bases, each built on first use.  Like the space, it refers to
-    the product weakly and holds the basis objects weakly."""
+    """One stored (lam, tol) entry of a space: the point set, and the
+    read-only arrays of its Clark and modified-Clark bases, built on the
+    first basis.  Like the space, it holds no product."""
 
-    product: weakref.ref
     point_set: ClarkPointSet
-    _bases: dict = field(default_factory=dict, init=False, repr=False)
+    clark_matrix: np.ndarray | None = None
 
-    @functools.cached_property
-    def clark_matrix(self) -> np.ndarray:
-        return _kernel_matrix(_live(self.product), self.point_set)
+    def basis(self, b: BlaschkeProduct, kind: str) -> ModelBasis:
+        """A new basis of ``kind`` of ``b`` over the stored array."""
+        if self.clark_matrix is None:
+            self.clark_matrix = _kernel_matrix(b, self.point_set)
+        if kind == "clark":
+            return ModelBasis(b, kind, self.clark_matrix, clark=self.point_set)
+        return ModelBasis(b, kind, self.modified_matrix, clark=self.point_set, omega=self.omega)
 
     @functools.cached_property
     def omega(self) -> np.ndarray:
@@ -609,16 +568,6 @@ class ClarkEntry:
     @functools.cached_property
     def modified_matrix(self) -> np.ndarray:
         return _read_only(self.clark_matrix * self.omega[None, :])
-
-    @property
-    def clark_basis(self) -> ModelBasis:
-        return _held_basis(self._bases, self.product, "clark", self.clark_matrix,
-                           clark=self.point_set)
-
-    @property
-    def modified_basis(self) -> ModelBasis:
-        return _held_basis(self._bases, self.product, "modified-clark", self.modified_matrix,
-                           clark=self.point_set, omega=self.omega)
 
 
 def change_of_basis(src: ModelBasis, dst: ModelBasis) -> np.ndarray:
@@ -665,7 +614,7 @@ class ModelVector:
         return float(np.linalg.norm(self.tm()))
 
     def __add__(self, other: "ModelVector") -> "ModelVector":
-        if other.basis is not self.basis:
+        if other.basis.matrix is not self.basis.matrix:
             other = other.to(self.basis)
         return ModelVector(self.basis, self.coeffs + other.coeffs)
 

@@ -215,8 +215,8 @@ class OperatorMatrix:
 
     def in_bases(self, in_basis: ModelBasis, out_basis: ModelBasis) -> "OperatorMatrix":
         """The same operator over the given bases; ``self`` when they are
-        the matrix's own basis objects."""
-        if in_basis is self.in_basis and out_basis is self.out_basis:
+        over the matrix's own basis arrays."""
+        if in_basis.matrix is self.in_basis.matrix and out_basis.matrix is self.out_basis.matrix:
             return self
         if in_basis.space != self.alpha or out_basis.space != self.beta:
             raise ValueError("target bases belong to different spaces")

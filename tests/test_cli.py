@@ -153,6 +153,16 @@ class TestMembership:
         assert code == 4
         assert "indeterminate: membership methods disagree" in err
 
+    def test_lone_clark_dissent_exit_four_with_its_cause(self, capsys, rng, tmp_path):
+        from test_membership import nearly_free_bump
+        _, _, bumped = nearly_free_bump(rng)
+        path = tmp_path / "bumped.json"
+        path.write_text(json.dumps(bumped.to_json()))
+        code, out, err = run_cli(capsys, "membership", "--matrix", str(path))
+        assert code == 4 and out == ""
+        assert err.startswith("indeterminate: clark-recurrence alone rejects")
+        assert "|w| = 3.0e-05" in err and "division-free residual" in err
+
     def test_missing_file_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "membership", "--matrix", "/nonexistent.json")
         assert code == 2

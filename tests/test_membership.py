@@ -14,8 +14,8 @@ from attokit.instances import (blaschke_through_points, constrained_entries,
                                shared_clark_instance)
 from attokit.membership import (METHOD_CLARK, METHOD_CONJUGATE,
                                 METHOD_RESIDUAL, METHOD_SHIFT,
-                                IndeterminateError, MembershipVerdict,
-                                MethodDisagreement,
+                                ClarkDissent, IndeterminateError,
+                                MembershipVerdict, MethodDisagreement,
                                 clark_pairing, match_clark_points,
                                 recover_chi_psi_clark, run_all,
                                 shift_domain_basis)
@@ -28,6 +28,29 @@ from attokit.modelspace import (ModelVector, build_basis, clark_basis, conj_kern
 from attokit.operators import (OperatorMatrix, SymbolSpec, atto_matrix,
                                clark_coefficient, clark_unitary,
                                compressed_shift, rank_one)
+
+
+def nearly_free_bump(rng):
+    """(pairing, member, bumped): a Clark-basis member of two degree-3
+    spaces with one unshared cross pair of Clark points 3e-5 apart (above
+    tol.match, so no breakdown), and the member with a 1e-3 bump on that
+    pair's entry, whose weight is about 3e-5.  The bump moves w r by about
+    3e-8, but the Clark residual in entry units by the full 1e-3."""
+    pts_a = np.exp(1j * np.array([0.3, 1.2, 2.2]))
+    pts_b = np.exp(1j * np.array([0.7, 1.2 + 3e-5, 2.7]))
+    alpha = blaschke_through_points(pts_a, 1.0)
+    beta = blaschke_through_points(pts_b, 1.0)
+    lam1, lam2 = lambda_for_target(alpha, 1.0), lambda_for_target(beta, 1.0)
+    pairing = clark_pairing(alpha, beta, lam1, lam2)
+    assert pairing.shared == 0
+    gap = np.abs(pairing.eta[None, :] - pairing.zeta[:, None])
+    s, p = np.unravel_index(np.argmin(gap), gap.shape)
+    assert DEFAULT.match < gap[s, p] < 1e-4
+    assert (s, p) in constrained_entries(3, 3, 0)
+    mat = member_matrix(rng, alpha, beta, lam1, lam2)
+    bumped = mat.entries.copy()
+    bumped[pairing.perm_b[s], pairing.perm_a[p]] += 1e-3 * (1.0 + mat.max_abs)
+    return pairing, mat, OperatorMatrix(bumped, mat.in_basis, mat.out_basis)
 
 
 def clark_member(rng, m, n, shared, seed_symbols=1):
@@ -170,25 +193,8 @@ class TestClarkRecurrence:
         assert verdict.max_residual >= 1e-4
 
     def test_bump_on_nearly_free_entry_is_rejected(self, rng):
-        # one unshared cross pair 3e-5 apart (above tol.match, so no
-        # breakdown): its weight is about 3e-5, so the bump moves w r by
-        # about 3e-8, but the residual in Clark-entry units by the full 1e-3
-        pts_a = np.exp(1j * np.array([0.3, 1.2, 2.2]))
-        pts_b = np.exp(1j * np.array([0.7, 1.2 + 3e-5, 2.7]))
-        alpha = blaschke_through_points(pts_a, 1.0)
-        beta = blaschke_through_points(pts_b, 1.0)
-        lam1, lam2 = lambda_for_target(alpha, 1.0), lambda_for_target(beta, 1.0)
-        pairing = clark_pairing(alpha, beta, lam1, lam2)
-        assert pairing.shared == 0
-        gap = np.abs(pairing.eta[None, :] - pairing.zeta[:, None])
-        s, p = np.unravel_index(np.argmin(gap), gap.shape)
-        assert DEFAULT.match < gap[s, p] < 1e-4
-        assert (s, p) in constrained_entries(3, 3, 0)
-        mat = member_matrix(rng, alpha, beta, lam1, lam2)
-        bumped = mat.entries.copy()
-        bumped[pairing.perm_b[s], pairing.perm_a[p]] += 1e-3 * (1.0 + mat.max_abs)
-        verdict = check_recurrence(OperatorMatrix(bumped, mat.in_basis, mat.out_basis),
-                                   pairing)
+        pairing, _, bumped = nearly_free_bump(rng)
+        verdict = check_recurrence(bumped, pairing)
         assert not verdict.is_member
         assert verdict.max_residual >= DEFAULT.reject_band
 
@@ -605,7 +611,8 @@ class TestRunAllSharedWork:
 
     def test_warm_run_all_evaluates_nothing_and_factors_nothing(self, rng, monkeypatch):
         # every evaluate and derivative goes through _pole_guard; B(0) and
-        # the shift domains are read off each space's model_space
+        # the shift domains are read off each space's model_space, and the
+        # stored Clark bases and TM matrices leave no basis change to solve
         import attokit.blaschke
         calls = []
 
@@ -622,10 +629,11 @@ class TestRunAllSharedWork:
         monkeypatch.setattr(attokit.blaschke, "_pole_guard",
                             counting("pole guard", attokit.blaschke._pole_guard))
         monkeypatch.setattr(np.linalg, "svd", counting("svd", np.linalg.svd))
+        monkeypatch.setattr(np.linalg, "solve", counting("solve", np.linalg.solve))
         assert run_all(mat, pairing)["member"] is True
         assert run_all(bad, pairing)["member"] is False
         recover_chi_psi_clark(mat, pairing)
-        assert calls == []
+        assert calls == ["solve"]       # bad's own TM matrix, shared by its tests
 
     def test_verdicts_equal_the_public_tests(self, rng):
         cases = []
@@ -680,6 +688,40 @@ class TestRunAllSharedWork:
         got = {name: v.is_member for name, v in err.value.verdicts.items()}
         assert got == {METHOD_CLARK: True, METHOD_RESIDUAL: True, f"{METHOD_RESIDUAL}[1]": True,
                        METHOD_CONJUGATE: True, METHOD_SHIFT: False}
+
+    def test_lone_clark_dissent_within_the_band_is_a_typed_refusal(self, rng):
+        pairing, _, bumped = nearly_free_bump(rng)
+        with pytest.raises(ClarkDissent) as err:
+            run_all(bumped, pairing)
+        assert isinstance(err.value, IndeterminateError)
+        assert not isinstance(err.value, MethodDisagreement)
+        verdicts = err.value.verdicts
+        assert [k for k, v in verdicts.items() if not v.is_member] == [METHOD_CLARK]
+        clark = verdicts[METHOD_CLARK].max_residual
+        assert err.value.method == METHOD_CLARK and err.value.relative_residual == clark
+        assert clark >= DEFAULT.reject_band
+        # the cause: both residuals, the separation and the weight there
+        message = str(err.value)
+        _, q, x, y = membership._clark_split(bumped, pairing)
+        division_free = np.abs(q - x[:, None] - y[None, :]).max() / (1.0 + np.abs(q).max())
+        assert division_free < 1e-7
+        for figure in (f"{clark:.3e}", f"{division_free:.3e}",
+                       f"{pairing.min_separation:.1e}", "|w| = 3.0e-05"):
+            assert figure in message
+
+    def test_lone_clark_dissent_past_the_band_still_disagrees(self, rng, monkeypatch):
+        # a clean non-member that the TM-coordinate tests are made to accept:
+        # its division-free Clark residual is far above the reject band
+        *_, pairing, mat = clark_member(rng, 4, 3, 1)
+        bad = perturbed_nonmember(rng, mat, pairing)
+        for name in ("test_rank_two_residual", "test_conjugate_residual", "test_shift_invariance"):
+            test = getattr(membership, name)
+            monkeypatch.setattr(membership, name, lambda *args, test=test, **kwargs: (
+                dataclasses.replace(test(*args, **kwargs), is_member=True)))
+        with pytest.raises(MethodDisagreement) as err:
+            run_all(bad, pairing)
+        assert not isinstance(err.value, IndeterminateError)
+        assert [k for k, v in err.value.verdicts.items() if not v.is_member] == [METHOD_CLARK]
 
 
 class TestHighDegree:
@@ -891,5 +933,5 @@ class TestWitnessOnAcceptance:
                     chi, psi = self.eager(mat, method, a, b)
                     assert verdict.witness.chi.coeffs.tobytes() == chi.coeffs.tobytes()
                     assert verdict.witness.psi.coeffs.tobytes() == psi.coeffs.tobytes()
-                    assert verdict.witness.chi.basis is chi.basis
+                    assert verdict.witness.chi.basis.matrix is chi.basis.matrix
                     assert (verdict.witness.a, verdict.witness.b) == (a, b)

@@ -25,12 +25,15 @@ def z_symbol():
 
 def counted_tm_values(monkeypatch):
     """Record the points of every ``modelspace.tm_values`` call, per product;
-    a call on a ``ModelSpace`` counts for its product."""
+    a call on a ``ModelSpace`` counts for the product of its zeros and front
+    (equal to, and hashed as, the space's own product)."""
     seen = {}
     real = modelspace.tm_values
 
     def counting(b, z):
-        product = b.space if isinstance(b, modelspace.ModelSpace) else b
+        if isinstance(b, modelspace.ModelSpace):
+            b = BlaschkeProduct(b.zeros, b.front)
+        product = b
         seen.setdefault(product, []).append(np.array(z))
         return real(b, z)
 

@@ -15,9 +15,10 @@ Prints one JSON line: the median and the maximum MiB held after each
 request, the traced peak over the run, both above the traced memory before
 the first probed request and in MiB to one decimal, and the collections the
 collector ran in each generation.  The free lists of the interpreter and of
-numpy keep a few tens of KiB traced, below that resolution.  Report only:
-the exit code is 0 whatever it reads.  The library is imported from the
-checkout's ``src`` directory.
+numpy keep a few tens of KiB traced, below that resolution.  The exit code
+is 0 whatever it reads; CI parses the line and fails when ``held_mib_max``
+is 1.0 or more.  The library is imported from the checkout's ``src``
+directory.
 """
 
 from __future__ import annotations
