@@ -44,6 +44,7 @@ import functools
 import itertools
 import operator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,8 +54,7 @@ from .blaschke import (BlaschkeProduct, ClarkPointSet, RootCollisionError, deriv
 from .config import DEFAULT, Tolerances
 
 BASIS_KINDS = ("tm", "kernel-zeros", "clark", "modified-clark")
-CLARK_ENTRIES = 8               # (lam, tol) entries, and modified shifts, a space keeps;
-                                # the oldest goes first
+CLARK_ENTRIES = 8               # keys a store of a space keeps, the oldest going first
 QUADRATURE_START = 256          # node count of the first quadrature level
 QUADRATURE_MAX = 1 << 15        # node count past which the quadrature gives up
 
@@ -160,6 +160,18 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _kept(store: dict, key, build):
+    """``store[key]``, built by ``build()`` and kept from its first use; a full
+    store drops its oldest key first, and a build that raises stores nothing."""
+    value = store.get(key)
+    if value is None:
+        value = build()
+        if len(store) >= CLARK_ENTRIES:
+            del store[next(iter(store))]
+        store[key] = value
+    return value
+
+
 class ModelSpace:
     """The exact objects of one model space in TM coordinates: the TM identity,
     the compressed shift S, the kernel k_0 and the conjugate kernel k~_0 at
@@ -179,27 +191,21 @@ class ModelSpace:
     when the last outside reference goes; a basis or vector names its
     product, so holding one keeps both alive.
 
-    It stores the modified shift S_c per c != 0 (see :meth:`modified`),
-    read-only, on the second use of c, so the membership tests of a reused
-    space pay for it once or twice, and a product that uses c once (a Clark
-    solve, or one Clark unitary) stores no m x m array for it.  The store
-    keeps the last ``CLARK_ENTRIES`` values of c.  S_0 is ``shift`` itself,
-    and nothing more is stored for it.
+    Two stores share one rule (:func:`_kept`): a value is built, read-only,
+    and kept from its first use, a store keeps its last ``CLARK_ENTRIES``
+    keys, and a build that raises stores nothing.  One keeps the modified
+    shift S_c per c != 0 (:meth:`modified`; S_0 is ``shift`` itself).  The
+    other keeps the Clark work per (lam, tol) (:func:`_clark_entry`): the
+    point set and the arrays of its Clark and modified-Clark bases.  ``tol``
+    is part of the key because its checks gate the solve.
 
-    It also stores Clark work per (lam, tol) (see :func:`_clark_entry`): the
-    point set, solved once, and the arrays of its Clark and modified-Clark
-    bases, built on the first basis, all read-only.  ``tol`` is part of the
-    key because its residual and separation checks gate the solve.  A solve
-    that raises stores nothing, and the store keeps the last
-    ``CLARK_ENTRIES`` keys.
-
-    And it stores the TM values at the levels of the nested circle quadrature
-    (see :meth:`level_values`), keyed by the level: its node count n and
-    whether it is the full first level or the odd half of a doubling.  A
-    level is stored, read-only, on its second evaluation; the first keeps
-    nothing, so a product evaluated once holds no node arrays.
-    Every quadrature starts at ``QUADRATURE_START`` nodes, so a space stores
-    at most one ladder of levels: m x ``QUADRATURE_MAX`` complex values.
+    A third store, of the TM values at the levels of the nested circle
+    quadrature (:meth:`level_values`), keys a level by its node count n and
+    whether it is the full first level or the odd half of a doubling.  Its
+    arrays are m x n, so a level is stored, read-only, on its second
+    evaluation, and a product evaluated once holds no node arrays.  Every
+    quadrature starts at ``QUADRATURE_START`` nodes, so a space stores at
+    most one ladder of levels: m x ``QUADRATURE_MAX`` complex values.
     """
 
     def __init__(self, b: BlaschkeProduct):
@@ -337,20 +343,12 @@ class ModelSpace:
 
     def modified(self, c: complex) -> np.ndarray:
         """The modified compressed shift S_c = S + c k_0 k~_0^H, read-only:
-        ``shift`` itself for c = 0, otherwise stored on the second use of c."""
+        ``shift`` itself for c = 0, otherwise stored from the first use of c."""
         if c == 0:
             return self.shift
         c = complex(c)
-        s_c = self._modified.get(c)
-        if s_c is None:
-            s_c = _read_only(self.shift + c * np.outer(self.k0, np.conj(self.kt0)))
-            if c in self._modified:     # the first use marks c, the second stores
-                self._modified[c] = s_c
-            else:
-                if len(self._modified) >= CLARK_ENTRIES:
-                    del self._modified[next(iter(self._modified))]
-                self._modified[c] = None
-        return s_c
+        return _kept(self._modified, c,
+                     lambda: _read_only(self.shift + c * np.outer(self.k0, np.conj(self.kt0))))
 
     def multiply_by_z(self, coords: np.ndarray) -> np.ndarray:
         """TM coordinates of z f for every f given by TM coordinates
@@ -417,31 +415,37 @@ def boundary_solve(b: BlaschkeProduct, u: complex, tol: Tolerances = DEFAULT) ->
 def clark_points(b: BlaschkeProduct, lam: complex, tol: Tolerances = DEFAULT) -> ClarkPointSet:
     """Clark point set for spectral parameter lam: the m unimodular solutions
     of B(eta) = target together with the weights |B'(eta_j)|.  Solved once
-    per (lam, tol) and kept on ``b.model_space``; its arrays are read-only."""
+    per (lam, tol), with its bases' arrays, and kept on ``b.model_space``
+    (:func:`_clark_entry`); its arrays are read-only."""
     return _clark_entry(b, lam, tol).point_set
 
 
-def _clark_entry(b: BlaschkeProduct, lam: complex, tol: Tolerances) -> "ClarkEntry":
-    """The entry for (lam, tol) in the Clark store of ``b.model_space``,
-    solved on first use; a full store drops its oldest entry."""
-    store = b.model_space._clark
-    key = (complex(lam), tol)
-    entry = store.get(key)
-    if entry is None:
-        entry = ClarkEntry(_solve_clark_points(b, key[0], tol))
-        if len(store) >= CLARK_ENTRIES:
-            del store[next(iter(store))]
-        store[key] = entry
-    return entry
+class _ClarkWork(NamedTuple):
+    """The read-only Clark work of one (lam, tol); like the space, no product."""
+
+    point_set: ClarkPointSet
+    clark_matrix: np.ndarray
+    omega: np.ndarray
+    modified_matrix: np.ndarray
 
 
-def _solve_clark_points(b: BlaschkeProduct, lam: complex, tol: Tolerances) -> ClarkPointSet:
-    if abs(abs(lam) - 1.0) > 1e-9:
-        raise ValueError("lam must be unimodular")
-    target = mobius_target(b, lam)
-    pts = _read_only(boundary_solve(b, target, tol))
-    wts = _read_only(np.abs(derivative(b, pts)))
-    return ClarkPointSet(lam, target, pts, wts)
+def _clark_entry(b: BlaschkeProduct, lam: complex, tol: Tolerances) -> _ClarkWork:
+    """The Clark work for (lam, tol) kept on ``b.model_space``, built whole on
+    first use; omega is :func:`build_basis`'s phases."""
+    lam = complex(lam)
+
+    def build() -> _ClarkWork:
+        if abs(abs(lam) - 1.0) > 1e-9:
+            raise ValueError("lam must be unimodular")
+        target = mobius_target(b, lam)
+        pts = _read_only(boundary_solve(b, target, tol))
+        point_set = ClarkPointSet(lam, target, pts, _read_only(np.abs(derivative(b, pts))))
+        matrix = _kernel_matrix(b, point_set)
+        omega = _read_only(np.exp(-0.5j * (np.angle(pts) % (2.0 * np.pi)
+                                           - np.angle(target) % (2.0 * np.pi))))
+        return _ClarkWork(point_set, matrix, omega, _read_only(matrix * omega[None, :]))
+
+    return _kept(b.model_space._clark, (lam, tol), build)
 
 
 # ---------------------------------------------------------------------------
@@ -495,9 +499,12 @@ def build_basis(b: BlaschkeProduct, kind: str, lam: complex | None = None,
 
     Each call returns a new basis; the "tm" and Clark kinds are over arrays
     stored on ``b.model_space``, so moving between two of them solves
-    nothing.  kernel-zeros requires distinct zeros; the Clark kinds require
-    the spectral parameter ``lam``.  Clark points are ordered by principal
-    argument.  For the modified Clark basis the phases
+    nothing.  Both Clark kinds read one entry per (lam, tol), built whole on
+    its first use, by a basis or :func:`clark_points`, so a Clark basis
+    after the points evaluates nothing.  kernel-zeros requires distinct
+    zeros; the Clark kinds require the spectral parameter ``lam``.  Clark
+    points are ordered by principal argument.  For the modified Clark basis
+    the phases
 
         omega_j = exp(-i/2 (arg eta_j - arg target))
 
@@ -505,12 +512,11 @@ def build_basis(b: BlaschkeProduct, kind: str, lam: complex | None = None,
     reduced to [0, 2*pi), and any other branch would do since the
     fixed-point property is insensitive to the sign of omega_j.
     """
-    m = b.degree
     if kind == "tm":
         return ModelBasis(b, kind, b.model_space.identity)
     if kind == "kernel-zeros":
         zeros = np.array(b.zeros)
-        sep = np.abs(zeros[:, None] - zeros[None, :]) + np.diag(np.full(m, np.inf))
+        sep = np.abs(zeros[:, None] - zeros[None, :]) + np.diag(np.full(b.degree, np.inf))
         if np.min(sep) < tol.distinct:
             raise ValueError("kernel-zeros basis requires distinct zeros")
         cols = np.conj(tm_values(b, zeros))          # (m, m): column j = k_{a_j}
@@ -518,7 +524,10 @@ def build_basis(b: BlaschkeProduct, kind: str, lam: complex | None = None,
     if kind in ("clark", "modified-clark"):
         if lam is None:
             raise ValueError(f"{kind} basis requires the spectral parameter lam")
-        return _clark_entry(b, lam, tol).basis(b, kind)
+        entry = _clark_entry(b, lam, tol)
+        if kind == "clark":
+            return ModelBasis(b, kind, entry.clark_matrix, clark=entry.point_set)
+        return ModelBasis(b, kind, entry.modified_matrix, clark=entry.point_set, omega=entry.omega)
     raise ValueError(f"unknown basis kind {kind!r}; expected one of {BASIS_KINDS}")
 
 
@@ -529,45 +538,16 @@ def clark_basis(b: BlaschkeProduct, point_set: ClarkPointSet) -> ModelBasis:
 
     For a point set stored on ``b.model_space`` (one from :func:`clark_points`
     or a Clark basis) the basis is over the stored array, the one
-    ``build_basis`` uses; any other point set gets a new array."""
+    ``build_basis`` uses, and evaluates nothing; any other point set gets a
+    new array."""
     for entry in b.model_space._clark.values():
         if entry.point_set is point_set:
-            return entry.basis(b, "clark")
+            return ModelBasis(b, "clark", entry.clark_matrix, clark=point_set)
     return ModelBasis(b, "clark", _kernel_matrix(b, point_set), clark=point_set)
 
 
 def _kernel_matrix(b: BlaschkeProduct, point_set: ClarkPointSet) -> np.ndarray:
-    cols = np.conj(tm_values(b, point_set.points)) / np.sqrt(point_set.weights)[None, :]
-    return _read_only(cols)
-
-
-@dataclass(eq=False)
-class ClarkEntry:
-    """One stored (lam, tol) entry of a space: the point set, and the
-    read-only arrays of its Clark and modified-Clark bases, built on the
-    first basis.  Like the space, it holds no product."""
-
-    point_set: ClarkPointSet
-    clark_matrix: np.ndarray | None = None
-
-    def basis(self, b: BlaschkeProduct, kind: str) -> ModelBasis:
-        """A new basis of ``kind`` of ``b`` over the stored array."""
-        if self.clark_matrix is None:
-            self.clark_matrix = _kernel_matrix(b, self.point_set)
-        if kind == "clark":
-            return ModelBasis(b, kind, self.clark_matrix, clark=self.point_set)
-        return ModelBasis(b, kind, self.modified_matrix, clark=self.point_set, omega=self.omega)
-
-    @functools.cached_property
-    def omega(self) -> np.ndarray:
-        cp = self.point_set
-        args = np.angle(cp.points) % (2.0 * np.pi)
-        arg_t = np.angle(cp.target) % (2.0 * np.pi)
-        return _read_only(np.exp(-0.5j * (args - arg_t)))
-
-    @functools.cached_property
-    def modified_matrix(self) -> np.ndarray:
-        return _read_only(self.clark_matrix * self.omega[None, :])
+    return _read_only(np.conj(tm_values(b, point_set.points)) / np.sqrt(point_set.weights)[None, :])
 
 
 def change_of_basis(src: ModelBasis, dst: ModelBasis) -> np.ndarray:

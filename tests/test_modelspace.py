@@ -21,6 +21,7 @@ from attokit.modelspace import (BASIS_KINDS, CLARK_ENTRIES, ModelBasis, ModelVec
                                 clark_basis, conj_kernel, conjugation,
                                 doubling_circle_mean, inner_product, kernel,
                                 multiply_by_z, project, tm_values, tm_vector)
+from test_operators import counted_tm_values
 
 
 def circle_mean(fn):
@@ -807,6 +808,17 @@ class TestClarkStore:
                 build_basis(b, "clark", 1j, tol=wide)
         assert len(solves) == 2 and b.model_space._clark == {}
 
+    def test_bases_after_the_points_evaluate_nothing(self, rng, monkeypatch):
+        b = random_blaschke(rng, 5)
+        cp = clark_points(b, 1j)
+        entry = b.model_space._clark[1j, Tolerances()]
+        seen = counted_tm_values(monkeypatch)
+        cb, mb = build_basis(b, "clark", 1j), build_basis(b, "modified-clark", 1j)
+        assert clark_basis(b, cp).matrix is cb.matrix is entry.clark_matrix
+        assert mb.matrix is entry.modified_matrix and mb.omega is entry.omega
+        assert cb.clark is mb.clark is cp
+        assert seen == {}
+
     def test_store_keeps_the_last_entries(self, rng, solves):
         b = random_blaschke(rng, 3)
         lams = np.exp(2j * np.pi * (np.arange(20) + 0.5) / 20)
@@ -854,17 +866,21 @@ class TestModifiedShiftStore:
             space = b.model_space
             cs = [complex(c) for c in rng.standard_normal(CLARK_ENTRIES + 3)
                   + 1j * rng.standard_normal(CLARK_ENTRIES + 3)]
+            kept = []
             for c in cs:
                 expect = space.shift + c * np.outer(space.k0, np.conj(space.kt0))
-                first = space.modified(c)
-                assert first.tobytes() == expect.tobytes() and not first.flags.writeable
-                assert space._modified[c] is None       # a single use stores nothing
-                s_c = space.modified(c)                 # the second use stores
+                s_c = space.modified(c)                 # the first use stores
                 assert space._modified[c] is s_c and not s_c.flags.writeable
                 assert s_c.tobytes() == expect.tobytes()
                 assert space.modified(c) is s_c
                 assert len(space._modified) <= CLARK_ENTRIES
+                kept.append(s_c)
             assert list(space._modified) == cs[-CLARK_ENTRIES:]
+            assert all(space.modified(c) is s_c
+                       for c, s_c in zip(cs[-CLARK_ENTRIES:], kept[-CLARK_ENTRIES:]))
+            again = space.modified(cs[0])               # evicted: built anew
+            assert again is not kept[0] and again.tobytes() == kept[0].tobytes()
+            assert len(space._modified) == CLARK_ENTRIES
 
     def test_kernel_norms(self, rng):
         for b in small_products(rng) + degree_64_products(rng):
