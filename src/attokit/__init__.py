@@ -6,13 +6,13 @@ operator class, witness recovery, and the complete rank-one classification.
 """
 
 from .blaschke import (BlaschkeProduct, ClarkPointSet, PoleProximityError,
-                       RootCollisionError, derivative, evaluate, mobius_target,
-                       monomial)
+                       RootCollisionError, ToleranceBreakdown, derivative,
+                       evaluate, mobius_target, monomial)
 from .config import DEFAULT, Tolerances
 from .membership import (ClarkDissent, ClarkPairing, IndeterminateError,
-                         MembershipVerdict, MethodDisagreement,
-                         ToleranceBreakdown, Witness, clark_pairing,
-                         match_clark_points, recover_chi_psi_clark, run_all,
+                         MembershipVerdict, MethodDisagreement, Witness,
+                         clark_pairing, match_clark_points,
+                         recover_chi_psi_clark, run_all,
                          shift_domain_basis, test_clark_recurrence,
                          test_conjugate_residual, test_rank_two_residual,
                          test_shift_invariance)

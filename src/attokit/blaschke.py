@@ -36,6 +36,12 @@ class RootCollisionError(RuntimeError):
     distinct roots."""
 
 
+class ToleranceBreakdown(RuntimeError):
+    """A computation missed a tolerance it must meet: boundary points that
+    miss their target by more than ``tol.residual``, or a Clark recurrence
+    denominator below the matching tolerance."""
+
+
 @dataclass(frozen=True)
 class BlaschkeProduct:
     """Immutable finite Blaschke product: zeros in the open disk plus a

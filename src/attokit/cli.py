@@ -3,8 +3,9 @@
 Subcommands: clark, atto, shift, unitary, membership, rankone, dim,
 example-4-1, selftest.  All results are JSON on stdout (complex scalars as
 [re, im] pairs); diagnostics go to stderr.  Exit codes: 0 success or member,
-2 usage/config error, 3 negative verdict, 4 indeterminate or internal
-inconsistency.
+2 usage/config error, 3 negative verdict, 4 indeterminate, internal
+inconsistency or a typed numerical failure (QuadratureError,
+RootCollisionError, ToleranceBreakdown), each with one line on stderr.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import sys
 import numpy as np
 
 from . import serialize
-from .blaschke import BlaschkeProduct, monomial
+from .blaschke import BlaschkeProduct, RootCollisionError, ToleranceBreakdown, monomial
 from .config import DEFAULT, Tolerances
 from .instances import (member_matrix, perturbed_nonmember, random_blaschke,
                         random_unimodular, random_vector, shared_clark_instance)
@@ -25,7 +26,7 @@ from .membership import (IndeterminateError, MethodDisagreement, clark_pairing,
                          match_clark_points, recover_chi_psi_clark, run_all,
                          test_clark_recurrence, test_conjugate_residual,
                          test_rank_two_residual, test_shift_invariance)
-from .modelspace import build_basis, clark_points, inner_product, kernel
+from .modelspace import QuadratureError, build_basis, clark_points, inner_product, kernel
 from .operators import (OperatorMatrix, SymbolSpec, atto_matrix, clark_unitary,
                         compressed_shift, modified_shift, standard_rank_one,
                         symbol_span_dimension)
@@ -386,7 +387,8 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         return args.fn(args, cfg, config_tolerances(cfg))
-    except (IndeterminateError, MethodDisagreement) as exc:
+    except (IndeterminateError, MethodDisagreement, QuadratureError, RootCollisionError,
+            ToleranceBreakdown) as exc:
         print(f"indeterminate: {exc}", file=sys.stderr)
         return EXIT_INDETERMINATE
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blaschke import BlaschkeProduct, ClarkPointSet
+from .blaschke import BlaschkeProduct, ClarkPointSet, ToleranceBreakdown
 from .config import DEFAULT, Tolerances
 from .modelspace import ModelVector, _read_only, clark_basis, clark_points, tm_vector
 from .operators import OperatorMatrix, clark_coefficient
@@ -76,10 +76,6 @@ class ClarkDissent(IndeterminateError):
             f"{separation:.1e} apart); its division-free residual {division_free:.3e} lies "
             f"below the reject band {tol.reject_band:.1e}, so the matrix lies within the "
             f"tolerances of the class"))
-
-
-class ToleranceBreakdown(RuntimeError):
-    """A recurrence denominator underflowed the matching tolerance."""
 
 
 class MethodDisagreement(RuntimeError):

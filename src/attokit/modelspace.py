@@ -49,8 +49,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import serialize
-from .blaschke import (BlaschkeProduct, ClarkPointSet, RootCollisionError, derivative,
-                       evaluate, mobius_target)
+from .blaschke import (BlaschkeProduct, ClarkPointSet, RootCollisionError,
+                       ToleranceBreakdown, derivative, evaluate, mobius_target)
 from .config import DEFAULT, Tolerances
 
 BASIS_KINDS = ("tm", "kernel-zeros", "clark", "modified-clark")
@@ -388,8 +388,8 @@ def boundary_solve(b: BlaschkeProduct, u: complex, tol: Tolerances = DEFAULT) ->
     arguments put them on the circle, where one Newton step in the argument,
     eta <- eta * exp(-i arg(B(eta) / u) / |B'(eta)|), refines them, since
     |B'(eta)| is the rate at which arg B turns along the circle.  Raises
-    RuntimeError if a residual |B(eta) - u| exceeds ``tol.residual`` and
-    RootCollisionError if two points lie within ``tol.distinct``.
+    ToleranceBreakdown if a residual |B(eta) - u| exceeds ``tol.residual``
+    and RootCollisionError if two points lie within ``tol.distinct``.
     """
     u = complex(u)
     if abs(abs(u) - 1.0) > 1e-9:
@@ -402,7 +402,7 @@ def boundary_solve(b: BlaschkeProduct, u: complex, tol: Tolerances = DEFAULT) ->
 
     resid = np.max(np.abs(evaluate(b, eta) - u))
     if resid > tol.residual:
-        raise RuntimeError(
+        raise ToleranceBreakdown(
             f"boundary points miss the target by more than {tol.residual}: "
             f"max residual {resid:.3e}")
     diff = np.abs(eta[:, None] - eta[None, :]) + np.diag(np.full(b.degree, np.inf))

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from attokit import boundary_solve, clark_points
-from attokit.blaschke import (BlaschkeProduct, RootCollisionError, derivative,
-                              evaluate, mobius_target, monomial)
+from attokit.blaschke import (BlaschkeProduct, RootCollisionError, ToleranceBreakdown,
+                              derivative, evaluate, mobius_target, monomial)
 from attokit.config import DEFAULT, Tolerances
 from attokit.instances import random_blaschke, random_unimodular
 
@@ -179,7 +179,7 @@ class TestBoundarySolve:
         assert 0.0 < achieved <= DEFAULT.residual
         with pytest.raises(RuntimeError) as err:
             boundary_solve(b, target, Tolerances(residual=achieved / 2))
-        assert err.type is RuntimeError
+        assert err.type is ToleranceBreakdown
         assert str(err.value).startswith(
             f"boundary points miss the target by more than {achieved / 2}: max residual ")
         assert "polish" not in str(err.value)

@@ -11,7 +11,7 @@ from attokit.cli import main
 from attokit.instances import (member_matrix, perturbed_nonmember,
                                shared_clark_instance)
 from attokit.membership import clark_pairing
-from attokit.operators import SymbolSpec, compressed_shift
+from attokit.operators import IDENTITY_SYMBOL, SymbolSpec, compressed_shift
 from attokit.instances import random_symbol
 
 
@@ -323,3 +323,34 @@ class TestConfig:
                      ("clark", "--alpha", '{"zeros": 3, "front": [1, 0]}', "--lambda", "1")):
             code, out, err = run_cli(capsys, *argv)
             assert code == 2 and out == "" and err.startswith("error:"), argv
+
+
+class TestTypedNumericalFailures:
+    """A tolerance the computation cannot meet exits 4 with one stderr line."""
+
+    @staticmethod
+    def run_with(capsys, tmp_path, tolerances, *argv):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"tolerances": tolerances}))
+        code, out, err = run_cli(capsys, *argv, "--config", str(path))
+        assert code == 4 and out == "" and err.count("\n") == 1
+        assert err.startswith("indeterminate: ")
+        return err
+
+    def test_root_collision(self, capsys, tmp_path):
+        err = self.run_with(capsys, tmp_path, {"distinct": 1.9},
+                            "clark", "--alpha", "z3", "--lambda", "1")
+        assert "two boundary points lie within 1.9" in err
+
+    def test_boundary_residual(self, capsys, tmp_path):
+        alpha = '{"front": [1.0, 0.0], "zeros": [[0.5, 0.1], [0.2, -0.3]]}'
+        err = self.run_with(capsys, tmp_path, {"residual": 1e-30},
+                            "clark", "--alpha", alpha, "--lambda", "1")
+        assert "boundary points miss the target by more than 1e-30" in err
+
+    def test_quadrature(self, capsys, tmp_path):
+        symbol = tmp_path / "symbol.json"
+        symbol.write_text(json.dumps(SymbolSpec(raw=IDENTITY_SYMBOL).to_json()))
+        err = self.run_with(capsys, tmp_path, {"quadrature": 1e-30},
+                            "atto", "--alpha", "z3", "--beta", "z2", "--symbol", str(symbol))
+        assert "circle quadrature did not converge below 1e-30" in err
