@@ -78,6 +78,19 @@ def lambda_for_target(b: BlaschkeProduct, u: complex) -> complex:
 
 
 def separated_boundary_points(rng, count: int, min_angle: float = 0.3) -> np.ndarray:
+    """``count`` points on the circle, sorted by argument in [0, 2 pi), whose
+    arguments lie at least ``min_angle`` apart.  Up to 12 points are
+    rejection-sampled.  From 13 on, where that rarely succeeds, the gaps are
+    drawn directly as min_angle + slack * Dirichlet(1, ..., 1) at a uniform
+    rotation, with slack = 2 pi - count * min_angle: the law of the
+    rejection sampler's accepted draws."""
+    if count >= 13:
+        slack = 2.0 * np.pi - count * min_angle
+        if slack < 0.0:
+            raise ValueError("count * min_angle exceeds the circle; lower min_angle")
+        gaps = min_angle + slack * rng.dirichlet(np.ones(count))
+        angles = (2.0 * np.pi * rng.random() + np.cumsum(gaps)) % (2.0 * np.pi)
+        return np.exp(1j * np.sort(angles))
     for _ in range(10000):
         angles = np.sort(rng.random(count) * 2.0 * np.pi)
         gaps = np.diff(np.concatenate([angles, [angles[0] + 2.0 * np.pi]]))
@@ -105,8 +118,9 @@ def blaschke_through_points(points, u: complex, weights=None) -> BlaschkeProduct
 def shared_clark_instance(rng, m: int, n: int, shared: int):
     """Products and parameters whose Clark sets share exactly ``shared`` points.
 
-    Returns (alpha, beta, lam1, lam2).  For shared = 0 the points are sampled
-    independently but still kept separated so that greedy matching is clean.
+    Returns (alpha, beta, lam1, lam2), at any size.  For shared = 0 the points
+    are sampled independently but still kept separated so that greedy
+    matching is clean.
     """
     total = m + n - shared
     pts = separated_boundary_points(rng, total, min_angle=min(0.25, 5.0 / total))

@@ -3,8 +3,10 @@ import pytest
 
 from attokit.instances import (_constrained_entry, constrained_entries, member_matrix,
                                perturbed_nonmember, random_blaschke, random_points_in_disk,
-                               random_unimodular, shared_clark_instance)
-from attokit.membership import clark_pairing
+                               random_unimodular, separated_boundary_points,
+                               shared_clark_instance)
+from attokit.membership import clark_pairing, recover_chi_psi_clark, run_all
+from attokit.operators import clark_unitary
 
 
 def listed_nonmember(rng, member, pairing, delta=1e-3):
@@ -86,3 +88,55 @@ class TestConstrainedDraw:
             member = member_matrix(rng, alpha, beta, lam1, lam2)
             with pytest.raises(ValueError, match="no constrained entries"):
                 perturbed_nonmember(rng, member, clark_pairing(alpha, beta, lam1, lam2))
+
+
+def rejection_boundary_points(rng, count, min_angle):
+    """The rejection sampler that ``separated_boundary_points`` keeps below
+    13 points."""
+    for _ in range(10000):
+        angles = np.sort(rng.random(count) * 2.0 * np.pi)
+        gaps = np.diff(np.concatenate([angles, [angles[0] + 2.0 * np.pi]]))
+        if np.min(gaps) >= min_angle:
+            return np.exp(1j * angles)
+    raise RuntimeError("could not separate boundary points")
+
+
+class TestSharedClarkInstance:
+    def test_up_to_twelve_points_are_rejection_sampled(self):
+        for seed in range(10):
+            for count in (1, 5, 9, 12):
+                min_angle = min(0.25, 5.0 / count)
+                drawn, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+                pts = separated_boundary_points(drawn, count, min_angle)
+                assert pts.tobytes() == rejection_boundary_points(ref, count, min_angle).tobytes()
+                assert drawn.bit_generator.state == ref.bit_generator.state
+
+    def test_direct_draw_is_sorted_and_separated(self, rng):
+        for count in (13, 24, 84, 128):
+            min_angle = min(0.25, 5.0 / count)
+            for _ in range(20):
+                pts = separated_boundary_points(rng, count, min_angle)
+                angles = np.angle(pts) % (2.0 * np.pi)
+                gaps = np.diff(np.r_[angles, angles[0] + 2.0 * np.pi])
+                assert len(pts) == count and np.all(np.diff(angles) > 0)
+                assert np.max(np.abs(np.abs(pts) - 1.0)) <= 1e-15
+                assert np.min(gaps) >= min_angle - 1e-12
+        with pytest.raises(ValueError, match="exceeds the circle"):
+            separated_boundary_points(rng, 13, 0.5)
+
+    @pytest.mark.parametrize("m, n, shared", [(24, 24, 24), (64, 40, 20)])
+    def test_member_witness_and_nonmember(self, rng, m, n, shared):
+        alpha, beta, lam1, lam2 = shared_clark_instance(rng, m, n, shared)
+        pairing = clark_pairing(alpha, beta, lam1, lam2)
+        assert pairing.shared == shared
+        member = member_matrix(rng, alpha, beta, lam1, lam2)
+        assert run_all(member, pairing)["member"]
+        chi, psi = recover_chi_psi_clark(member, pairing)
+        u_a = clark_unitary(alpha, lam1).entries
+        u_b = clark_unitary(beta, lam2).entries
+        tm = member.tm_entries()
+        d = tm - u_b @ tm @ u_a.conj().T
+        rebuilt = (np.outer(psi.tm(), np.conj(alpha.model_space.k0))
+                   + np.outer(beta.model_space.k0, np.conj(chi.tm())))
+        assert np.max(np.abs(d - rebuilt)) <= 1e-10 * (1.0 + np.max(np.abs(d)))
+        assert not run_all(perturbed_nonmember(rng, member, pairing), pairing)["member"]
