@@ -23,7 +23,16 @@ passes through all rows:
   Accuracy: the largest distance to the closed path, relative to
   1 + max|entry|, and the node count;
 - the conjugation matrix of a fresh model space of the first product
-  (``ModelSpace.conj``).  Accuracy: the involution defect max|C conj(C) - I|.
+  (``ModelSpace.conj``).  Accuracy: the involution defect max|C conj(C) - I|;
+- the Clark basis of a fresh product equal to the first one
+  (``build_basis(..., "clark")``: boundary solve, kernels and phases).
+  Accuracy: the Gram defect max|T^H T - I|;
+- the basis change ``tm_entries()`` of each member loaded anew over the
+  paired Clark bases, one solve per side.  Accuracy: the largest round-trip
+  error against the closed-path TM matrix, relative to 1 + max|entry|.
+
+Every layer runs at radii 0.8, 0.95 and 0.9999 but the quadrature, which
+raises from 0.999 on (too many nodes), and runs at 0.8 and 0.95 only.
 
 Times are in CPU microseconds of this machine.  The run also records the
 speed reference of the benchmark (``bench/reference.py``, read-only) and its
@@ -60,7 +69,7 @@ from run import environment  # noqa: E402
 
 SEED = 0                        # fixed, so that BENCH_N.json files compare
 DEGREES = (4, 8, 16, 32, 64)
-RADII = (0.8, 0.95)
+RADII = (0.8, 0.95, 0.9999)
 MATRICES = 3                    # members, and as many non-members, per row
 ROUNDS = 7                      # passes over all rows
 REPEATS = 3                     # timed calls per matrix and pass
@@ -136,6 +145,18 @@ def fresh_quadrature(alpha, beta, symbol, in_basis, out_basis):
                           symbol, in_basis, out_basis)
 
 
+def fresh_clark_basis(b: ak.BlaschkeProduct, lam: complex) -> ak.ModelBasis:
+    """The Clark basis of a new product equal to ``b``, whose model space
+    holds no Clark work."""
+    return ak.build_basis(ak.BlaschkeProduct(b.zeros, b.front), "clark", lam)
+
+
+def loaded_tm(x: ak.OperatorMatrix) -> np.ndarray:
+    """The TM matrix of ``x``'s entries over ``x``'s bases, solved anew, as
+    for a matrix loaded from its entries."""
+    return ak.OperatorMatrix(x.entries, x.in_basis, x.out_basis).tm_entries()
+
+
 def fresh_conj(b: ak.BlaschkeProduct) -> np.ndarray:
     """The conjugation matrix of a new model space of ``b``."""
     return ModelSpace(b).conj
@@ -173,11 +194,16 @@ class Row:
                       for name, test in TESTS.items()}
         self.calls["membership.recover_witness"] = [
             functools.partial(ak.recover_chi_psi_clark, x, pairing) for x in self.members]
-        self.calls["operators.atto_matrix.quadrature"] = [
-            functools.partial(ak.atto_matrix, alpha, beta, s, ca, cb) for s in symbols]
-        self.calls["operators.atto_matrix.quadrature[fresh]"] = [
-            functools.partial(fresh_quadrature, alpha, beta, s, ca, cb) for s in symbols]
+        if radius < 0.999:
+            self.calls["operators.atto_matrix.quadrature"] = [
+                functools.partial(ak.atto_matrix, alpha, beta, s, ca, cb) for s in symbols]
+            self.calls["operators.atto_matrix.quadrature[fresh]"] = [
+                functools.partial(fresh_quadrature, alpha, beta, s, ca, cb) for s in symbols]
         self.calls["modelspace.conjugation"] = [functools.partial(fresh_conj, alpha)]
+        self.calls["modelspace.build_basis.clark[fresh]"] = [
+            functools.partial(fresh_clark_basis, alpha, lam1)]
+        self.calls["operators.tm_entries[clark]"] = [
+            functools.partial(loaded_tm, x) for x in self.members]
 
     def accuracy(self) -> dict:
         """Each layer's accuracy numbers.  Calls every quadrature twice, so
@@ -194,6 +220,8 @@ class Row:
             witness_defect(x, self.pairing, *call()) for x, call
             in zip(self.members, self.calls["membership.recover_witness"]))}
         for name in ("operators.atto_matrix.quadrature", "operators.atto_matrix.quadrature[fresh]"):
+            if name not in self.calls:
+                continue
             nodes, gaps = [], []
             for x, call in zip(self.members, self.calls[name]):
                 nodes.append(quadrature_nodes(call))
@@ -202,6 +230,12 @@ class Row:
         c = self.calls["modelspace.conjugation"][0]()
         out["modelspace.conjugation"] = {"involution_defect_max": float(
             np.abs(c @ np.conj(c) - np.eye(self.m)).max())}
+        basis = self.calls["modelspace.build_basis.clark[fresh]"][0]()
+        out["modelspace.build_basis.clark[fresh]"] = {"gram_defect_max": float(
+            np.abs(basis.gram - np.eye(self.m)).max())}
+        out["operators.tm_entries[clark]"] = {"round_trip_max": max(
+            rel_max(call() - x.tm_entries(), x.tm_entries())
+            for x, call in zip(self.members, self.calls["operators.tm_entries[clark]"]))}
         return out
 
 
