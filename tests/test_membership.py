@@ -299,9 +299,9 @@ class TestClarkIdentity:
         for m, n in ((1, 3), (3, 1), (2, 2), (4, 3), (3, 5), (8, 4), (4, 8), (6, 6)):
             for l in range(min(m, n) + 1):
                 yield shared_clark_instance(rng, m, n, l), l
-        # degree 24 with 6 shared points and degree 64 with 16, from jittered
-        # grids: rejection sampling in shared_clark_instance does not reach
-        # these sizes
+        # degree 24 with 6 shared points and degree 64 with 16, from shuffled
+        # jittered grids, so that the two spaces' points interleave around
+        # the circle (shared_clark_instance gives each space its own arc)
         for m, n, l in ((24, 24, 6), (64, 64, 16)):
             pts = jittered_grid(rng, m + n - l)
             rng.shuffle(pts)
