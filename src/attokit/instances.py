@@ -122,6 +122,8 @@ def shared_clark_instance(rng, m: int, n: int, shared: int):
     are sampled independently but still kept separated so that greedy
     matching is clean.
     """
+    if not 0 <= shared <= min(m, n):
+        raise ValueError(f"shared = {shared} lies outside 0..min(m, n) = 0..{min(m, n)}")
     total = m + n - shared
     pts = separated_boundary_points(rng, total, min_angle=min(0.25, 5.0 / total))
     pts_a = np.concatenate([pts[:shared], pts[shared: m]])

@@ -31,7 +31,6 @@ tolerances of the class.
 
 from __future__ import annotations
 
-import functools
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -143,94 +142,45 @@ class ClarkPairing:
     leading positions: after applying the permutations, eta[j] = zeta[j] for
     j < shared.
 
-    The constants the recurrence test and the witness recovery read, which
-    depend only on the two point sets and the matching, are computed on
-    first use, kept and read-only.  So a pairing reused across matrices pays
-    for them once; ``dataclasses.replace(pairing)`` is a fresh pairing with
-    nothing computed yet."""
+    Built whole by :func:`match_clark_points`, with the constants the
+    recurrence test and the witness recovery read, which depend only on the
+    two point sets and the matching; every array is read-only.  So a pairing
+    reused across matrices pays for them once."""
 
     clark_a: ClarkPointSet
     clark_b: ClarkPointSet
     shared: int
     perm_a: np.ndarray           # position j in the paired order -> original index
     perm_b: np.ndarray
-
-    @property
-    def eta(self) -> np.ndarray:
-        return self.clark_a.points[self.perm_a]
-
-    @property
-    def zeta(self) -> np.ndarray:
-        return self.clark_b.points[self.perm_b]
-
-    @property
-    def weights_a(self) -> np.ndarray:
-        return self.clark_a.weights[self.perm_a]
-
-    @property
-    def weights_b(self) -> np.ndarray:
-        return self.clark_b.weights[self.perm_b]
-
-    @functools.cached_property
-    def weight(self) -> np.ndarray:
-        """w[s, p] = (1 - conj(eta_p) zeta_s) sqrt(w_p w_s), in the paired
-        order: w r is A - U_beta A U_alpha* in the paired Clark bases, times
-        sqrt(w_p w_s).  It vanishes on the shared diagonal."""
-        return _read_only((1.0 - np.conj(self.eta)[None, :] * self.zeta[:, None])
-                          * (self.sqrt_weights_a[None, :] * self.sqrt_weights_b[:, None]))
-
-    @functools.cached_property
-    def sqrt_weights_a(self) -> np.ndarray:
-        return _read_only(np.sqrt(self.weights_a))
-
-    @functools.cached_property
-    def sqrt_weights_b(self) -> np.ndarray:
-        return _read_only(np.sqrt(self.weights_b))
-
-    @functools.cached_property
-    def paired_index(self) -> tuple:
-        """``np.ix_(perm_b, perm_a)``: ``entries[paired_index]`` is a Clark
-        matrix in the paired order."""
-        return tuple(_read_only(ix) for ix in np.ix_(self.perm_b, self.perm_a))
-
-    @functools.cached_property
-    def inverse_perm_a(self) -> np.ndarray:
-        return _read_only(np.argsort(self.perm_a))
-
-    @functools.cached_property
-    def inverse_perm_b(self) -> np.ndarray:
-        return _read_only(np.argsort(self.perm_b))
-
-    @functools.cached_property
-    def free(self) -> np.ndarray:
-        """Mask of the free diagonal s = p < l, where the recurrence says
-        nothing."""
-        free = np.zeros((len(self.perm_b), len(self.perm_a)), dtype=bool)
-        free[np.arange(self.shared), np.arange(self.shared)] = True
-        return _read_only(free)
-
-    @functools.cached_property
-    def divisor(self) -> np.ndarray:
-        """w with its zeros on the free diagonal replaced by 1."""
-        return _read_only(np.where(self.free, 1.0, self.weight))
-
-    @functools.cached_property
-    def min_separation(self) -> float:
-        """The smallest cross distance |eta_p - zeta_s| off the free
-        diagonal (inf when every entry is free)."""
-        den = self.eta[None, :] - self.zeta[:, None]
-        return float(np.min(np.abs(den[~self.free]), initial=np.inf))
+    eta: np.ndarray              # the points in the paired order
+    zeta: np.ndarray
+    sqrt_weights_a: np.ndarray   # sqrt |B'| at eta, and at zeta
+    sqrt_weights_b: np.ndarray
+    # w[s, p] = (1 - conj(eta_p) zeta_s) sqrt(w_p w_s): w r is A - U_beta A
+    # U_alpha* in the paired Clark bases, times sqrt(w_p w_s).  It vanishes
+    # on the shared diagonal.
+    weight: np.ndarray
+    free: np.ndarray             # the free diagonal s = p < l, where the recurrence says nothing
+    divisor: np.ndarray          # w with its zeros on the free diagonal replaced by 1
+    min_separation: float        # min |eta_p - zeta_s| off the free diagonal (inf if none)
+    # np.ix_(perm_b, perm_a): entries[paired_index] is a Clark matrix in the paired order
+    paired_index: tuple
+    inverse_perm_a: np.ndarray
+    inverse_perm_b: np.ndarray
 
     def clark_matrix(self, matrix: OperatorMatrix) -> OperatorMatrix:
         """``matrix`` over the Clark bases of the pairing's own point sets:
         ``matrix`` itself when its bases are over the stored arrays of stored sets."""
+        if (len(self.eta), len(self.zeta)) != (matrix.alpha.degree, matrix.beta.degree):
+            raise ValueError("matrix basis and pairing disagree on the Clark points")
         return matrix.in_bases(clark_basis(matrix.alpha, self.clark_a),
                                clark_basis(matrix.beta, self.clark_b))
 
 
 def match_clark_points(clark_a: ClarkPointSet, clark_b: ClarkPointSet,
                        tol: Tolerances = DEFAULT) -> ClarkPairing:
-    """Greedy nearest matching of the two point sets under ``tol.match``.
+    """Greedy nearest matching of the two point sets under ``tol.match``,
+    and the pairing built whole on it.
 
     Shared points are ordered by principal argument and moved first; an error
     is raised when a point has two match candidates inside the tolerance
@@ -238,27 +188,36 @@ def match_clark_points(clark_a: ClarkPointSet, clark_b: ClarkPointSet,
     """
     pa = clark_a.points
     pb = clark_b.points
-    dist = np.abs(pa[:, None] - pb[None, :])
-    pairs = []
-    for j in range(len(pa)):
-        hits = np.nonzero(dist[j] <= tol.match)[0]
-        if len(hits) > 1:
+    close = np.abs(pa[:, None] - pb[None, :]) <= tol.match
+    lead_a, lead_b = np.nonzero(close)           # the close pairs, in pa's order
+    hits_a, hits_b = close.sum(axis=1), close.sum(axis=0)
+    if hits_a.max() > 1 or hits_b.max() > 1:     # name the first point of pa that clashes
+        k = np.flatnonzero((hits_a[lead_a] > 1) | (hits_b[lead_b] > 1))[0]
+        j, i = lead_a[k], lead_b[k]
+        if hits_a[j] > 1:
             raise ValueError(f"ambiguous Clark-point match for {pa[j]}: "
-                             f"{len(hits)} candidates within {tol.match}")
-        if len(hits) == 1:
-            i = int(hits[0])
-            close_a = np.nonzero(dist[:, i] <= tol.match)[0]
-            if len(close_a) > 1:
-                raise ValueError(f"ambiguous Clark-point match for {pb[i]}")
-            pairs.append((j, i))
-    pairs.sort(key=lambda ji: np.angle(pa[ji[0]]) % (2.0 * np.pi))
-    lead_a = [j for j, _ in pairs]
-    lead_b = [i for _, i in pairs]
-    rest_a = [j for j in range(len(pa)) if j not in lead_a]
-    rest_b = [i for i in range(len(pb)) if i not in lead_b]
-    return ClarkPairing(clark_a, clark_b, len(pairs),
-                        _read_only(np.array(lead_a + rest_a, dtype=int)),
-                        _read_only(np.array(lead_b + rest_b, dtype=int)))
+                             f"{hits_a[j]} candidates within {tol.match}")
+        raise ValueError(f"ambiguous Clark-point match for {pb[i]}")
+    order = np.argsort(np.angle(pa[lead_a]) % (2.0 * np.pi), kind="stable")
+    perm_a = _read_only(np.concatenate((lead_a[order], np.flatnonzero(hits_a == 0))))
+    perm_b = _read_only(np.concatenate((lead_b[order], np.flatnonzero(hits_b == 0))))
+    shared = len(order)
+
+    eta = _read_only(pa[perm_a])
+    zeta = _read_only(pb[perm_b])
+    sqa = _read_only(np.sqrt(clark_a.weights[perm_a]))
+    sqb = _read_only(np.sqrt(clark_b.weights[perm_b]))
+    weight = _read_only((1.0 - np.conj(eta)[None, :] * zeta[:, None])
+                        * (sqa[None, :] * sqb[:, None]))
+    free = np.zeros(weight.shape, dtype=bool)
+    diagonal = np.arange(shared)
+    free[diagonal, diagonal] = True
+    return ClarkPairing(
+        clark_a, clark_b, shared, perm_a, perm_b, eta, zeta, sqa, sqb, weight,
+        _read_only(free), _read_only(np.where(free, 1.0, weight)),
+        float(np.abs((eta[None, :] - zeta[:, None])[~free]).min(initial=np.inf)),
+        (perm_b[:, None], perm_a[None, :]),      # views of read-only arrays
+        _read_only(np.argsort(perm_a)), _read_only(np.argsort(perm_b)))
 
 
 def clark_pairing(alpha: BlaschkeProduct, beta: BlaschkeProduct,
@@ -287,11 +246,10 @@ def _clark_split(matrix: OperatorMatrix, pairing: ClarkPairing, x0: complex = 0j
             continue
         if basis.clark.lam != point_set.lam:
             raise ValueError("matrix basis and pairing disagree on the spectral parameter")
-        if not np.allclose(basis.clark.points, point_set.points, atol=1e-12):
+        if (basis.clark.points.shape != point_set.points.shape
+                or not np.allclose(basis.clark.points, point_set.points, atol=1e-12)):
             raise ValueError("matrix basis and pairing disagree on the Clark points")
     r = matrix.entries[pairing.paired_index]
-    if pairing.shared > min(r.shape):
-        raise ValueError("shared Clark points exceed min(m, n)")
     q = pairing.weight * r
     y = q[0] - x0
     x = q[:, 0] - y[0]

@@ -425,13 +425,12 @@ class _ClarkWork(NamedTuple):
 
     point_set: ClarkPointSet
     clark_matrix: np.ndarray
-    omega: np.ndarray
     modified_matrix: np.ndarray
 
 
 def _clark_entry(b: BlaschkeProduct, lam: complex, tol: Tolerances) -> _ClarkWork:
     """The Clark work for (lam, tol) kept on ``b.model_space``, built whole on
-    first use; omega is :func:`build_basis`'s phases."""
+    first use; the modified matrix carries :func:`build_basis`'s phases."""
     lam = complex(lam)
 
     def build() -> _ClarkWork:
@@ -441,9 +440,8 @@ def _clark_entry(b: BlaschkeProduct, lam: complex, tol: Tolerances) -> _ClarkWor
         pts = _read_only(boundary_solve(b, target, tol))
         point_set = ClarkPointSet(lam, target, pts, _read_only(np.abs(derivative(b, pts))))
         matrix = _kernel_matrix(b, point_set)
-        omega = _read_only(np.exp(-0.5j * (np.angle(pts) % (2.0 * np.pi)
-                                           - np.angle(target) % (2.0 * np.pi))))
-        return _ClarkWork(point_set, matrix, omega, _read_only(matrix * omega[None, :]))
+        omega = np.exp(-0.5j * (np.angle(pts) % (2.0 * np.pi) - np.angle(target) % (2.0 * np.pi)))
+        return _ClarkWork(point_set, matrix, _read_only(matrix * omega[None, :]))
 
     return _kept(b.model_space._clark, (lam, tol), build)
 
@@ -464,7 +462,6 @@ class ModelBasis:
     kind: str
     matrix: np.ndarray
     clark: ClarkPointSet | None = None
-    omega: np.ndarray | None = None
 
     @property
     def dim(self) -> int:
@@ -527,7 +524,7 @@ def build_basis(b: BlaschkeProduct, kind: str, lam: complex | None = None,
         entry = _clark_entry(b, lam, tol)
         if kind == "clark":
             return ModelBasis(b, kind, entry.clark_matrix, clark=entry.point_set)
-        return ModelBasis(b, kind, entry.modified_matrix, clark=entry.point_set, omega=entry.omega)
+        return ModelBasis(b, kind, entry.modified_matrix, clark=entry.point_set)
     raise ValueError(f"unknown basis kind {kind!r}; expected one of {BASIS_KINDS}")
 
 

@@ -124,6 +124,12 @@ class TestSharedClarkInstance:
         with pytest.raises(ValueError, match="exceeds the circle"):
             separated_boundary_points(rng, 13, 0.5)
 
+    @pytest.mark.parametrize("shared", [-1, 3])
+    def test_shared_outside_the_smaller_degree_is_refused(self, rng, shared):
+        with pytest.raises(ValueError, match=f"^shared = {shared} lies outside "
+                                             r"0\.\.min\(m, n\) = 0\.\.2$"):
+            shared_clark_instance(rng, 3, 2, shared)
+
     @pytest.mark.parametrize("m, n, shared", [(24, 24, 24), (64, 40, 20)])
     def test_member_witness_and_nonmember(self, rng, m, n, shared):
         alpha, beta, lam1, lam2 = shared_clark_instance(rng, m, n, shared)

@@ -65,8 +65,8 @@ def loop_recurrence_rhs(r, pairing):
     predicts from the first row and column of r (in the paired order), and
     the mask of the entries it decides on (collision check left out)."""
     eta, zeta = pairing.eta, pairing.zeta
-    sqa = np.sqrt(pairing.weights_a)
-    sqb = np.sqrt(pairing.weights_b)
+    sqa = np.sqrt(pairing.clark_a.weights[pairing.perm_a])
+    sqb = np.sqrt(pairing.clark_b.weights[pairing.perm_b])
     n, m = r.shape
     l = pairing.shared
     den = eta[None, :] - zeta[:, None]
@@ -92,6 +92,54 @@ def loop_recurrence_rhs(r, pairing):
                     * (eta[0] - zeta[s]) / d * r[0, s]
                     + (sqb[0] / sqb[s]) * (eta[p] - zeta[0]) / d * r[0, p])
     return rhs, applicable
+
+
+def loop_pairing(clark_a, clark_b, tol=DEFAULT):
+    """The former point-by-point matching loop, with the formulas the
+    pairing's constants were once read with, kept as a reference: every
+    field of the pairing of ``clark_a`` and ``clark_b``, by name."""
+    pa, pb = clark_a.points, clark_b.points
+    dist = np.abs(pa[:, None] - pb[None, :])
+    pairs = []
+    for j in range(len(pa)):
+        hits = np.nonzero(dist[j] <= tol.match)[0]
+        if len(hits) > 1:
+            raise ValueError(f"ambiguous Clark-point match for {pa[j]}: "
+                             f"{len(hits)} candidates within {tol.match}")
+        if len(hits) == 1:
+            i = int(hits[0])
+            if len(np.nonzero(dist[:, i] <= tol.match)[0]) > 1:
+                raise ValueError(f"ambiguous Clark-point match for {pb[i]}")
+            pairs.append((j, i))
+    pairs.sort(key=lambda ji: np.angle(pa[ji[0]]) % (2.0 * np.pi))
+    lead_a = [j for j, _ in pairs]
+    lead_b = [i for _, i in pairs]
+    perm_a = np.array(lead_a + [j for j in range(len(pa)) if j not in lead_a], dtype=int)
+    perm_b = np.array(lead_b + [i for i in range(len(pb)) if i not in lead_b], dtype=int)
+    shared = len(pairs)
+    eta, zeta = pa[perm_a], pb[perm_b]
+    sqa, sqb = np.sqrt(clark_a.weights[perm_a]), np.sqrt(clark_b.weights[perm_b])
+    weight = (1.0 - np.conj(eta)[None, :] * zeta[:, None]) * (sqa[None, :] * sqb[:, None])
+    free = np.zeros((len(perm_b), len(perm_a)), dtype=bool)
+    free[np.arange(shared), np.arange(shared)] = True
+    den = eta[None, :] - zeta[:, None]
+    return {"clark_a": clark_a, "clark_b": clark_b, "shared": shared,
+            "perm_a": perm_a, "perm_b": perm_b, "eta": eta, "zeta": zeta,
+            "sqrt_weights_a": sqa, "sqrt_weights_b": sqb, "weight": weight, "free": free,
+            "divisor": np.where(free, 1.0, weight),
+            "min_separation": float(np.min(np.abs(den[~free]), initial=np.inf)),
+            "paired_index": np.ix_(perm_b, perm_a),
+            "inverse_perm_a": np.argsort(perm_a), "inverse_perm_b": np.argsort(perm_b)}
+
+
+def same_bits(x, y) -> bool:
+    """Whether x and y are equal bit for bit, with their types and dtypes."""
+    if isinstance(x, tuple):
+        return isinstance(y, tuple) and len(x) == len(y) and all(map(same_bits, x, y))
+    if isinstance(x, np.ndarray):
+        return (isinstance(y, np.ndarray) and x.dtype == y.dtype and x.shape == y.shape
+                and x.tobytes() == y.tobytes())
+    return type(x) is type(y) and (x is y or x == y)
 
 
 def polynomial_through_points(points, weights):
@@ -231,6 +279,17 @@ class TestClarkRecurrence:
         with pytest.raises(ValueError, match="disagree on the Clark points"):
             recover_chi_psi_clark(mat, match_clark_points(bad, pairing.clark_b))
 
+    @pytest.mark.parametrize("fn", [check_recurrence, recover_chi_psi_clark, run_all])
+    def test_point_sets_of_another_size_are_refused(self, rng, fn):
+        # a pairing of two other spaces at the matrix's own parameters, with
+        # one more Clark point on each side
+        *_, lam1, lam2, _, mat = clark_member(rng, 3, 2, 1)
+        alpha, beta, *_ = shared_clark_instance(rng, 4, 3, 0)
+        other = clark_pairing(alpha, beta, lam1, lam2)
+        with pytest.raises(ValueError, match="^matrix basis and pairing disagree on the "
+                                             "Clark points$"):
+            fn(mat, other)
+
     def test_shared_instances(self, rng):
         for (m, n, l) in [(3, 2, 1), (3, 3, 2), (4, 3, 3)]:
             *_, pairing, mat = clark_member(rng, m, n, l)
@@ -324,8 +383,8 @@ class TestClarkIdentity:
             ua, ub = paired_clark_unitaries(alpha, beta, lam1, lam2, pairing)
             n, m = beta.degree, alpha.degree
             r = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
-            ref = (r - ub @ r @ ua.conj().T) * np.sqrt(np.outer(pairing.weights_b,
-                                                               pairing.weights_a))
+            ref = (r - ub @ r @ ua.conj().T) * np.sqrt(np.outer(
+                pairing.clark_b.weights[pairing.perm_b], pairing.clark_a.weights[pairing.perm_a]))
             assert np.max(np.abs(pairing.weight * r - ref)) <= 1e-12 * (1 + np.max(np.abs(ref)))
 
 
@@ -804,8 +863,8 @@ def outcome(fn, *args):
 
 
 class TestPairingConstants:
-    """A pairing keeps what depends only on its point sets; reusing it over
-    many matrices gives what a fresh copy of it gives."""
+    """A pairing holds what depends only on its point sets, built with it;
+    reusing it over many matrices gives what a fresh pairing gives."""
 
     def test_reused_pairing_matches_a_fresh_copy(self, rng):
         for m, n, shared in ((3, 2, 0), (1, 1, 0), (1, 1, 1), (4, 4, 2), (3, 3, 3),
@@ -815,7 +874,7 @@ class TestPairingConstants:
             if min(m, n) >= 2:
                 mats += [perturbed_nonmember(rng, x, pairing) for x in mats[:2]]
             for x in mats:
-                fresh = dataclasses.replace(pairing)
+                fresh = match_clark_points(pairing.clark_a, pairing.clark_b)
                 for args in ((check_recurrence, x), (run_all, x),
                              (recover_chi_psi_clark, x), (recover_chi_psi_clark, x, 0.3 - 0.2j)):
                     fn, *rest = args
@@ -824,18 +883,51 @@ class TestPairingConstants:
 
     def test_constants_are_read_only_and_kept(self, rng):
         *_, pairing, mat = clark_member(rng, 4, 3, 2)
+        names = ("perm_a", "perm_b", "eta", "zeta", "weight", "sqrt_weights_a",
+                 "sqrt_weights_b", "inverse_perm_a", "inverse_perm_b", "free", "divisor")
+        held = {name: getattr(pairing, name) for name in names + ("paired_index",)}
         check_recurrence(mat, pairing)
         recover_chi_psi_clark(mat, pairing)
-        names = ("weight", "sqrt_weights_a", "sqrt_weights_b", "inverse_perm_a",
-                 "inverse_perm_b", "free", "divisor")
-        arrays = [pairing.perm_a, pairing.perm_b, *pairing.paired_index]
-        arrays += [getattr(pairing, name) for name in names]
-        for arr in arrays:
+        for arr in [*pairing.paired_index] + [getattr(pairing, name) for name in names]:
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0] = 0
-        for name in names + ("paired_index", "min_separation"):
-            assert getattr(pairing, name) is getattr(pairing, name)
+        for name, value in held.items():
+            assert getattr(pairing, name) is value
+        assert dataclasses.replace(pairing).weight is pairing.weight
+
+    def test_pairing_is_bit_equal_to_the_loop_reference(self, rng):
+        for m in range(1, 9):
+            for n in range(1, 9):
+                for shared in range(min(m, n) + 1):
+                    alpha, beta, lam1, lam2 = shared_clark_instance(rng, m, n, shared)
+                    ca, cb = clark_points(alpha, lam1), clark_points(beta, lam2)
+                    for sets in ((ca, cb), (cb, ca)):
+                        pairing, ref = match_clark_points(*sets), loop_pairing(*sets)
+                        assert pairing.shared == shared
+                        assert pairing.perm_a.dtype == pairing.perm_b.dtype == np.dtype(int)
+                        for field in dataclasses.fields(pairing):
+                            assert same_bits(getattr(pairing, field.name), ref[field.name]), \
+                                (m, n, shared, field.name)
+
+    def test_ambiguous_matches_raise_as_the_loop_does(self):
+        # x' within tol.match of x, y' of y; the first clashing point of the
+        # first set, in its order, names the error
+        x, y = 1.0 + 0j, -1.0 + 0j
+        xs, ys = np.exp(1e-8j), np.exp(1j * (np.pi - 1e-8))
+        loose = dataclasses.replace(DEFAULT, match=1e-6)
+        cases = (([x, y], [xs, x, y], "2 candidates"),      # x meets x' and x
+                 ([xs, x, y], [x, y], r"for \(1\+0j\)$"),  # x' and x meet x
+                 ([x, xs, y], [x, y, ys], r"for \(1\+0j\)$"),
+                 ([y, x, xs], [x, y, ys], "2 candidates"))
+        for pa, pb, match in cases:
+            ca = ClarkPointSet(1.0, 1.0, np.array(pa), np.ones(len(pa)))
+            cb = ClarkPointSet(1.0, 1.0, np.array(pb), np.ones(len(pb)))
+            with pytest.raises(ValueError, match="ambiguous") as ref:
+                loop_pairing(ca, cb, loose)
+            with pytest.raises(ValueError, match=match) as got:
+                match_clark_points(ca, cb, loose)
+            assert str(got.value) == str(ref.value)
 
     def test_constants_match_their_definitions(self, rng):
         for m, n, shared in ((3, 2, 0), (4, 4, 2), (3, 3, 3), (2, 4, 2)):

@@ -437,9 +437,11 @@ class TestConjugation:
                 assert (conjugation(e) - e).norm() <= 1e-9
 
     def test_modified_clark_phases_for_monomial(self):
-        # eta = {1, -1}, target = lam = 1: omega = (1, exp(-i pi/2)) = (1, -i)
-        basis = build_basis(monomial(2), "modified-clark", 1.0)
-        assert np.allclose(basis.omega, [1.0, -1j])
+        # eta = {1, -1}, target = lam = 1: omega = (1, exp(-i pi/2)) = (1, -i),
+        # the ratio of each modified-Clark column to its Clark column
+        modified = build_basis(monomial(2), "modified-clark", 1.0).matrix
+        clark = build_basis(monomial(2), "clark", 1.0).matrix
+        assert np.allclose(modified / clark, [[1.0, -1j], [1.0, -1j]])
 
 
 class TestInnerProduct:
@@ -714,12 +716,12 @@ class TestOwnership:
         b = random_blaschke(rng, 4)
         for kind in ("tm", "clark", "modified-clark"):
             first = build_basis(b, kind, 1j)
-            matrix, omega, ref = first.matrix, first.omega, weakref.ref(first)
+            matrix, ref = first.matrix, weakref.ref(first)
             del first
             assert ref() is None
             again = build_basis(b, kind, 1j)
             assert again.matrix is matrix and not matrix.flags.writeable
-            assert again.omega is omega and again.is_tm == (kind == "tm")
+            assert again.is_tm == (kind == "tm")
             if kind != "tm":
                 assert again.clark is clark_points(b, 1j)
                 assert (clark_basis(b, again.clark).matrix
@@ -815,7 +817,7 @@ class TestClarkStore:
         seen = counted_tm_values(monkeypatch)
         cb, mb = build_basis(b, "clark", 1j), build_basis(b, "modified-clark", 1j)
         assert clark_basis(b, cp).matrix is cb.matrix is entry.clark_matrix
-        assert mb.matrix is entry.modified_matrix and mb.omega is entry.omega
+        assert mb.matrix is entry.modified_matrix
         assert cb.clark is mb.clark is cp
         assert seen == {}
 

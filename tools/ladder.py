@@ -29,7 +29,9 @@ passes through all rows:
   Accuracy: the Gram defect max|T^H T - I|;
 - the basis change ``tm_entries()`` of each member loaded anew over the
   paired Clark bases, one solve per side.  Accuracy: the largest round-trip
-  error against the closed-path TM matrix, relative to 1 + max|entry|.
+  error against the closed-path TM matrix, relative to 1 + max|entry|;
+- the Clark pairing ``match_clark_points`` of the row's stored point sets,
+  built anew with every constant read.  Number: its ``min_separation``.
 
 Every layer runs at radii 0.8, 0.95 and 0.9999 but the quadrature, which
 raises from 0.999 on (too many nodes), and runs at 0.8 and 0.95 only.
@@ -86,6 +88,11 @@ TESTS = {                       # name -> test(matrix, pairing, Clark coefficien
     "membership.shift_invariance":
         lambda x, pairing, coeffs: ak.test_shift_invariance(x),
 }
+
+
+PAIRING_CONSTANTS = ("eta", "zeta", "sqrt_weights_a", "sqrt_weights_b", "weight", "free",
+                     "divisor", "min_separation", "paired_index", "inverse_perm_a",
+                     "inverse_perm_b")
 
 
 def product(rng, degree: int, radius: float) -> ak.BlaschkeProduct:
@@ -151,6 +158,16 @@ def fresh_clark_basis(b: ak.BlaschkeProduct, lam: complex) -> ak.ModelBasis:
     return ak.build_basis(ak.BlaschkeProduct(b.zeros, b.front), "clark", lam)
 
 
+def built_pairing(clark_a, clark_b) -> ak.ClarkPairing:
+    """A new pairing of the two point sets, with every constant read, so
+    that a pairing which computes its constants on first read (as older
+    checkouts' did) pays for them too."""
+    pairing = ak.match_clark_points(clark_a, clark_b)
+    for name in PAIRING_CONSTANTS:
+        getattr(pairing, name)
+    return pairing
+
+
 def loaded_tm(x: ak.OperatorMatrix) -> np.ndarray:
     """The TM matrix of ``x``'s entries over ``x``'s bases, solved anew, as
     for a matrix loaded from its entries."""
@@ -204,6 +221,8 @@ class Row:
             functools.partial(fresh_clark_basis, alpha, lam1)]
         self.calls["operators.tm_entries[clark]"] = [
             functools.partial(loaded_tm, x) for x in self.members]
+        self.calls["membership.match_clark_points"] = [
+            functools.partial(built_pairing, pairing.clark_a, pairing.clark_b)]
 
     def accuracy(self) -> dict:
         """Each layer's accuracy numbers.  Calls every quadrature twice, so
@@ -236,6 +255,8 @@ class Row:
         out["operators.tm_entries[clark]"] = {"round_trip_max": max(
             rel_max(call() - x.tm_entries(), x.tm_entries())
             for x, call in zip(self.members, self.calls["operators.tm_entries[clark]"]))}
+        out["membership.match_clark_points"] = {
+            "min_separation": self.calls["membership.match_clark_points"][0]().min_separation}
         return out
 
 
