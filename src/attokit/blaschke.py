@@ -104,7 +104,7 @@ def monomial(n: int) -> BlaschkeProduct:
 
 @dataclass(eq=False, frozen=True)
 class ClarkPointSet:
-    """Solutions of B(eta) = target on the circle, with weights |B'(eta_j)|.
+    """Solutions of B(eta) = target on the circle, with weights ||k_eta_j||^2.
 
     ``target`` is the Moebius image (lam + B(0)) / (1 + conj(B(0)) lam) of the
     spectral parameter ``lam``; the points are sorted by principal argument.
@@ -133,25 +133,30 @@ class ClarkPointSet:
 
 
 def _pole_guard(b: BlaschkeProduct, z: np.ndarray):
-    """Raise PoleProximityError, naming the first such pole in zero order,
-    when any point of z lies within ``_POLE_GUARD`` of a pole 1/conj(a_j); a
-    zero at the origin has no pole."""
-    a = np.array(b.zeros)
-    poles = 1.0 / np.conj(a[a != 0])
-    near = np.abs(z[..., None] - poles) < _POLE_GUARD  # (..., poles)
-    hit = np.any(near, axis=tuple(range(z.ndim)))  # per pole
-    if np.any(hit):
-        pole = poles[np.argmax(hit)]
-        raise PoleProximityError(f"evaluation point within {_POLE_GUARD} of pole {pole}")
+    """Raise PoleProximityError, naming the first such pole in zero order, when any
+    point of z lies within g = ``_POLE_GUARD`` of a pole 1/conj(a_j) (a zero at 0
+    has none).  None can when every |a| <= 1 - 3g and |z| <= 1 + g: no check then."""
+    if max(map(abs, b.zeros)) > 1.0 - 3.0 * _POLE_GUARD or not (abs(z) <= 1.0 + _POLE_GUARD).all():
+        a = np.array(b.zeros)
+        poles = 1.0 / np.conj(a[a != 0])
+        near = np.abs(z[..., None] - poles) < _POLE_GUARD  # (..., poles)
+        hit = np.any(near, axis=tuple(range(z.ndim)))  # per pole
+        if np.any(hit):
+            pole = poles[np.argmax(hit)]
+            raise PoleProximityError(f"evaluation point within {_POLE_GUARD} of pole {pole}")
 
 
 def evaluate(b: BlaschkeProduct, z):
-    """Evaluate B(z).  Vectorized; z may be a scalar or an array."""
+    """Evaluate B(z).  Vectorized; z may be a scalar or an array.  All a_j - z
+    and 1 - conj(a_j) z come from the (m, 1) zeros against z as one row: in
+    that layout numpy's complex products round as in a loop over the zeros."""
     zarr = np.asarray(z, dtype=complex)
     _pole_guard(b, zarr)
+    a, flat = np.array(b.zeros)[:, None], zarr.reshape(1, -1)
+    num = (a - flat).reshape((len(a),) + zarr.shape)
     out = np.full(zarr.shape, b.front, dtype=complex)
-    for a in b.zeros:
-        out = out * (a - zarr) / (1.0 - np.conj(a) * zarr)
+    for n, d in zip(num, (1.0 - np.conj(a) * flat).reshape(num.shape)):
+        out = out * n / d
     return out if out.shape else complex(out)
 
 

@@ -50,7 +50,7 @@ import numpy as np
 
 from . import serialize
 from .blaschke import (BlaschkeProduct, ClarkPointSet, RootCollisionError,
-                       ToleranceBreakdown, derivative, evaluate, mobius_target)
+                       ToleranceBreakdown, evaluate, mobius_target)
 from .config import DEFAULT, Tolerances
 
 BASIS_KINDS = ("tm", "kernel-zeros", "clark", "modified-clark")
@@ -386,8 +386,8 @@ def boundary_solve(b: BlaschkeProduct, u: complex, tol: Tolerances = DEFAULT) ->
     They are the eigenvalues of the unitary modified shift S + c k_0 k~_0^H
     with c = u / (1 - conj(B(0)) u) (see the module docstring).  Their
     arguments put them on the circle, where one Newton step in the argument,
-    eta <- eta * exp(-i arg(B(eta) / u) / |B'(eta)|), refines them, since
-    |B'(eta)| is the rate at which arg B turns along the circle.  Raises
+    eta <- eta * exp(-i arg(B(eta) / u) / |B'(eta)|), refines them: |B'(eta)|,
+    the rate at which arg B turns along the circle, is ||k_eta||^2 there.  Raises
     ToleranceBreakdown if a residual |B(eta) - u| exceeds ``tol.residual``
     and RootCollisionError if two points lie within ``tol.distinct``.
     """
@@ -398,7 +398,7 @@ def boundary_solve(b: BlaschkeProduct, u: complex, tol: Tolerances = DEFAULT) ->
     # exp(i arg) is unimodular to half an ulp; eta / |eta| misses by a few
     # ulps, which the step in the argument cannot remove
     eta = np.exp(1j * np.angle(np.linalg.eigvals(b.model_space.modified(c))))
-    eta = eta * np.exp(-1j * np.angle(evaluate(b, eta) / u) / np.abs(derivative(b, eta)))
+    eta = eta * np.exp(-1j * np.angle(evaluate(b, eta) / u) / _kernel_norms2(tm_values(b, eta)))
 
     resid = np.max(np.abs(evaluate(b, eta) - u))
     if resid > tol.residual:
@@ -414,9 +414,9 @@ def boundary_solve(b: BlaschkeProduct, u: complex, tol: Tolerances = DEFAULT) ->
 
 def clark_points(b: BlaschkeProduct, lam: complex, tol: Tolerances = DEFAULT) -> ClarkPointSet:
     """Clark point set for spectral parameter lam: the m unimodular solutions
-    of B(eta) = target together with the weights |B'(eta_j)|.  Solved once
-    per (lam, tol), with its bases' arrays, and kept on ``b.model_space``
-    (:func:`_clark_entry`); its arrays are read-only."""
+    of B(eta) = target with the weights ||k_eta_j||^2 = |B'(eta_j)|.  Solved
+    once per (lam, tol), with its bases' arrays, and kept on
+    ``b.model_space`` (:func:`_clark_entry`); its arrays are read-only."""
     return _clark_entry(b, lam, tol).point_set
 
 
@@ -428,9 +428,15 @@ class _ClarkWork(NamedTuple):
     modified_matrix: np.ndarray
 
 
+def _kernel_norms2(vals: np.ndarray) -> np.ndarray:
+    """||k_eta||^2 = sum_k |phi_k(eta)|^2 per column of TM values ``vals``."""
+    return np.sum(vals.real ** 2 + vals.imag ** 2, axis=0)
+
+
 def _clark_entry(b: BlaschkeProduct, lam: complex, tol: Tolerances) -> _ClarkWork:
     """The Clark work for (lam, tol) kept on ``b.model_space``, built whole on
-    first use; the modified matrix carries :func:`build_basis`'s phases."""
+    first use from one :func:`tm_values` at the points, so the Clark matrix
+    has unit columns; the modified matrix carries :func:`build_basis`'s phases."""
     lam = complex(lam)
 
     def build() -> _ClarkWork:
@@ -438,10 +444,12 @@ def _clark_entry(b: BlaschkeProduct, lam: complex, tol: Tolerances) -> _ClarkWor
             raise ValueError("lam must be unimodular")
         target = mobius_target(b, lam)
         pts = _read_only(boundary_solve(b, target, tol))
-        point_set = ClarkPointSet(lam, target, pts, _read_only(np.abs(derivative(b, pts))))
-        matrix = _kernel_matrix(b, point_set)
+        vals = tm_values(b, pts)
+        weights = _read_only(_kernel_norms2(vals))
+        point_set = ClarkPointSet(lam, target, pts, weights)
+        matrix = np.conj(vals) / np.sqrt(weights)
         omega = np.exp(-0.5j * (np.angle(pts) % (2.0 * np.pi) - np.angle(target) % (2.0 * np.pi)))
-        return _ClarkWork(point_set, matrix, _read_only(matrix * omega[None, :]))
+        return _ClarkWork(point_set, _read_only(matrix), _read_only(matrix * omega[None, :]))
 
     return _kept(b.model_space._clark, (lam, tol), build)
 
@@ -529,8 +537,8 @@ def build_basis(b: BlaschkeProduct, kind: str, lam: complex | None = None,
 
 
 def clark_basis(b: BlaschkeProduct, point_set: ClarkPointSet) -> ModelBasis:
-    """The Clark basis at the points of ``point_set``: the boundary kernels
-    k_eta / sqrt(|B'(eta)|), in the point set's order.  Solves no boundary
+    """The Clark basis at the points of ``point_set``: the boundary kernels k_eta
+    over the square roots of its weights, in its order.  Solves no boundary
     equation, so a caller holding the points pays only for the kernels.
 
     For a point set stored on ``b.model_space`` (one from :func:`clark_points`
@@ -540,11 +548,8 @@ def clark_basis(b: BlaschkeProduct, point_set: ClarkPointSet) -> ModelBasis:
     for entry in b.model_space._clark.values():
         if entry.point_set is point_set:
             return ModelBasis(b, "clark", entry.clark_matrix, clark=point_set)
-    return ModelBasis(b, "clark", _kernel_matrix(b, point_set), clark=point_set)
-
-
-def _kernel_matrix(b: BlaschkeProduct, point_set: ClarkPointSet) -> np.ndarray:
-    return _read_only(np.conj(tm_values(b, point_set.points)) / np.sqrt(point_set.weights)[None, :])
+    matrix = np.conj(tm_values(b, point_set.points)) / np.sqrt(point_set.weights)
+    return ModelBasis(b, "clark", _read_only(matrix), clark=point_set)
 
 
 def change_of_basis(src: ModelBasis, dst: ModelBasis) -> np.ndarray:

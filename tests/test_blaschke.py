@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from attokit import boundary_solve, clark_points
-from attokit.blaschke import (BlaschkeProduct, RootCollisionError, ToleranceBreakdown,
-                              derivative, evaluate, mobius_target, monomial)
+from attokit import boundary_solve, build_basis, clark_points, tm_values
+from attokit.blaschke import (BlaschkeProduct, PoleProximityError, RootCollisionError,
+                              ToleranceBreakdown, derivative, evaluate, mobius_target,
+                              monomial)
 from attokit.config import DEFAULT, Tolerances
 from attokit.instances import random_blaschke, random_unimodular
 
@@ -34,6 +35,24 @@ def reference_boundary_solve(b, u):
     return roots[np.argsort(np.angle(roots) % (2.0 * np.pi))]
 
 
+def loop_evaluate(b, z):
+    """B(z) by the one-factor loop, each factor's numerator and denominator
+    formed on its own: the reference that ``evaluate`` keeps bit for bit."""
+    zarr = np.asarray(z, dtype=complex)
+    out = np.full(zarr.shape, b.front, dtype=complex)
+    for a in b.zeros:
+        out = out * (a - zarr) / (1.0 - np.conj(a) * zarr)
+    return out if out.shape else complex(out)
+
+
+def widest_at(b, radius):
+    """b with its outermost zero moved out to modulus ``radius``."""
+    zeros = list(b.zeros)
+    k = int(np.argmax(np.abs(zeros)))
+    zeros[k] = radius * zeros[k] / abs(zeros[k])
+    return BlaschkeProduct(tuple(zeros), b.front)
+
+
 def example_product(a=0.5):
     # -z (a-z)/(1-conj(a)z) (a+z)/(1+conj(a)z): front -1 with zeros {0, a, -a}
     return BlaschkeProduct((0.0, a, -a), front=-1.0)
@@ -56,6 +75,23 @@ class TestEvaluate:
             b = random_blaschke(rng, int(rng.integers(1, 7)))
             z = random_unimodular(rng)
             assert abs(abs(evaluate(b, z)) - 1.0) <= 1e-12
+
+    def test_bit_equal_to_the_loop_reference(self, rng):
+        points = [0.0, 0.3 - 0.4j, np.exp(0.7j), np.exp(2j * np.pi * rng.random(17)),
+                  0.99 * rng.random((3, 5)) * np.exp(2j * np.pi * rng.random((3, 5)))]
+        for degree in range(1, 65):
+            zeros = list(random_blaschke(rng, degree).zeros)
+            cases = [BlaschkeProduct(tuple(zeros), random_unimodular(rng))]
+            if degree >= 3:
+                zeros[0], zeros[1], zeros[2] = 0.0, zeros[1], zeros[1]
+                zeros[-1] = 0.9999 * random_unimodular(rng)
+                cases.append(BlaschkeProduct(tuple(zeros), random_unimodular(rng)))
+            for b in cases:
+                at_zeros = np.array(b.zeros)           # each factor's numerator vanishes
+                for z in points + [b.zeros[-1], at_zeros, at_zeros[None, :], at_zeros[:, None]]:
+                    got, ref = evaluate(b, z), loop_evaluate(b, z)
+                    assert type(got) is type(ref)
+                    assert np.asarray(got).tobytes() == np.asarray(ref).tobytes(), (degree, z)
 
     def test_interior_contraction(self):
         rng = np.random.default_rng(6)
@@ -86,6 +122,25 @@ class TestValidation:
         # just outside eps, and at the origin, every point passes
         assert np.isfinite(evaluate(c, np.array([[0.0, 2.0 + 2e-9], [4j - 2e-9j, 0.5]]))).all()
         assert np.isfinite(derivative(monomial(3), np.array([[0.0, 2.0]]))).all()
+
+    def test_pole_guard_next_to_the_circle_and_outside_the_disk(self):
+        # a zero at |a| = 1 - 1e-10 puts its pole 1e-10 outside the circle,
+        # within the guard of points on the circle; a point outside the disk
+        # is checked however far in the zeros lie
+        a = (1.0 - 1e-10) * np.exp(0.3j)
+        near = BlaschkeProduct((0.2j, a))
+        pole = 1.0 / np.conj(a)
+        outside = BlaschkeProduct((0.0, 0.5))   # pole at 2
+        for b, z, hit in ((near, pole + 5e-10j * pole, pole),
+                          (near, np.array([0.5, np.exp(0.3j)]), pole),
+                          (outside, 2.0 + 5e-10, 2.0),
+                          (outside, np.array([[1j, 2.0 - 4e-10j]]), 2.0)):
+            message = f"evaluation point within 1e-09 of pole {complex(hit)}"
+            for fn in (evaluate, derivative):
+                with pytest.raises(PoleProximityError) as err:
+                    fn(b, z)
+                assert str(err.value) == message
+        assert np.isfinite(evaluate(near, np.exp(0.3j + 1e-4j))).all()
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
@@ -277,6 +332,54 @@ class TestClarkPoints:
             p1 = clark_points(b, lam1).points
             p2 = clark_points(b, lam2).points
             assert np.min(np.abs(p1[:, None] - p2[None, :])) > 1e-8
+
+
+class TestClarkWeights:
+    """The weights are the squared kernel norms ||k_eta||^2 = |B'(eta)|."""
+
+    RADII = (0.8, 0.95, 0.9999)
+
+    def test_squared_column_norms_of_the_tm_values(self, rng):
+        for degree in (1, 2, 4, 7, 16, 64):
+            for radius in self.RADII:
+                b = widest_at(random_blaschke(rng, degree, radius=0.95), radius)
+                lam = random_unimodular(rng)
+                cp = clark_points(b, lam)
+                vals = tm_values(b, cp.points)
+                norms2 = np.linalg.norm(vals, axis=0) ** 2
+                assert np.allclose(cp.weights, norms2, rtol=8 * np.finfo(float).eps, atol=0)
+                # the Clark matrix is those values over the weights' square roots
+                matrix = build_basis(b, "clark", lam).matrix
+                assert matrix.tobytes() == (np.conj(vals) / np.sqrt(cp.weights)).tobytes()
+
+    def test_clark_gram_diagonal(self, rng):
+        for degree in (4, 8, 16, 32, 64):
+            for radius in self.RADII:
+                b = widest_at(random_blaschke(rng, degree, radius=0.95), radius)
+                gram = build_basis(b, "clark", random_unimodular(rng)).gram
+                assert np.abs(np.diag(gram) - 1.0).max() <= 2e-15, (degree, radius)
+
+    def test_against_extended_precision_derivative(self, rng):
+        # |B'(eta)| = |B(eta)| |sum_j (1 - |a_j|^2) / ((eta - a_j)(1 - conj(a_j) eta))|
+        # at the very double eta of each point
+        mpmath = pytest.importorskip("mpmath")
+        for radius, bound in ((0.95, 1e-13), (0.9999, 1e-11)):
+            worst = 0.0
+            for degree in (5, 24, 64):
+                b = widest_at(random_blaschke(rng, degree, radius=0.95), radius)
+                cp = clark_points(b, random_unimodular(rng))
+                with mpmath.workdps(30):
+                    zeros = [mpmath.mpc(a) for a in b.zeros]
+                    for eta, weight in zip(cp.points, cp.weights):
+                        w = mpmath.mpc(eta)
+                        value, log_derivative = mpmath.mpc(1), mpmath.mpc(0)
+                        for a in zeros:
+                            den = 1 - mpmath.conj(a) * w
+                            value *= (a - w) / den
+                            log_derivative += (1 - abs(a) ** 2) / ((w - a) * den)
+                        exact = abs(value) * abs(log_derivative)
+                        worst = max(worst, float(abs(weight - exact) / exact))
+            assert worst <= bound, radius
 
 
 @settings(max_examples=30, deadline=None)

@@ -16,7 +16,7 @@ from attokit.operators import (IDENTITY_SYMBOL, OperatorMatrix, RationalSymbol,
                                compressed_shift, conjugate_operator,
                                modified_shift, rank_one, standard_rank_one,
                                symbol_family, symbol_span_dimension)
-from test_blaschke import reference_boundary_solve
+from test_blaschke import reference_boundary_solve, widest_at
 
 
 def z_symbol():
@@ -179,14 +179,6 @@ class TestAttoMatrix:
         assert np.max(np.abs(direct.entries - via_symbol.entries)) <= 1e-10
 
 
-def widest_at(b, radius):
-    """b with its outermost zero moved out to modulus ``radius``."""
-    zeros = list(b.zeros)
-    k = int(np.argmax(np.abs(zeros)))
-    zeros[k] = radius * zeros[k] / abs(zeros[k])
-    return BlaschkeProduct(tuple(zeros), b.front)
-
-
 def clark_node_reference(alpha, beta, symbol, lam=1.0):
     """TM matrix of a structured symbol by Clark's Parseval sum in K_gamma,
     gamma = alpha beta: psi f, chi g, f and g all lie in K_gamma, so
@@ -199,6 +191,37 @@ def clark_node_reference(alpha, beta, symbol, lam=1.0):
     cp = modelspace.clark_points(gamma, lam)
     va, vb = modelspace.tm_values(alpha, cp.points), modelspace.tm_values(beta, cp.points)
     return np.conj(vb) @ ((symbol.values(cp.points) / cp.weights) * va).T
+
+
+def mp_parseval_reference(alpha, beta, symbol, mp):
+    """``clark_node_reference`` in mpmath at the working precision, at the
+    Clark points of gamma = alpha beta for the target 1: each is refined from
+    its double by Newton steps in the argument, and its weight is
+    |gamma'(eta)| = sum_j (1 - |a_j|^2) / |eta - a_j|^2 on the circle."""
+    gamma = BlaschkeProduct(alpha.zeros + beta.zeros, alpha.front * beta.front)
+
+    def value(zeros, w, front=1):
+        return front * mp.fprod((mp.mpc(a) - w) / (1 - mp.conj(mp.mpc(a)) * w) for a in zeros)
+
+    def rate(w):
+        return mp.fsum((1 - abs(mp.mpc(a)) ** 2) / abs(w - mp.mpc(a)) ** 2 for a in gamma.zeros)
+
+    def tm(b, w):
+        return [mp.sqrt(1 - abs(mp.mpc(a)) ** 2) / (1 - mp.conj(mp.mpc(a)) * w)
+                * value(b.zeros[:k], w, (-1) ** k) for k, a in enumerate(b.zeros)]
+
+    out = mp.zeros(beta.degree, alpha.degree)
+    chi, psi = symbol.co_analytic.tm(), symbol.analytic.tm()
+    for eta in modelspace.boundary_solve(gamma, 1.0):
+        theta = mp.mpf(float(np.angle(eta)))
+        for _ in range(4):
+            theta -= mp.arg(value(gamma.zeros, mp.expj(theta), gamma.front)) / rate(mp.expj(theta))
+        w = mp.expj(theta)
+        va, vb = tm(alpha, w), tm(beta, w)
+        phi = (mp.conj(mp.fsum(mp.mpc(c) * v for c, v in zip(chi, va)))
+               + mp.fsum(mp.mpc(c) * v for c, v in zip(psi, vb))) / rate(w)
+        out += mp.matrix([mp.conj(g) for g in vb]) * mp.matrix([[phi * f for f in va]])
+    return np.array(out.tolist(), dtype=complex)
 
 
 def relative_gap(got, ref):
@@ -366,6 +389,20 @@ class TestClosedPath:
                     atto_matrix(a, b, sym)
                 closed = atto_matrix(a, b, sym, method="closed").entries
                 assert relative_gap(closed, clark_node_reference(a, b, sym)) <= 1e-12
+
+    def test_zeros_near_the_circle_against_extended_precision(self, rng):
+        # the closed path and the Clark-node reference read the same double TM
+        # values, so an error they share does not show in their gap; each is
+        # pinned to an mpmath Parseval sum on its own
+        mpmath = pytest.importorskip("mpmath")
+        alpha = widest_at(random_blaschke(rng, 3, radius=0.95, min_sep=0.01), 0.9999)
+        beta = random_blaschke(rng, 2, radius=0.95, min_sep=0.01)
+        for a, b in ((alpha, beta), (beta, alpha)):
+            sym = random_symbol(rng, a, b)
+            with mpmath.workdps(40):
+                exact = mp_parseval_reference(a, b, sym, mpmath.mp)
+            assert relative_gap(atto_matrix(a, b, sym, method="closed").entries, exact) <= 2e-12
+            assert relative_gap(clark_node_reference(a, b, sym), exact) <= 2e-12
 
     def test_contraction_stop_on_repeated_clustered_and_high_degree_zeros(self, rng,
                                                                            monkeypatch):

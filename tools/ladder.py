@@ -24,9 +24,13 @@ passes through all rows:
   1 + max|entry|, and the node count;
 - the conjugation matrix of a fresh model space of the first product
   (``ModelSpace.conj``).  Accuracy: the involution defect max|C conj(C) - I|;
+- the boundary solve of a fresh product equal to the first one
+  (``boundary_solve`` at the target of the first spectral parameter).
+  Accuracy: the largest residual |B(eta) - u|;
 - the Clark basis of a fresh product equal to the first one
   (``build_basis(..., "clark")``: boundary solve, kernels and phases).
-  Accuracy: the Gram defect max|T^H T - I|;
+  Accuracy: the Gram defect max|T^H T - I|, and its largest entry on and
+  off the diagonal apart;
 - the basis change ``tm_entries()`` of each member loaded anew over the
   paired Clark bases, one solve per side.  Accuracy: the largest round-trip
   error against the closed-path TM matrix, relative to 1 + max|entry|;
@@ -158,6 +162,12 @@ def fresh_clark_basis(b: ak.BlaschkeProduct, lam: complex) -> ak.ModelBasis:
     return ak.build_basis(ak.BlaschkeProduct(b.zeros, b.front), "clark", lam)
 
 
+def fresh_boundary_solve(b: ak.BlaschkeProduct, target: complex) -> np.ndarray:
+    """The boundary points of a new product equal to ``b``, whose model space
+    holds nothing yet."""
+    return ak.boundary_solve(ak.BlaschkeProduct(b.zeros, b.front), target)
+
+
 def built_pairing(clark_a, clark_b) -> ak.ClarkPairing:
     """A new pairing of the two point sets, with every constant read, so
     that a pairing which computes its constants on first read (as older
@@ -217,6 +227,9 @@ class Row:
             self.calls["operators.atto_matrix.quadrature[fresh]"] = [
                 functools.partial(fresh_quadrature, alpha, beta, s, ca, cb) for s in symbols]
         self.calls["modelspace.conjugation"] = [functools.partial(fresh_conj, alpha)]
+        self.target = ak.mobius_target(alpha, lam1)
+        self.calls["modelspace.boundary_solve[fresh]"] = [
+            functools.partial(fresh_boundary_solve, alpha, self.target)]
         self.calls["modelspace.build_basis.clark[fresh]"] = [
             functools.partial(fresh_clark_basis, alpha, lam1)]
         self.calls["operators.tm_entries[clark]"] = [
@@ -249,9 +262,15 @@ class Row:
         c = self.calls["modelspace.conjugation"][0]()
         out["modelspace.conjugation"] = {"involution_defect_max": float(
             np.abs(c @ np.conj(c) - np.eye(self.m)).max())}
+        points = self.calls["modelspace.boundary_solve[fresh]"][0]()
+        out["modelspace.boundary_solve[fresh]"] = {"residual_max": float(
+            np.abs(ak.evaluate(self.members[0].alpha, points) - self.target).max())}
         basis = self.calls["modelspace.build_basis.clark[fresh]"][0]()
-        out["modelspace.build_basis.clark[fresh]"] = {"gram_defect_max": float(
-            np.abs(basis.gram - np.eye(self.m)).max())}
+        defect = np.abs(basis.gram - np.eye(self.m))
+        out["modelspace.build_basis.clark[fresh]"] = {
+            "gram_defect_max": float(defect.max()),
+            "gram_diag_defect_max": float(np.diag(defect).max()),
+            "gram_offdiag_defect_max": float((defect - np.diag(np.diag(defect))).max())}
         out["operators.tm_entries[clark]"] = {"round_trip_max": max(
             rel_max(call() - x.tm_entries(), x.tm_entries())
             for x, call in zip(self.members, self.calls["operators.tm_entries[clark]"]))}
