@@ -6,8 +6,8 @@ operator class, witness recovery, and the complete rank-one classification.
 """
 
 from .blaschke import (BlaschkeProduct, ClarkPointSet, PoleProximityError,
-                       RootCollisionError, ToleranceBreakdown, derivative,
-                       evaluate, mobius_target, monomial)
+                       RootCollisionError, ToleranceBreakdown, evaluate,
+                       mobius_target, monomial)
 from .config import DEFAULT, Tolerances
 from .membership import (ClarkDissent, ClarkPairing, IndeterminateError,
                          MembershipVerdict, MethodDisagreement, Witness,

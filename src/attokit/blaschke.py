@@ -160,32 +160,6 @@ def evaluate(b: BlaschkeProduct, z):
     return out if out.shape else complex(out)
 
 
-def derivative(b: BlaschkeProduct, z):
-    """Evaluate B'(z) by the product rule over Moebius factors.
-
-    Each factor has derivative (|a|^2 - 1)/(1 - conj(a) z)^2, which is regular
-    on the closed disk, so no removable-singularity branch is needed even when
-    z coincides with a zero of B.
-    """
-    zarr = np.asarray(z, dtype=complex)
-    _pole_guard(b, zarr)
-    m = b.degree
-    fac = np.empty((m,) + zarr.shape, dtype=complex)
-    dfac = np.empty_like(fac)
-    for j, a in enumerate(b.zeros):
-        den = 1.0 - np.conj(a) * zarr
-        fac[j] = (a - zarr) / den
-        dfac[j] = (abs(a) ** 2 - 1.0) / den ** 2
-    # prefix/suffix products give prod_{i != j} fac[i] without dividing
-    pre = np.ones_like(fac)
-    suf = np.ones_like(fac)
-    for j in range(1, m):
-        pre[j] = pre[j - 1] * fac[j - 1]
-        suf[m - 1 - j] = suf[m - j] * fac[m - j]
-    out = b.front * np.sum(dfac * pre * suf, axis=0)
-    return out if out.shape else complex(out)
-
-
 def mobius_target(b: BlaschkeProduct, lam: complex) -> complex:
     """(lam + B(0)) / (1 + conj(B(0)) lam), the boundary value shared by all
     eigenvectors of the rank-one unitary perturbation with parameter lam."""

@@ -196,8 +196,8 @@ class ModelSpace:
     keys, and a build that raises stores nothing.  One keeps the modified
     shift S_c per c != 0 (:meth:`modified`; S_0 is ``shift`` itself).  The
     other keeps the Clark work per (lam, tol) (:func:`_clark_entry`): the
-    point set and the arrays of its Clark and modified-Clark bases.  ``tol``
-    is part of the key because its checks gate the solve.
+    point set and the arrays of its Clark and modified-Clark bases with their
+    inverses.  ``tol`` is part of the key because its checks gate the solve.
 
     A third store, of the TM values at the levels of the nested circle
     quadrature (:meth:`level_values`), keys a level by its node count n and
@@ -426,6 +426,8 @@ class _ClarkWork(NamedTuple):
     point_set: ClarkPointSet
     clark_matrix: np.ndarray
     modified_matrix: np.ndarray
+    clark_inverse: np.ndarray
+    modified_inverse: np.ndarray
 
 
 def _kernel_norms2(vals: np.ndarray) -> np.ndarray:
@@ -435,8 +437,14 @@ def _kernel_norms2(vals: np.ndarray) -> np.ndarray:
 
 def _clark_entry(b: BlaschkeProduct, lam: complex, tol: Tolerances) -> _ClarkWork:
     """The Clark work for (lam, tol) kept on ``b.model_space``, built whole on
-    first use from one :func:`tm_values` at the points, so the Clark matrix
-    has unit columns; the modified matrix carries :func:`build_basis`'s phases."""
+    first use from one :func:`tm_values` at the points, so the Clark matrix T
+    has unit columns; the modified matrix carries :func:`build_basis`'s phases.
+    T is unitary up to the rounding of its points (T^H T - I reaches 3e-13 at
+    |a| = 0.9999), so one Newton-Schulz step from the adjoint (Higham,
+    Accuracy and Stability of Numerical Algorithms, ch. 14), which squares
+    that defect, is its inverse to rounding: T+ = T^H + (I - T^H T) T^H,
+    the small correction added apart.  The modified matrix T diag(omega)
+    has the inverse diag(conj(omega)) T+."""
     lam = complex(lam)
 
     def build() -> _ClarkWork:
@@ -449,7 +457,10 @@ def _clark_entry(b: BlaschkeProduct, lam: complex, tol: Tolerances) -> _ClarkWor
         point_set = ClarkPointSet(lam, target, pts, weights)
         matrix = np.conj(vals) / np.sqrt(weights)
         omega = np.exp(-0.5j * (np.angle(pts) % (2.0 * np.pi) - np.angle(target) % (2.0 * np.pi)))
-        return _ClarkWork(point_set, _read_only(matrix), _read_only(matrix * omega[None, :]))
+        adjoint = matrix.conj().T
+        inverse = adjoint + (np.eye(len(pts)) - adjoint @ matrix) @ adjoint
+        return _ClarkWork(point_set, _read_only(matrix), _read_only(matrix * omega[None, :]),
+                          _read_only(inverse), _read_only(np.conj(omega)[:, None] * inverse))
 
     return _kept(b.model_space._clark, (lam, tol), build)
 
@@ -464,12 +475,17 @@ class ModelBasis:
 
     ``matrix`` holds the basis vectors as columns of TM coordinates, so a
     coefficient vector c over this basis has TM coordinates ``matrix @ c``.
+    ``inverse`` is a read-only inverse of ``matrix`` to rounding, which
+    basis changes multiply by (:func:`_apply_inverse`), or None, and they
+    solve: None for kernel-zeros, which can be ill-conditioned, and for a
+    Clark basis at a point set not stored on the space.
     """
 
     space: BlaschkeProduct
     kind: str
     matrix: np.ndarray
     clark: ClarkPointSet | None = None
+    inverse: np.ndarray | None = None
 
     @property
     def dim(self) -> int:
@@ -488,7 +504,7 @@ class ModelBasis:
     def is_tm(self) -> bool:
         """Whether this is a TM basis over the space's stored identity
         (``ModelSpace.identity``), as ``build_basis(b, "tm")`` is, so that
-        moving to or from it solves nothing."""
+        a matrix between two of them is its own TM matrix."""
         return self.kind == "tm" and self.matrix is self.space.model_space.identity
 
     def descriptor(self) -> dict:
@@ -503,13 +519,13 @@ def build_basis(b: BlaschkeProduct, kind: str, lam: complex | None = None,
     """Construct one of the four supported bases.
 
     Each call returns a new basis; the "tm" and Clark kinds are over arrays
-    stored on ``b.model_space``, so moving between two of them solves
-    nothing.  Both Clark kinds read one entry per (lam, tol), built whole on
-    its first use, by a basis or :func:`clark_points`, so a Clark basis
-    after the points evaluates nothing.  kernel-zeros requires distinct
-    zeros; the Clark kinds require the spectral parameter ``lam``.  Clark
-    points are ordered by principal argument.  For the modified Clark basis
-    the phases
+    and inverses stored on ``b.model_space``, so moving to or from them
+    solves nothing.  Both Clark kinds read one entry per (lam, tol), built
+    whole on its first use, by a basis or :func:`clark_points`, so a Clark
+    basis after the points evaluates nothing.  kernel-zeros requires distinct
+    zeros and has no inverse; the Clark kinds require the spectral parameter
+    ``lam``.  Clark points are ordered by principal argument.  For the
+    modified Clark basis the phases
 
         omega_j = exp(-i/2 (arg eta_j - arg target))
 
@@ -518,7 +534,8 @@ def build_basis(b: BlaschkeProduct, kind: str, lam: complex | None = None,
     fixed-point property is insensitive to the sign of omega_j.
     """
     if kind == "tm":
-        return ModelBasis(b, kind, b.model_space.identity)
+        identity = b.model_space.identity
+        return ModelBasis(b, kind, identity, inverse=identity)
     if kind == "kernel-zeros":
         zeros = np.array(b.zeros)
         sep = np.abs(zeros[:, None] - zeros[None, :]) + np.diag(np.full(b.degree, np.inf))
@@ -531,8 +548,8 @@ def build_basis(b: BlaschkeProduct, kind: str, lam: complex | None = None,
             raise ValueError(f"{kind} basis requires the spectral parameter lam")
         entry = _clark_entry(b, lam, tol)
         if kind == "clark":
-            return ModelBasis(b, kind, entry.clark_matrix, clark=entry.point_set)
-        return ModelBasis(b, kind, entry.modified_matrix, clark=entry.point_set)
+            return ModelBasis(b, kind, entry.clark_matrix, entry.point_set, entry.clark_inverse)
+        return ModelBasis(b, kind, entry.modified_matrix, entry.point_set, entry.modified_inverse)
     raise ValueError(f"unknown basis kind {kind!r}; expected one of {BASIS_KINDS}")
 
 
@@ -542,21 +559,33 @@ def clark_basis(b: BlaschkeProduct, point_set: ClarkPointSet) -> ModelBasis:
     equation, so a caller holding the points pays only for the kernels.
 
     For a point set stored on ``b.model_space`` (one from :func:`clark_points`
-    or a Clark basis) the basis is over the stored array, the one
-    ``build_basis`` uses, and evaluates nothing; any other point set gets a
-    new array."""
+    or a Clark basis) the basis is over the stored array and inverse, the
+    ones ``build_basis`` uses, and evaluates nothing; any other point set
+    gets a new array and no inverse, so moving to or from it solves."""
     for entry in b.model_space._clark.values():
         if entry.point_set is point_set:
-            return ModelBasis(b, "clark", entry.clark_matrix, clark=point_set)
+            return ModelBasis(b, "clark", entry.clark_matrix, point_set, entry.clark_inverse)
     matrix = np.conj(tm_values(b, point_set.points)) / np.sqrt(point_set.weights)
     return ModelBasis(b, "clark", _read_only(matrix), clark=point_set)
 
 
+def _apply_inverse(basis: ModelBasis, x: np.ndarray, right: bool = False) -> np.ndarray:
+    """T^-1 x, or x T^-1 when ``right``, for the matrix T of ``basis``: a
+    product with ``basis.inverse`` when the basis carries one, a solve
+    against T otherwise.  Every basis change of the library comes here."""
+    if basis.inverse is not None:
+        return x @ basis.inverse if right else basis.inverse @ x
+    if right:
+        return np.linalg.solve(basis.matrix.T, x.T).T
+    return np.linalg.solve(basis.matrix, x)
+
+
 def change_of_basis(src: ModelBasis, dst: ModelBasis) -> np.ndarray:
-    """Invertible T with coeffs_dst = T @ coeffs_src.  Requires one space."""
+    """Invertible T with coeffs_dst = T @ coeffs_src.  Requires one space.
+    A product with ``dst.inverse`` when it has one (:func:`_apply_inverse`)."""
     if src.space != dst.space:
         raise ValueError("change of basis requires a single underlying space")
-    return np.linalg.solve(dst.matrix, src.matrix)
+    return _apply_inverse(dst, src.matrix)
 
 
 @dataclass(eq=False, frozen=True)
@@ -580,13 +609,11 @@ class ModelVector:
         return self.basis.matrix @ self.coeffs
 
     def to(self, basis: ModelBasis) -> "ModelVector":
-        """The same element over ``basis``; over the TM basis its coefficients
-        are the TM coordinates, and nothing is solved."""
+        """The same element over ``basis``, by :func:`_apply_inverse`: a
+        product when ``basis`` carries an inverse, a solve otherwise."""
         if basis.space != self.space:
             raise ValueError("cannot convert between different model spaces")
-        if basis.is_tm:
-            return ModelVector(basis, self.tm())
-        return ModelVector(basis, np.linalg.solve(basis.matrix, self.tm()))
+        return ModelVector(basis, _apply_inverse(basis, self.tm()))
 
     def __call__(self, z):
         vals = tm_values(self.space, z)

@@ -42,8 +42,9 @@ of all m columns are built at once, so a column costs three matrix-vector
 products and no solve.  A part over another product is first projected by
 the operator of the symbol 1.
 
-Over the TM bases, whose matrix is the identity, moving a matrix to or from
-TM coordinates solves nothing.
+Moving a matrix to or from TM coordinates multiplies by the bases' stored
+inverses (``ModelBasis.inverse``), the identity or the Clark work's T+;
+only kernel-zeros and a hand-built basis solve.
 
 The compressed shift, the modified shifts and the Clark unitaries use no
 quadrature: the shift has a closed lower-triangular form in TM coordinates,
@@ -61,9 +62,9 @@ import numpy.polynomial.polynomial as npoly
 from . import serialize
 from .blaschke import BlaschkeProduct
 from .config import DEFAULT, Tolerances
-from .modelspace import (ModelBasis, ModelSpace, ModelVector, _read_only, _combine,
-                         build_basis, conj_kernel, doubling_circle_mean, kernel,
-                         tm_values, tm_vector)
+from .modelspace import (ModelBasis, ModelSpace, ModelVector, _apply_inverse, _combine,
+                         _read_only, build_basis, conj_kernel, doubling_circle_mean,
+                         kernel, tm_values, tm_vector)
 
 
 @dataclass(eq=False, frozen=True)
@@ -159,7 +160,7 @@ class SymbolSpec:
 @dataclass(eq=False, frozen=True)
 class OperatorMatrix:
     """Complex matrix tagged with its input and output bases.  ``entries`` is
-    a read-only copy of the given array; the read-only TM matrix is solved for
+    a read-only copy of the given array; the read-only TM matrix is computed
     once, or kept from :meth:`from_tm`, and shared by every use.  Over the TM
     bases it is ``entries`` itself."""
 
@@ -192,8 +193,8 @@ class OperatorMatrix:
     def _tm(self) -> np.ndarray:
         if self.in_basis.is_tm and self.out_basis.is_tm:
             return self.entries
-        t_in, t_out = self.in_basis.matrix, self.out_basis.matrix
-        return _read_only(np.linalg.solve(t_in.T, (t_out @ self.entries).T).T)
+        return _read_only(_apply_inverse(self.in_basis, self.out_basis.matrix @ self.entries,
+                                         right=True))
 
     def tm_entries(self) -> np.ndarray:
         """The same operator as a matrix between TM coordinates (read-only)."""
@@ -204,12 +205,11 @@ class OperatorMatrix:
                 out_basis: ModelBasis) -> "OperatorMatrix":
         """The operator with matrix ``tm`` between TM coordinates, over the
         given bases; it keeps a read-only copy of ``tm`` as its TM matrix.
-        Over the TM bases that copy is also the entries, and nothing is
-        solved."""
+        Over the TM bases that copy is also the entries."""
         if in_basis.is_tm and out_basis.is_tm:
             return cls(tm, in_basis, out_basis)
         tm = _read_only(np.array(tm, dtype=complex))
-        mat = cls(np.linalg.solve(out_basis.matrix, tm @ in_basis.matrix), in_basis, out_basis)
+        mat = cls(_apply_inverse(out_basis, tm @ in_basis.matrix), in_basis, out_basis)
         object.__setattr__(mat, "_tm", tm)
         return mat
 

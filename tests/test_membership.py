@@ -669,9 +669,9 @@ class TestRunAllSharedWork:
             assert verdict.max_residual == first["methods"][name].max_residual
 
     def test_warm_run_all_evaluates_nothing_and_factors_nothing(self, rng, monkeypatch):
-        # every evaluate and derivative goes through _pole_guard; B(0) and
-        # the shift domains are read off each space's model_space, and the
-        # stored Clark bases and TM matrices leave no basis change to solve
+        # every evaluate goes through _pole_guard; B(0) and the shift
+        # domains are read off each space's model_space, and the stored
+        # Clark bases carry their inverses, so no basis change solves
         import attokit.blaschke
         calls = []
 
@@ -692,7 +692,7 @@ class TestRunAllSharedWork:
         assert run_all(mat, pairing)["member"] is True
         assert run_all(bad, pairing)["member"] is False
         recover_chi_psi_clark(mat, pairing)
-        assert calls == ["solve"]       # bad's own TM matrix, shared by its tests
+        assert calls == []      # bad's own TM matrix is a product with T+
 
     def test_verdicts_equal_the_public_tests(self, rng):
         cases = []
@@ -718,9 +718,10 @@ class TestRunAllSharedWork:
                     assert np.array_equal(verdict.witness.psi.coeffs, ref.witness.psi.coeffs)
 
     def test_tm_tests_share_one_conversion(self, rng, monkeypatch):
-        # one solve back to TM coordinates serves all three TM-coordinate
-        # tests; a matrix built from its TM matrix keeps it and solves nothing
-        *_, pairing, mat = clark_member(rng, 4, 3, 1)
+        # one move back to TM coordinates serves all three TM-coordinate
+        # tests: a product over the stored Clark and TM bases, one solve over
+        # kernel-zeros; a matrix built from its TM matrix keeps it
+        alpha, beta, *_, pairing, mat = clark_member(rng, 4, 3, 1)
         run_all(mat, pairing)                      # every space object built
         solves = []
         solve = np.linalg.solve
@@ -730,8 +731,12 @@ class TestRunAllSharedWork:
             return solve(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "solve", counting)
-        loaded = OperatorMatrix(mat.entries, mat.in_basis, mat.out_basis)
-        for probe, expect in ((loaded, 1), (mat, 0)):
+        kernels = mat.in_bases(build_basis(alpha, "kernel-zeros"), build_basis(beta, "tm"))
+        tm = mat.in_bases(build_basis(alpha, "tm"), build_basis(beta, "tm"))
+        assert len(solves) == 0
+        probes = [(OperatorMatrix(x.entries, x.in_basis, x.out_basis), expect)
+                  for x, expect in ((mat, 0), (tm, 0), (kernels, 1))]
+        for probe, expect in probes + [(mat, 0)]:
             solves.clear()
             for test in (check_residual, check_conjugate, check_shift):
                 assert test(probe).is_member

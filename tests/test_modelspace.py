@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from attokit import clark_points
 from attokit.blaschke import (BlaschkeProduct, ClarkPointSet, RootCollisionError,
-                              derivative, evaluate, monomial)
+                              evaluate, monomial)
 from attokit.config import Tolerances
 from attokit.instances import (member_matrix, random_blaschke, random_symbol,
                                random_unimodular, random_vector)
@@ -21,6 +21,7 @@ from attokit.modelspace import (BASIS_KINDS, CLARK_ENTRIES, ModelBasis, ModelVec
                                 clark_basis, conj_kernel, conjugation,
                                 doubling_circle_mean, inner_product, kernel,
                                 multiply_by_z, project, tm_values, tm_vector)
+from test_blaschke import derivative
 from test_operators import counted_tm_values
 
 
@@ -590,10 +591,14 @@ class TestModelSpace:
         assert calls == []
         assert np.array_equal(f.coeffs, alpha.model_space.k0 + np.conj(tm_values(alpha, a)))
         g = conjugation(conjugation(f))
-        h = kernel(alpha, 0.3, build_basis(alpha, "clark", 1.0)).to(f.basis)
-        assert len(calls) == 1          # only the move into the Clark basis solves
+        moved = [kernel(alpha, 0.3, build_basis(alpha, kind, 1.0)).to(f.basis)
+                 for kind in ("clark", "modified-clark", "tm")]
+        assert calls == []              # the stored bases carry their inverses
+        k = kernel(alpha, 0.3, build_basis(alpha, "kernel-zeros")).to(f.basis)
+        assert len(calls) == 1          # only the move into kernel-zeros solves
         assert np.max(np.abs(g.coeffs - f.coeffs)) <= 1e-15
-        assert np.max(np.abs(h.coeffs - np.conj(tm_values(alpha, 0.3)))) <= 1e-15
+        for h in moved + [k]:
+            assert np.max(np.abs(h.coeffs - np.conj(tm_values(alpha, 0.3)))) <= 1e-15
 
     def test_k0_from_prefix_products_matches_the_tm_values(self, rng):
         for b in small_products(rng) + degree_64_products(rng):

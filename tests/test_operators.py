@@ -3,14 +3,15 @@ import json
 import numpy as np
 import pytest
 
-from attokit.blaschke import BlaschkeProduct, evaluate, mobius_target, monomial
+from attokit.blaschke import (BlaschkeProduct, ClarkPointSet, evaluate, mobius_target,
+                              monomial)
 from attokit.instances import (member_matrix, random_blaschke, random_symbol,
                                random_unimodular, random_vector,
                                shared_clark_instance)
 from attokit import modelspace, operators
-from attokit.modelspace import (ModelVector, build_basis, circle_nodes,
-                                conj_kernel, inner_product, kernel, project,
-                                tm_vector)
+from attokit.modelspace import (ModelVector, build_basis, circle_nodes, clark_basis,
+                                clark_points, conj_kernel, inner_product, kernel,
+                                project, tm_vector)
 from attokit.operators import (IDENTITY_SYMBOL, OperatorMatrix, RationalSymbol,
                                SymbolSpec, atto_matrix, clark_unitary,
                                compressed_shift, conjugate_operator,
@@ -822,6 +823,63 @@ class TestTMMoves:
         atto_matrix(alpha, beta, sym, method="closed").tm_entries()
         compressed_shift(alpha).tm_entries()
         assert calls == []
+
+
+def refined_cases(rng):
+    """Product pairs of degrees (d, d) and (d, d // 2), d from 1 to 64, with
+    the outermost zero at radius 0.8, 0.95 and 0.9999, two spectral
+    parameters and the closed-path TM matrix of a random symbol."""
+    for d in (1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 40, 48, 64):
+        for radius in (0.8, 0.95, 0.9999):
+            for n in sorted({d, max(1, d // 2)}):
+                alpha = widest_at(random_blaschke(rng, d), radius)
+                beta = widest_at(random_blaschke(rng, n), radius)
+                symbol = random_symbol(rng, alpha, beta)
+                tm = atto_matrix(alpha, beta, symbol, method="closed").tm_entries()
+                yield alpha, beta, random_unimodular(rng), random_unimodular(rng), tm
+
+
+class TestRefinedInverse:
+    """The stored T+ of the Clark kinds, against the solve it replaced, kept
+    here as the reference."""
+
+    def test_round_trip_from_tm_coordinates(self, rng):
+        for alpha, beta, lam1, lam2, tm in refined_cases(rng):
+            x = tm[:, 0]
+            for kind in ("clark", "modified-clark"):
+                ia, ob = build_basis(alpha, kind, lam1), build_basis(beta, kind, lam2)
+                moved = OperatorMatrix.from_tm(tm, ia, ob)
+                back = OperatorMatrix(moved.entries, ia, ob).tm_entries()
+                assert relative_gap(back, tm) <= 4e-15, (alpha.degree, beta.degree, kind)
+                vec = tm_vector(beta, x).to(ob)
+                assert relative_gap(vec.tm(), x) <= 4e-15
+
+    def test_clark_entries_match_the_solve(self, rng):
+        for alpha, beta, lam1, lam2, tm in refined_cases(rng):
+            for kind in ("clark", "modified-clark"):
+                ia, ob = build_basis(alpha, kind, lam1), build_basis(beta, kind, lam2)
+                moved = OperatorMatrix.from_tm(tm, ia, ob)
+                solved = np.linalg.solve(ob.matrix, tm @ ia.matrix)
+                assert relative_gap(moved.entries, solved) <= 2e-15, (
+                    alpha.degree, beta.degree, kind)
+
+    def test_inverse_is_stored_and_read_only(self, rng):
+        b = random_blaschke(rng, 5)
+        clark, modified = build_basis(b, "clark", 1j), build_basis(b, "modified-clark", 1j)
+        for basis in (clark, modified):
+            assert not basis.inverse.flags.writeable
+            assert build_basis(b, basis.kind, 1j).inverse is basis.inverse
+            assert np.abs(basis.inverse @ basis.matrix - np.eye(5)).max() <= 1e-14
+        omega = modified.matrix[0] / clark.matrix[0]
+        assert np.allclose(modified.inverse, np.conj(omega)[:, None] * clark.inverse,
+                           rtol=0.0, atol=1e-15)
+        assert build_basis(b, "tm").inverse is b.model_space.identity
+        assert build_basis(b, "kernel-zeros").inverse is None
+        stored = clark_points(b, 1j)
+        assert clark_basis(b, stored).inverse is clark.inverse
+        own = ClarkPointSet(stored.lam, stored.target, stored.points.copy(),
+                            stored.weights.copy())
+        assert clark_basis(b, own).inverse is None
 
 
 class TestStoredArrays:

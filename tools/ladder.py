@@ -32,8 +32,13 @@ passes through all rows:
   Accuracy: the Gram defect max|T^H T - I|, and its largest entry on and
   off the diagonal apart;
 - the basis change ``tm_entries()`` of each member loaded anew over the
-  paired Clark bases, one solve per side.  Accuracy: the largest round-trip
+  paired Clark bases (Clark -> TM).  Accuracy: the largest round-trip
   error against the closed-path TM matrix, relative to 1 + max|entry|;
+- the basis change ``OperatorMatrix.from_tm`` of each member's TM matrix
+  into the paired Clark bases (TM -> Clark), the move that quadrature and
+  the closed path make.  Accuracy: the largest round-trip error of the
+  Clark entries, Clark -> TM -> Clark through ``tm_entries()`` of the
+  member loaded anew, relative to 1 + max|entry|;
 - the Clark pairing ``match_clark_points`` of the row's stored point sets,
   built anew with every constant read.  Number: its ``min_separation``.
 
@@ -234,6 +239,9 @@ class Row:
             functools.partial(fresh_clark_basis, alpha, lam1)]
         self.calls["operators.tm_entries[clark]"] = [
             functools.partial(loaded_tm, x) for x in self.members]
+        self.calls["operators.from_tm[clark]"] = [
+            functools.partial(ak.OperatorMatrix.from_tm, x.tm_entries(), ca, cb)
+            for x in self.members]
         self.calls["membership.match_clark_points"] = [
             functools.partial(built_pairing, pairing.clark_a, pairing.clark_b)]
 
@@ -274,6 +282,9 @@ class Row:
         out["operators.tm_entries[clark]"] = {"round_trip_max": max(
             rel_max(call() - x.tm_entries(), x.tm_entries())
             for x, call in zip(self.members, self.calls["operators.tm_entries[clark]"]))}
+        out["operators.from_tm[clark]"] = {"round_trip_max": max(
+            rel_max(ak.OperatorMatrix.from_tm(loaded_tm(x), x.in_basis, x.out_basis).entries
+                    - x.entries, x.entries) for x in self.members)}
         out["membership.match_clark_points"] = {
             "min_separation": self.calls["membership.match_clark_points"][0]().min_separation}
         return out
