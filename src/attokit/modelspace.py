@@ -71,45 +71,68 @@ def circle_nodes(n: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.arange(n) / n)
 
 
+def _odd_nodes(n: int) -> np.ndarray:
+    """The nodes exp(2 pi i k / n), k odd, bit-equal to ``circle_nodes(n)[1::2]``."""
+    return np.exp(2j * np.pi * np.arange(1, n, 2) / n)
+
+
+def _joined(node_sets):
+    """The node sets of one ``node_sum`` call as one array, in their order,
+    and the slice of that array that each set fills."""
+    z = np.concatenate(node_sets) if len(node_sets) > 1 else node_sets[0]
+    ends = itertools.accumulate(map(len, node_sets))
+    return z, [slice(end - len(nodes), end) for nodes, end in zip(node_sets, ends)]
+
+
 def doubling_circle_mean(node_sum, tol: float = DEFAULT.quadrature):
     """Trapezoid rule on the unit circle with nested node doubling.
 
-    ``node_sum(z)`` must return the integrand summed over the nodes ``z`` (a
-    1-D array of points on the circle); it may be any array, computed
-    however suits the integrand (a sum over a node axis, or one matrix
-    product).  The first level sums over ``circle_nodes(QUADRATURE_START)``;
-    each doubling to 2n adds only the n new odd nodes exp(2 pi i k / 2n),
-    k odd, computed on their own and bit-equal to ``circle_nodes(2n)[1::2]``;
-    the even nodes are bit-equal to ``circle_nodes(n)``, so every node is
-    evaluated once.  The n-node trapezoid mean, the approximation of
+    ``node_sum(*node_sets)`` must return one sum per node set (each a 1-D
+    array of points on the circle): the integrand summed over that set's
+    nodes, as a new array (or a scalar), computed however suits the
+    integrand; the running sum is added into the first one.  The first
+    call passes the first level, ``QUADRATURE_START`` nodes, as three sets:
+    ``circle_nodes(QUADRATURE_START // 4)``, then the odd nodes of
+    ``QUADRATURE_START // 2``, then the odd nodes of ``QUADRATURE_START``, so
+    an integrand can evaluate all of them at once in that nested order
+    (:func:`_joined`) and sum over three contiguous ranges.  Each doubling to
+    2n then passes one set, the n new odd nodes exp(2 pi i k / 2n), k odd.
+    Every node is bit-equal to the node of ``circle_nodes`` at its level and
+    is evaluated once.  The n-node trapezoid mean, the approximation of
     (1/2pi) * integral over the circle, is the running sum divided by n.
 
-    With d_N = max|I_N - I_{N/2}| the gap between successive levels and
-    scale = 1 + max|I_N|, level N is accepted when d_N <= tol * scale, or,
-    from the third level on, when d_N^2 / d_{N/2} <= tol * scale.  For a
-    rational integrand with poles off the circle the error falls
-    geometrically (Trefethen-Weideman, SIAM Review 2014), and the second
-    test extrapolates the contraction d_N / d_{N/2} observed one level
-    earlier, which overestimates the next one and includes the polynomial
-    factor of repeated or clustered poles.  Raises QuadratureError past
+    With d_N = max|I_N - I_{N/2}| the gap between successive levels, read
+    off the sums as max|S' - S| / N for the sum S over the N/2 nodes of the
+    previous level and S' over the N/2 new ones, and scale = 1 + max|I_N|,
+    level N >= ``QUADRATURE_START`` is accepted when
+    d_N <= tol * scale, or when d_N^2 / d_{N/2} <= tol * scale; the means of
+    the first level's sets give I_{N/4}, I_{N/2} and I_N, so both tests can
+    accept its N nodes.  For a rational integrand with poles off the circle
+    the error falls geometrically (Trefethen-Weideman, SIAM Review 2014),
+    and the second test extrapolates the contraction d_N / d_{N/2} observed
+    one level earlier, which overestimates the next one and includes the
+    polynomial factor of repeated or clustered poles.  A component at a
+    multiple of ``QUADRATURE_START`` in the integrand's Fourier series is the
+    same in every mean, so no test sees it.  Raises QuadratureError past
     ``QUADRATURE_MAX`` nodes.
     """
-    prev = gap_prev = None
-    n = QUADRATURE_START
+    n = QUADRATURE_START // 4
+    node_sets = (circle_nodes(n), _odd_nodes(2 * n), _odd_nodes(4 * n))
+    total = gap_prev = None
     while n <= QUADRATURE_MAX:
-        if prev is None:
-            total = node_sum(circle_nodes(n))
-        else:
-            total = total + node_sum(np.exp(2j * np.pi * np.arange(1, n, 2) / n))
-        val = total / n
-        if prev is not None:
-            bound = tol * (1.0 + float(np.abs(val).max()))
-            gap = float(np.abs(val - prev).max())
-            if gap <= bound or (gap_prev is not None and gap * gap <= bound * gap_prev):
-                return val
-            gap_prev = gap
-        prev = val
-        n *= 2
+        for part in node_sum(*node_sets):
+            if total is None:
+                total = part              # a new array: the sums below add into it
+            else:                         # I_n - I_{n/2} = (part - total) / n
+                gap = float(np.abs(part - total).max()) / n
+                total += part
+                if n >= QUADRATURE_START:
+                    bound = tol * (1.0 + float(np.abs(total).max()) / n)
+                    if gap <= bound or gap * gap <= bound * gap_prev:
+                        return total * (1.0 / n)      # n is a power of two: exactly total / n
+                gap_prev = gap
+            n *= 2
+        node_sets = (_odd_nodes(n),)
     raise QuadratureError(f"circle quadrature did not converge below {tol} "
                           f"at {QUADRATURE_MAX} nodes")
 
@@ -367,10 +390,11 @@ class ModelSpace:
 
     def level_values(self, z: np.ndarray) -> np.ndarray:
         """``tm_values(space, z)`` at one level z of :func:`doubling_circle_mean`,
-        the full level ``circle_nodes(n)`` or the odd half
-        ``circle_nodes(n)[1::2]`` that a doubling to n adds.  The level is read
-        off z: the full level starts at the node 1, the odd half does not.
-        Stored on the level's second evaluation, then returned as stored."""
+        the first level (``QUADRATURE_START`` nodes in its nested order, from
+        the node 1) or the odd half ``circle_nodes(n)[1::2]`` that a doubling
+        to n adds.  The level is read off z: the first level starts at the
+        node 1, an odd half does not.  Stored on the level's second
+        evaluation, then returned as stored."""
         key = (len(z), False) if z[0] == 1.0 else (2 * len(z), True)
         vals = self._levels.get(key)
         if vals is None:          # the first evaluation marks the level, the second stores it
@@ -706,8 +730,10 @@ def inner_product(f: ModelVector, g: ModelVector) -> complex:
 def project(b: BlaschkeProduct, values_fn, tol: Tolerances = DEFAULT) -> ModelVector:
     """Orthogonal projection onto the model space of a circle function given
     by ``values_fn(nodes)``, expanded in TM coordinates by quadrature."""
-    def node_sum(z):
-        return np.conj(b.model_space.level_values(z)) @ values_fn(z)
+    def node_sum(*node_sets):
+        z, parts = _joined(node_sets)
+        left, right = np.conj(b.model_space.level_values(z)), values_fn(z)
+        return [left[:, part] @ right[part] for part in parts]
 
     coords = doubling_circle_mean(node_sum, tol.quadrature)
     return tm_vector(b, coords)

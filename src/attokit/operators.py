@@ -20,9 +20,11 @@ a reused space evaluates its TM basis at a level at most twice, and a space
 used once keeps nothing.  A level adds up to one product
 P = conj(V_beta) (phi V_alpha)^T.  The TM bases are orthonormal, so P is the
 operator's TM matrix, and it moves to the requested bases as on the exact
-path.  The doubling stops at the first
-level whose gap d to the previous level is within the tolerance, or, from the
-third level on, whose gap times the last observed contraction d / d_prev is.
+path.  The first level, 256 nodes in nested order, is evaluated at once and
+summed as three products over the ranges that complete its 64-, 128- and
+256-node levels, so the stop rule reads the 64-, 128- and 256-node means.  The doubling stops at the
+first level from 256 nodes on whose gap d to the previous level is within
+the tolerance, or whose gap times the last observed contraction d / d_prev is.
 The integrand is rational with poles off the circle, so its error falls
 geometrically; the observed contraction also sees the slow start that
 repeated or clustered poles give, which a rate read off the largest zero
@@ -63,8 +65,8 @@ from . import serialize
 from .blaschke import BlaschkeProduct
 from .config import DEFAULT, Tolerances
 from .modelspace import (ModelBasis, ModelSpace, ModelVector, _apply_inverse, _combine,
-                         _read_only, build_basis, conj_kernel, doubling_circle_mean,
-                         kernel, tm_values, tm_vector)
+                         _joined, _read_only, build_basis, conj_kernel,
+                         doubling_circle_mean, kernel, tm_values, tm_vector)
 
 
 @dataclass(eq=False, frozen=True)
@@ -119,15 +121,17 @@ class SymbolSpec:
         given, and evaluates them otherwise."""
         if not self.structured:
             return self.raw(np.asarray(z, dtype=complex))
-        out = np.zeros(np.shape(z), dtype=complex)
+        out = None
         if self.co_analytic is not None:
             if chi_vals is None:
                 chi_vals = tm_values(self.co_analytic.space, z)
-            out = out + np.conj(_combine(self.co_analytic.tm(), chi_vals))
+            out = _combine(self.co_analytic.tm(), chi_vals)
+            np.conjugate(out, out=out)
         if self.analytic is not None:
             if psi_vals is None:
                 psi_vals = tm_values(self.analytic.space, z)
-            out = out + _combine(self.analytic.tm(), psi_vals)
+            psi = _combine(self.analytic.tm(), psi_vals)
+            out = psi if out is None else np.add(out, psi, out=out)
         return out
 
     def conjugated_pair(self) -> "SymbolSpec":
@@ -288,7 +292,8 @@ def atto_matrix(alpha: BlaschkeProduct, beta: BlaschkeProduct, symbol: SymbolSpe
     if method != "quadrature":
         raise ValueError("method must be 'quadrature' or 'closed'")
 
-    def node_sum(z):
+    def node_sum(*node_sets):
+        z, parts = _joined(node_sets)
         va = alpha.model_space.level_values(z)    # (m, N) TM values of K_alpha
         vb = va if beta == alpha else beta.model_space.level_values(z)
 
@@ -298,7 +303,8 @@ def atto_matrix(alpha: BlaschkeProduct, beta: BlaschkeProduct, symbol: SymbolSpe
             return va if part.space == alpha else vb if part.space == beta else None
 
         phi = symbol.values(z, held(symbol.co_analytic), held(symbol.analytic))
-        return np.conj(vb) @ (phi * va).T         # (n, m), TM coordinates
+        left, right = np.conj(vb), phi * va
+        return [left[:, part] @ right[:, part].T for part in parts]   # (n, m), TM coordinates
 
     return OperatorMatrix.from_tm(doubling_circle_mean(node_sum, tol.quadrature),
                                   in_basis, out_basis)

@@ -22,12 +22,13 @@ from attokit.modelspace import (BASIS_KINDS, CLARK_ENTRIES, ModelBasis, ModelVec
                                 doubling_circle_mean, inner_product, kernel,
                                 multiply_by_z, project, tm_values, tm_vector)
 from test_blaschke import derivative
-from test_operators import counted_tm_values
+from test_operators import (SINGLE_MEAN_START, counted_tm_values, first_level_nodes,
+                            fresh_level_circle_mean)
 
 
 def circle_mean(fn):
     """Circle mean of ``fn(nodes)``, whose last axis runs over the nodes."""
-    return doubling_circle_mean(lambda z: fn(z).sum(-1))
+    return doubling_circle_mean(lambda *node_sets: [fn(z).sum(-1) for z in node_sets])
 
 
 def quadrature_gram(b):
@@ -107,27 +108,6 @@ def degree_64_products(rng):
     return out
 
 
-def fresh_level_circle_mean(level_mean, tol=1e-12, n_start=256, n_max=1 << 15):
-    """Reference doubling trapezoid rule that evaluates every level afresh on
-    all of its nodes; returns the mean and the node count it stopped at.
-
-    A level stops the doubling when its gap to the previous level is within
-    tol relative to 1 + max|mean|, or, once two gaps are known, when the last
-    gap times the last ratio of gaps is."""
-    means = [level_mean(n_start)]
-    gaps = []
-    n = n_start
-    while 2 * n <= n_max:
-        n *= 2
-        means.append(level_mean(n))
-        gaps.append(np.max(np.abs(means[-1] - means[-2])))
-        target = tol * (1.0 + np.max(np.abs(means[-1])))
-        predicted = gaps[-1] * (gaps[-1] / gaps[-2]) if len(gaps) > 1 else np.inf
-        if min(gaps[-1], predicted) <= target:
-            return means[-1], n
-    raise QuadratureError("reference did not converge")
-
-
 def two_denominator_tm_values(b, z):
     """TM values with 1 - conj(a) z formed twice per zero, once for the value
     and once for the running product."""
@@ -164,16 +144,18 @@ class TestCircleQuadrature:
             fn, exact = cauchy_means(a, c)
             calls = []
 
-            def node_sum(z):
-                calls.append(z)
-                return fn(z).sum(-1)
+            def node_sum(*node_sets):
+                calls.append(node_sets)
+                return [fn(z).sum(-1) for z in node_sets]
 
             nested = doubling_circle_mean(node_sum)
-            ref, n_ref = fresh_level_circle_mean(lambda n: np.mean(fn(circle_nodes(n)), axis=-1))
-            nodes = np.concatenate(calls)
-            assert len(nodes) == n_ref
-            assert np.array_equal(calls[0], circle_nodes(256))
-            for z in calls[1:]:                   # exactly the new odd nodes
+            level_mean = lambda n: np.mean(fn(circle_nodes(n)), axis=-1)   # noqa: E731
+            ref, n_ref = fresh_level_circle_mean(level_mean)
+            _, n_single = fresh_level_circle_mean(level_mean, **SINGLE_MEAN_START)
+            nodes = np.concatenate([z for sets in calls for z in sets])
+            assert len(nodes) == n_ref <= n_single
+            assert np.array_equal(np.concatenate(calls[0]), first_level_nodes())
+            for (z,) in calls[1:]:                # exactly the new odd nodes
                 assert np.array_equal(z, circle_nodes(2 * len(z))[1::2])
             assert np.max(np.abs(nested - ref)) <= 1e-15 * np.max(np.abs(ref))
             assert np.max(np.abs(nested - exact)) <= 1e-12
@@ -181,26 +163,31 @@ class TestCircleQuadrature:
     def test_error_after_full_ladder(self):
         evaluated = []
 
-        def node_sum(z):
-            evaluated.append(len(z))
-            return np.sum(1.0 / (z - (1.0 + 1e-7) * np.exp(0.1j)))
+        def node_sum(*node_sets):
+            evaluated.extend(len(z) for z in node_sets)
+            return [np.sum(1.0 / (z - (1.0 + 1e-7) * np.exp(0.1j))) for z in node_sets]
 
         with pytest.raises(QuadratureError, match="did not converge below 1e-12 at 32768 nodes"):
             doubling_circle_mean(node_sum)
         assert sum(evaluated) == 1 << 15
 
     def test_doubling_nodes_are_the_bytes_of_the_sliced_level(self):
-        levels = []
+        calls = []
 
-        def node_sum(z):
-            levels.append(z)
-            return np.sum(1.0 / (z - (1.0 + 1e-7) * np.exp(0.1j)))
+        def node_sum(*node_sets):
+            calls.append(node_sets)
+            return [np.sum(1.0 / (z - (1.0 + 1e-7) * np.exp(0.1j))) for z in node_sets]
 
         with pytest.raises(QuadratureError):
             doubling_circle_mean(node_sum)
-        assert [len(z) for z in levels] == [256 << max(k - 1, 0) for k in range(8)]
-        assert levels[0].tobytes() == circle_nodes(256).tobytes()
-        for z in levels[1:]:                      # doublings to 512 ... 32768 nodes
+        assert [[len(z) for z in sets] for sets in calls] == \
+            [[64, 64, 128]] + [[256 << k] for k in range(7)]
+        first = calls[0]                          # 64 nodes, then the odd halves of 128 and 256
+        assert np.concatenate(first).tobytes() == first_level_nodes().tobytes()
+        assert first[0].tobytes() == circle_nodes(64).tobytes()
+        assert first[1].tobytes() == circle_nodes(128)[1::2].tobytes()
+        assert first[2].tobytes() == circle_nodes(256)[1::2].tobytes()
+        for (z,) in calls[1:]:                    # doublings to 512 ... 32768 nodes
             assert z.tobytes() == circle_nodes(2 * len(z))[1::2].tobytes()
 
 

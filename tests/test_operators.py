@@ -102,6 +102,24 @@ class TestAttoMatrix:
             with pytest.raises(ValueError, match="not both"):
                 SymbolSpec(co_analytic=chi, raw=raw)
 
+    def test_symbol_values_match_the_sum_from_zero(self, rng):
+        # one conjugated product and one in-place add give the values of
+        # 0 + conj(chi) + psi summed out of place, read or evaluated
+        alpha, beta = random_blaschke(rng, 5), random_blaschke(rng, 3)
+        chi = random_vector(rng, build_basis(alpha, "clark", 1j))
+        psi = random_vector(rng, build_basis(beta, "tm"))
+        z = np.concatenate([circle_nodes(64), 0.7 * circle_nodes(16)]).reshape(8, 10)
+        va, vb = modelspace.tm_values(alpha, z), modelspace.tm_values(beta, z)
+        for sym in (SymbolSpec(co_analytic=chi), SymbolSpec(analytic=psi),
+                    SymbolSpec(co_analytic=chi, analytic=psi)):
+            ref = np.zeros(z.shape, dtype=complex)
+            if sym.co_analytic is not None:
+                ref = ref + np.conj(modelspace._combine(chi.tm(), va))
+            if sym.analytic is not None:
+                ref = ref + modelspace._combine(psi.tm(), vb)
+            assert np.array_equal(sym.values(z), ref)
+            assert np.array_equal(sym.values(z, va, vb), ref)
+
     def test_quadrature_error_for_pole_on_circle(self):
         from attokit.modelspace import QuadratureError
         b = monomial(2)
@@ -133,10 +151,10 @@ class TestAttoMatrix:
             for space in seen:
                 nodes = np.concatenate(seen[space])
                 n = len(nodes)
-                assert n >= 512 and n & (n - 1) == 0
+                assert n >= 256 and n & (n - 1) == 0
                 assert np.array_equal(np.sort_complex(nodes), np.sort_complex(circle_nodes(n)))
-                # one call per level, in ladder order
-                assert np.array_equal(seen[space][0], circle_nodes(256))
+                # one call per level, in ladder order, the first in nested order
+                assert np.array_equal(seen[space][0], first_level_nodes())
                 assert [len(z) for z in seen[space]] == [256] + [256 << k for k in
                                                                range(len(seen[space]) - 1)]
 
@@ -229,10 +247,66 @@ def relative_gap(got, ref):
     return np.max(np.abs(got - ref)) / (1.0 + np.max(np.abs(ref)))
 
 
+def first_level_nodes():
+    """The quadrature's first level in its nested order: ``circle_nodes(64)``,
+    then the odd nodes of 128, then the odd nodes of 256."""
+    order = np.concatenate([np.arange(0, 256, 4), np.arange(2, 256, 4), np.arange(1, 256, 2)])
+    return circle_nodes(256)[order]
+
+
+# The rule whose first level is read as one 256-node mean, so that it accepts
+# from 512 nodes on and applies the contraction test from 1024 on.
+SINGLE_MEAN_START = {"n_first": 256, "n_accept": 512}
+
+
+def fresh_level_circle_mean(level_mean, tol=1e-12, n_first=64, n_accept=256, n_max=1 << 15):
+    """Reference doubling trapezoid rule that evaluates every level afresh on
+    all of its nodes, from ``n_first`` nodes on; returns the mean and the node
+    count it stopped at.
+
+    From ``n_accept`` nodes on, a level stops the doubling when its gap to
+    the previous level is within tol relative to 1 + max|mean|, or, once two
+    gaps are known, when the last gap times the last ratio of gaps is.  The
+    defaults are the library's rule; ``SINGLE_MEAN_START`` gives the rule
+    that reads the first level as one mean."""
+    means = [level_mean(n_first)]
+    gaps = []
+    n = n_first
+    while 2 * n <= n_max:
+        n *= 2
+        means.append(level_mean(n))
+        gaps.append(np.max(np.abs(means[-1] - means[-2])))
+        target = tol * (1.0 + np.max(np.abs(means[-1])))
+        predicted = gaps[-1] * (gaps[-1] / gaps[-2]) if len(gaps) > 1 else np.inf
+        if n >= n_accept and min(gaps[-1], predicted) <= target:
+            return means[-1], n
+    raise modelspace.QuadratureError("reference did not converge")
+
+
+def atto_integrand(alpha, beta, symbol):
+    """``atto_matrix``'s integrand summed over the nodes z, evaluated afresh
+    with no level store."""
+    def node_sum(z):
+        va, vb = modelspace.tm_values(alpha, z), modelspace.tm_values(beta, z)
+        return np.conj(vb) @ (symbol.values(z) * va).T
+    return node_sum
+
+
+def project_integrand(b, values_fn):
+    """``project``'s integrand summed over the nodes z, evaluated afresh."""
+    return lambda z: np.conj(modelspace.tm_values(b, z)) @ values_fn(z)
+
+
+def single_mean_node_count(node_sum, tol=1e-12):
+    """Nodes the rule of ``SINGLE_MEAN_START`` evaluates on ``node_sum(z)``."""
+    return fresh_level_circle_mean(lambda n: node_sum(circle_nodes(n)) / n, tol,
+                                   **SINGLE_MEAN_START)[1]
+
+
 def two_level_node_count(node_sum, tol, n_start=256, n_max=1 << 15):
-    """Nodes that nested doubling evaluates when it stops only once two
-    successive means agree to tol relative to 1 + max|mean| (inf when that
-    never happens within n_max nodes)."""
+    """Nodes that nested doubling evaluates on ``node_sum(z)`` when it stops
+    only once two successive means agree to tol relative to 1 + max|mean|
+    (inf when that never happens within n_max nodes)."""
     prev = None
     n = n_start
     while n <= n_max:
@@ -242,6 +316,27 @@ def two_level_node_count(node_sum, tol, n_start=256, n_max=1 << 15):
         prev = mean
         n *= 2
     return np.inf
+
+
+def counted_quadratures(monkeypatch):
+    """Record, for every ``doubling_circle_mean`` call of ``atto_matrix`` and
+    ``project``, the node count of each ``node_sum`` call."""
+    calls = []
+    nested = modelspace.doubling_circle_mean
+
+    def counting(node_sum, tol):
+        sizes = []
+
+        def counted(*node_sets):
+            sizes.append(sum(len(z) for z in node_sets))
+            return node_sum(*node_sets)
+
+        calls.append(sizes)
+        return nested(counted, tol)
+
+    monkeypatch.setattr(operators, "doubling_circle_mean", counting)
+    monkeypatch.setattr(modelspace, "doubling_circle_mean", counting)
+    return calls
 
 
 class TestLevelStore:
@@ -265,7 +360,11 @@ class TestLevelStore:
             assert seen == {}
             cold = [atto_matrix(cold_a, cold_b, syms[2]),
                     atto_matrix(cold_a, cold_b, syms[2], *cold_bases)]
-            assert len(seen[cold_a]) >= 4 and len(seen[cold_b]) >= 4
+            for b in (cold_a, cold_b):            # one level, 256 nodes: marked, then stored
+                assert [len(z) for z in seen[b]] == [256, 256]
+                [(key, vals)] = b.model_space._levels.items()
+                assert key == (256, False)
+                assert np.array_equal(vals, modelspace.tm_values(b, first_level_nodes()))
             for got, ref in zip(warm, cold):
                 assert np.array_equal(got.entries, ref.entries)
 
@@ -281,7 +380,7 @@ class TestLevelStore:
         atto_matrix(alpha, beta, sym)
         for b in (alpha, beta):
             for (n, odd), vals in b.model_space._levels.items():
-                nodes = circle_nodes(n)[1::2] if odd else circle_nodes(n)
+                nodes = circle_nodes(n)[1::2] if odd else first_level_nodes()
                 assert np.array_equal(vals, modelspace.tm_values(b, nodes))
 
     def test_stored_levels_are_read_only(self, rng):
@@ -314,12 +413,88 @@ class TestLevelStore:
         got = project(alpha, IDENTITY_SYMBOL).coeffs
         assert seen == {}
         assert np.array_equal(got, project(cold, IDENTITY_SYMBOL).coeffs)
-        assert len(seen[cold]) == 2           # 256 nodes, then the odd half of 512
+        assert len(seen[cold]) == 1           # the first level, 256 nodes in nested order
         project(cold, IDENTITY_SYMBOL)
         seen.clear()
         assert np.array_equal(atto_matrix(cold, cold, sym).entries,
                               atto_matrix(alpha, alpha, sym).entries)
         assert seen == {}
+
+
+def projected_z(b):
+    """TM coordinates of the projection of z onto K_b: S k_0, the projection
+    of z k_0 = z - conj(b(0)) z b, whose second term the projection sends
+    to 0."""
+    return b.model_space.shift @ b.model_space.k0
+
+
+class TestFirstLevelStop:
+    """The first level's 64-, 128- and 256-node means let the stop rule accept
+    from 256 nodes on.  No quadrature evaluates more nodes than the rule that
+    reads the first level as one mean, and each stays within 1e-12 of its
+    closed form."""
+
+    @staticmethod
+    def pairs(rng):
+        for radius in (0.3, 0.8, 0.9, 0.95, 0.99):
+            for m, n in ((1, 1), (3, 2), (12, 16), (24, 24), (64, 40)):
+                yield (widest_at(random_blaschke(rng, m, radius=radius, min_sep=0.01), radius),
+                       widest_at(random_blaschke(rng, n, radius=radius, min_sep=0.01), radius))
+        repeated = BlaschkeProduct((0.9 * random_unimodular(rng),) * 6
+                                   + (0.5 * random_unimodular(rng),) * 3, random_unimodular(rng))
+        tilt = random_unimodular(rng)         # twelve zeros 1e-3 apart at |a| = 0.95
+        cluster = BlaschkeProduct(tuple(0.95 * tilt * np.exp(1e-3j * k / 0.95) for k in range(12)),
+                                  random_unimodular(rng))
+        other = random_blaschke(rng, 8)
+        yield from ((repeated, repeated), (repeated, other), (cluster, other), (other, cluster),
+                    (monomial(64), monomial(64)))
+
+    def test_no_more_nodes_and_the_closed_path_to_1e_12(self, rng, monkeypatch):
+        calls = counted_quadratures(monkeypatch)
+        for alpha, beta in self.pairs(rng):
+            sym = random_symbol(rng, alpha, beta)
+            k0a, k0b = alpha.model_space.k0, beta.model_space.k0
+            chi0 = np.vdot(k0a, sym.co_analytic.tm())          # chi(0)
+            cases = (  # (quadrature, closed form, the quadrature's integrand)
+                (lambda: atto_matrix(alpha, beta, sym).tm_entries(),
+                 atto_matrix(alpha, beta, sym, method="closed").tm_entries(),
+                 atto_integrand(alpha, beta, sym)),
+                (lambda: atto_matrix(alpha, beta, z_symbol()).tm_entries(),
+                 atto_matrix(alpha, beta, SymbolSpec(analytic=tm_vector(beta, projected_z(beta))),
+                             method="closed").tm_entries(),
+                 atto_integrand(alpha, beta, z_symbol())),
+                (lambda: project(beta, sym.values).tm(),
+                 sym.analytic.tm() + np.conj(chi0) * k0b,
+                 project_integrand(beta, sym.values)),
+                (lambda: project(beta, IDENTITY_SYMBOL).tm(), projected_z(beta),
+                 project_integrand(beta, IDENTITY_SYMBOL)))
+            for quadrature, closed, integrand in cases:
+                calls.clear()
+                got = quadrature()
+                [sizes] = calls
+                assert relative_gap(got, closed) <= 1e-12, (alpha.degree, beta.degree)
+                assert sum(sizes) <= single_mean_node_count(integrand), (alpha.degree, beta.degree)
+
+    def test_schedule_at_the_benchmark_shapes(self, rng, monkeypatch):
+        calls = counted_quadratures(monkeypatch)
+        for (m, n, radius), schedule in (((24, 24, 0.8), [[256]]),
+                                         ((64, 40, 0.95), [[256, 256, 512]])):
+            alpha = widest_at(random_blaschke(rng, m, radius=radius, min_sep=0.01), radius)
+            beta = random_blaschke(rng, n, radius=radius, min_sep=0.01)
+            calls.clear()
+            atto_matrix(alpha, beta, random_symbol(rng, alpha, beta))
+            assert calls == schedule
+
+    def test_monomial_64_structured_symbol(self, rng, monkeypatch):
+        # a trigonometric polynomial of degree 126: the 64-node mean aliases,
+        # the 128- and 256-node means are exact
+        calls = counted_quadratures(monkeypatch)
+        b = monomial(64)
+        sym = random_symbol(rng, b, b)
+        quad = atto_matrix(b, b, sym).entries
+        closed = atto_matrix(b, b, sym, method="closed").entries
+        assert relative_gap(quad, closed) <= 1e-12
+        assert calls == [[256]]
 
 
 class TestClosedPath:
@@ -407,21 +582,7 @@ class TestClosedPath:
 
     def test_contraction_stop_on_repeated_clustered_and_high_degree_zeros(self, rng,
                                                                            monkeypatch):
-        nested = operators.doubling_circle_mean
-        counts = []                           # (nodes evaluated, two-level rule's nodes)
-
-        def counting(node_sum, tol, *args):
-            sizes = []
-
-            def counted(z):
-                sizes.append(len(z))
-                return node_sum(z)
-
-            mean = nested(counted, tol, *args)
-            counts.append((sum(sizes), two_level_node_count(node_sum, tol, *args)))
-            return mean
-
-        monkeypatch.setattr(operators, "doubling_circle_mean", counting)
+        calls = counted_quadratures(monkeypatch)
         pairs = []
         for radius in (0.95, 0.99):           # repeated poles: rate alone misjudges them
             alpha = BlaschkeProduct((radius * random_unimodular(rng),) * 16, random_unimodular(rng))
@@ -433,20 +594,25 @@ class TestClosedPath:
         pairs += [(cluster, other), (other, cluster)]
         for alpha, beta in pairs:
             sym = random_symbol(rng, alpha, beta)
-            counts.clear()
+            calls.clear()
             quad = atto_matrix(alpha, beta, sym).entries
             closed = atto_matrix(alpha, beta, sym, method="closed").entries
             assert relative_gap(closed, quad) <= 1e-12
-            [(evaluated, two_level)] = counts
-            assert evaluated <= two_level
+            [sizes] = calls
+            integrand = atto_integrand(alpha, beta, sym)
+            assert sum(sizes) <= single_mean_node_count(integrand)
+            assert sum(sizes) <= two_level_node_count(integrand, 1e-12)
         alpha = widest_at(random_blaschke(rng, 64, radius=0.95, min_sep=0.01), 0.95)
         beta = random_blaschke(rng, 40, radius=0.95, min_sep=0.01)
         sym = random_symbol(rng, alpha, beta)
-        counts.clear()
+        calls.clear()
         quad = atto_matrix(alpha, beta, sym).entries
         closed = atto_matrix(alpha, beta, sym, method="closed").entries
         assert relative_gap(closed, quad) <= 1e-12
-        assert counts == [(1024, 2048)]
+        integrand = atto_integrand(alpha, beta, sym)
+        assert calls == [[256, 256, 512]]     # 1024 nodes in three calls
+        assert (single_mean_node_count(integrand), two_level_node_count(integrand, 1e-12)) \
+            == (1024, 2048)
 
     def test_raw_symbol_rejected(self):
         with pytest.raises(ValueError, match="structured symbol"):

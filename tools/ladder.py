@@ -38,7 +38,11 @@ passes through all rows:
   into the paired Clark bases (TM -> Clark), the move that quadrature and
   the closed path make.  Accuracy: the largest round-trip error of the
   Clark entries, Clark -> TM -> Clark through ``tm_entries()`` of the
-  member loaded anew, relative to 1 + max|entry|;
+  member loaded anew, relative to 1 + max|entry|.  At degrees up to
+  ``ROUND_TRIP_DEGREES`` both basis-change rows also report the median of
+  their round-trip error over ``ROUND_TRIP_DRAWS`` more seeded draws of the
+  row's shape and radius, one member each, since every route sits at the
+  one-ulp floor there and a maximum over three members cannot rank two;
 - the Clark pairing ``match_clark_points`` of the row's stored point sets,
   built anew with every constant read.  Number: its ``min_separation``.
 
@@ -82,6 +86,8 @@ SEED = 0                        # fixed, so that BENCH_N.json files compare
 DEGREES = (4, 8, 16, 32, 64)
 RADII = (0.8, 0.95, 0.9999)
 MATRICES = 3                    # members, and as many non-members, per row
+ROUND_TRIP_DRAWS = 32           # draws behind the round-trip medians
+ROUND_TRIP_DEGREES = 16         # rows of degree up to this report the medians
 ROUNDS = 7                      # passes over all rows
 REPEATS = 3                     # timed calls per matrix and pass
 REFUSALS = (ak.IndeterminateError, ak.ToleranceBreakdown)
@@ -140,8 +146,14 @@ def quadrature_nodes(call) -> int:
     """The circle nodes one quadrature call evaluates."""
     seen = []
     real = operators.doubling_circle_mean
-    operators.doubling_circle_mean = (
-        lambda node_sum, tol: real(lambda z: (seen.append(len(z)), node_sum(z))[1], tol))
+
+    def counting(node_sum, tol):
+        def counted(*node_sets):
+            seen.extend(len(z) for z in node_sets)
+            return node_sum(*node_sets)
+        return real(counted, tol)
+
+    operators.doubling_circle_mean = counting
     try:
         call()
     finally:
@@ -192,6 +204,28 @@ def loaded_tm(x: ak.OperatorMatrix) -> np.ndarray:
 def fresh_conj(b: ak.BlaschkeProduct) -> np.ndarray:
     """The conjugation matrix of a new model space of ``b``."""
     return ModelSpace(b).conj
+
+
+def round_trip_medians(m: int, n: int, radius: float) -> tuple[float, float]:
+    """The medians, over ``ROUND_TRIP_DRAWS`` seeded draws of one closed-path
+    member in the paired Clark bases each, of the round-trip errors that
+    ``tm_entries[clark]`` and ``from_tm[clark]`` report as maxima: at the
+    one-ulp floor a maximum over three members cannot rank two routes."""
+    rng = np.random.default_rng([SEED, m, n, round(1000 * radius), 1])
+    to_tm, to_clark = [], []
+    while len(to_tm) < ROUND_TRIP_DRAWS:
+        alpha, beta = product(rng, m, radius), product(rng, n, radius)
+        lam1, lam2 = instances.random_unimodular(rng), instances.random_unimodular(rng)
+        symbol = instances.random_symbol(rng, alpha, beta)
+        try:
+            ca, cb = ak.build_basis(alpha, "clark", lam1), ak.build_basis(beta, "clark", lam2)
+        except REFUSALS:
+            continue
+        x = ak.atto_matrix(alpha, beta, symbol, ca, cb, method="closed")
+        to_tm.append(rel_max(loaded_tm(x) - x.tm_entries(), x.tm_entries()))
+        to_clark.append(rel_max(ak.OperatorMatrix.from_tm(loaded_tm(x), ca, cb).entries
+                                - x.entries, x.entries))
+    return statistics.median(to_tm), statistics.median(to_clark)
 
 
 def witness_defect(member, pairing, chi, psi) -> float:
@@ -285,6 +319,11 @@ class Row:
         out["operators.from_tm[clark]"] = {"round_trip_max": max(
             rel_max(ak.OperatorMatrix.from_tm(loaded_tm(x), x.in_basis, x.out_basis).entries
                     - x.entries, x.entries) for x in self.members)}
+        if self.m <= ROUND_TRIP_DEGREES:
+            medians = round_trip_medians(self.m, self.n, self.radius)
+            for name, median in zip(("operators.tm_entries[clark]", "operators.from_tm[clark]"),
+                                    medians):
+                out[name].update(round_trip_median=median, round_trip_draws=ROUND_TRIP_DRAWS)
         out["membership.match_clark_points"] = {
             "min_separation": self.calls["membership.match_clark_points"][0]().min_separation}
         return out
